@@ -19,6 +19,7 @@ independent of the order in which rules are applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -43,8 +44,8 @@ class AlgebraParams:
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {self.q!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,20 @@ def _mono_times_gen(mono: Monomial, gen: str, q: float) -> dict:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-@lru_cache(maxsize=None)
+# One q's working set is about 650 products (`qent verify --suite all`); the
+# bound keeps a process that sweeps q from growing without limit.
+MONO_MUL_CACHE_SIZE = 4096
+
+
+def remember(cache: dict, key, value, maxsize: int):
+    """Store key -> value in a memo dict, emptying it first once it holds maxsize entries."""
+    if len(cache) >= maxsize:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+@lru_cache(maxsize=MONO_MUL_CACHE_SIZE)
 def _mono_mul(x: Monomial, y: Monomial, q: float):
     """Normal-ordered product of two basis monomials, as ((monomial, coeff), ...)."""
     acc = {x: 1.0 + 0.0j}

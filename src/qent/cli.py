@@ -130,7 +130,10 @@ def cmd_transform(args) -> int:
         pair = args.pair or f"{by_dim[rho.dims[0]]}*{by_dim[rho.dims[1]]}"
     except KeyError:
         raise CliError(f"no corepresentation of dimension {rho.dims} in the catalog")
-    U = product_catalog(params, (pair,))[0]
+    try:
+        U = product_catalog(params, (pair,))[0]
+    except ValueError as exc:
+        raise CliError(str(exc))
     if U.dims != rho.dims:
         raise CliError(f"corep pair {pair} has dims {U.dims}, input has {rho.dims}")
 
@@ -172,7 +175,10 @@ def _file_params(args, stored: AlgebraParams) -> AlgebraParams:
             f"--q {args.q} conflicts with the element file's q = {stored.q}; "
             "element coefficients are only meaningful in their own algebra"
         )
-    return AlgebraParams(q=stored.q, tol=args.tol)
+    try:
+        return AlgebraParams(q=stored.q, tol=args.tol)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _rekeyed(value, params: AlgebraParams):

@@ -20,14 +20,14 @@ import numpy as np
 from .corep import ProductCorep, product_corep, standard_catalog
 from .fourier import (
     DensityOp,
+    block_map,
     inverse,
     inverse_single,
     support_residual,
     support_residual_single,
-    _sqrt_pair,
 )
-from .haar import haar
-from .hopf import MultiElement, partial_theta, product_coinverse, product_coproduct, tensor
+from .haar import pairing_tables
+from .hopf import MultiElement, partial_theta, tensor
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
 NOT_POSITIVE_DEFINITE = "NOT_POSITIVE_DEFINITE"
@@ -64,19 +64,30 @@ def pd_witness_value(x: MultiElement, b: MultiElement) -> complex:
     The four-leg coproduct of x is contracted with y ↦ h(κ(y)·b*) on the
     first leg pair and y ↦ h(b·y) on the second.  For positive definite x
     the value is real and non-negative for every b.
+
+    Both functionals are products over legs, so with b = Σ_j β_j p_j ⊗ s_j
+    the value is Σ x_(ma,mb) Σ_jk β_j conj(β_k) G(ma; p_j, p_k) G(mb; s_j, s_k)
+    with the memoised one-leg factor G of `PairingTables.convolution`.
     """
     _require_two_legs(x)
     _require_two_legs(b)
     if x.params != b.params:
         raise ValueError("operands carry different algebra parameters")
-    params = x.params
-    b_star = b.adjoint()
+    convolution = pairing_tables(x.params).convolution
+    lefts = [p for p, _ in b.terms]
+    rights = [s for _, s in b.terms]
+    beta = np.fromiter(b.terms.values(), complex, len(b.terms))
+    weights = np.outer(beta, beta.conj())
+
+    def gram(m, monos):
+        return np.array([[convolution(m, p, p2) for p2 in monos] for p in monos])
+
+    left_grams = {ma: gram(ma, lefts) for ma in {ma for ma, _ in x.terms}}
+    right_grams = {mb: gram(mb, rights) for mb in {mb for _, mb in x.terms}}
     total = 0j
-    for (m0, m1, m2, m3), coeff in product_coproduct(x).terms.items():
-        first = MultiElement(params, 2, {(m0, m1): 1.0})
-        second = MultiElement(params, 2, {(m2, m3): 1.0})
-        total += coeff * haar(product_coinverse(first) * b_star) * haar(b * second)
-    return total
+    for (ma, mb), coeff in x.terms.items():
+        total += coeff * (weights * left_grams[ma] * right_grams[mb]).sum()
+    return complex(total)
 
 
 def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True) -> PDReport:
@@ -126,18 +137,19 @@ def find_negative_witness(x: MultiElement, U: ProductCorep) -> MultiElement | No
     herm = (block + block.conj().T) / 2.0
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
-    sqrtF, _ = _sqrt_pair(U.F)
-    A = float(np.trace(U.F).real) * (sqrtF @ herm @ sqrtF)
+    compiled = block_map(U)
+    A = compiled.trF * (compiled.sqrtF @ herm @ compiled.sqrtF)
     eigvals, vecs = np.linalg.eigh(A)
     v = vecs[:, int(np.argmin(eigvals))]
     Finv = np.linalg.inv(U.F)
     row = int(np.argmax(np.sum(np.abs(Finv) ** 2, axis=0)))
-    witness = MultiElement.zero(x.params, 2)
+    terms: dict = {}
     for col in range(U.dim):
         beta = v[col].conjugate()
         if abs(beta) > 0:
-            witness = witness + U.entries[row][col].adjoint() * beta
-    return witness
+            for tup, coeff in compiled.adjoints[row * U.dim + col]:
+                terms[tup] = terms.get(tup, 0j) + coeff * beta
+    return MultiElement(x.params, 2, terms)
 
 
 def is_positive_definite_single(x, coreps) -> PDReport:

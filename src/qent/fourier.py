@@ -12,15 +12,20 @@ against an irreducible block U is
 and the original operator is recovered as (tr F) √F x̂(U) √F.  The same maps
 with a single-factor corepresentation act between matrices and one-leg
 Elements.
+
+Both directions are linear, so each product block is compiled on first use
+into a `BlockMap`: the Haar pairings h(U_rc* · t) of each two-leg monomial
+t are memoised term by term from single-leg tables, and `forward` onto the
+block's monomials is a fixed matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Element
+from .algebra import Element, remember
 from .corep import Corep, ProductCorep
-from .haar import haar
+from .haar import haar, pairing_tables
 from .hopf import MultiElement, product_counit
 
 
@@ -40,6 +45,8 @@ class DensityOp:
         arr = np.array(matrix, dtype=complex)
         if arr.shape != (n * m, n * m):
             raise ValueError(f"matrix shape {arr.shape} does not match dims {n}x{m}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
         self.dims = (n, m)
         self.matrix = arr
@@ -79,13 +86,16 @@ def forward(rho, U: ProductCorep) -> MultiElement:
     d = U.dim
     if mat.shape != (d, d):
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
-    out = MultiElement.zero(U.params, 2)
+    if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
+        raise ValueError("operator entries must be finite")
+    terms: dict = {}
     for row in range(d):
         for col in range(d):
             coeff = mat[row, col]
             if coeff:
-                out = out + U.entries[col][row] * coeff
-    return out
+                for tup, c in U.entries[col][row].terms.items():
+                    terms[tup] = terms.get(tup, 0j) + c * coeff
+    return MultiElement(U.params, 2, terms)
 
 
 def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
@@ -94,19 +104,14 @@ def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
         raise ValueError("inverse() expects a two-leg element")
     if x.params != U.params:
         raise ValueError("element and corepresentation parameters differ")
-    d = U.dim
-    H = np.empty((d, d), dtype=complex)
-    for r in range(d):
-        for c in range(d):
-            H[r, c] = haar(U.entries[r][c].adjoint() * x)
-    sqrtF, inv_sqrtF = _sqrt_pair(U.F)
-    return inv_sqrtF @ H.T @ sqrtF
+    block = block_map(U)
+    return block.inv_sqrtF @ block.haar_matrix(x).T @ block.sqrtF
 
 
 def reconstruct(x: MultiElement, U: ProductCorep) -> np.ndarray:
     """(tr F) √F x̂(U) √F: recovers ρ when x is the transform of ρ over U."""
-    sqrtF, _ = _sqrt_pair(U.F)
-    return float(np.trace(U.F).real) * (sqrtF @ inverse(x, U) @ sqrtF)
+    block = block_map(U)
+    return block.trF * (block.sqrtF @ inverse(x, U) @ block.sqrtF)
 
 
 def normalization_check(x: MultiElement) -> complex:
@@ -121,10 +126,127 @@ def support_residual(x: MultiElement, catalog) -> float:
     catalog's corepresentation blocks; a positive value reports the largest
     missed coefficient.
     """
-    total = MultiElement.zero(x.params, 2)
+    total: dict = {}
     for U in catalog:
-        total = total + forward(reconstruct(x, U), U)
-    return x.distance(total)
+        block = block_map(U)
+        coeffs = block.forward_matrix @ reconstruct(x, U).reshape(-1)
+        for mono, coeff in zip(block.monomials, coeffs.tolist()):
+            total[mono] = total.get(mono, 0j) + coeff
+    gaps = [abs(coeff - total.pop(mono, 0j)) for mono, coeff in x.terms.items()]
+    gaps.extend(abs(coeff) for coeff in total.values())
+    return max(gaps, default=0.0)
+
+
+# -- compiled block maps -----------------------------------------------------------
+
+# product blocks kept at once, and per-monomial chains kept per block;
+# each memo is emptied once it is full
+BLOCK_MAPS_SIZE = 32
+BLOCK_CHAINS_SIZE = 512
+
+_BLOCK_MAPS: dict = {}
+
+
+class BlockMap:
+    """The linear maps of one product-corep block U, compiled on first use.
+
+    - `chain(t)` lists, for a two-leg monomial t, every non-zero term of
+      the Haar values h(U_rc* · t) as its entry index r * d + c and its
+      factors (β, s0, s1, h0, h1): the coefficient β of U_rc*, the scales
+      of the two leg products and the Haar values of their monomials.  It
+      is built from single-leg tables and memoised per monomial;
+    - `adjoints[r * d + c]` holds the terms of U_rc*;
+    - `forward_matrix` maps the row-major entries of a d×d operator to the
+      coefficients of `monomials` in its transform over U.
+
+    The H of the last element is kept with that element: one check asks for
+    the same block several times (block test, support residual, witness),
+    and elements are immutable by convention.
+    """
+
+    __slots__ = ("U", "adjoints", "monomials", "forward_matrix", "sqrtF", "inv_sqrtF", "trF",
+                 "_tables", "_chains", "_last")
+
+    def __init__(self, U: ProductCorep):
+        d = U.dim
+        self.U = U
+        self.adjoints = tuple(
+            tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d)
+        )
+        sources = [(tup, row * d + col, coeff)
+                   for row in range(d) for col in range(d)
+                   for tup, coeff in U.entries[col][row].terms.items()]
+        index: dict = {}
+        for tup, _, _ in sources:
+            index.setdefault(tup, len(index))
+        self.monomials = tuple(index)
+        self.forward_matrix = np.zeros((len(index), d * d), dtype=complex)
+        for tup, k, coeff in sources:
+            self.forward_matrix[index[tup], k] += coeff
+        self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
+        self.trF = float(np.trace(U.F).real)
+        self._tables = pairing_tables(U.params)
+        self._chains: dict = {}
+        self._last = (None, None)
+
+    def chain(self, t: tuple):
+        """(entry indices, factors of shape (5, n)) of the non-zero terms of h(U_rc* · t)."""
+        found = self._chains.get(t)
+        if found is None:
+            leg_terms = self._tables.leg_terms
+            m0, m1 = t
+            bins, factors = [], []
+            for rc, terms in enumerate(self.adjoints):
+                for (p0, p1), beta in terms:
+                    for s0, h0 in leg_terms(p0, m0):
+                        for s1, h1 in leg_terms(p1, m1):
+                            bins.append(rc)
+                            factors.append((beta, s0, s1, h0, h1))
+            found = (np.array(bins, dtype=np.intp),
+                     np.array(factors, dtype=complex).reshape(-1, 5).T.copy())
+            remember(self._chains, t, found, BLOCK_CHAINS_SIZE)
+        return found
+
+    def haar_matrix(self, x: MultiElement) -> np.ndarray:
+        """H with H[r, c] = h(U_rc* · x).
+
+        Each term is multiplied out as ((((β·x_t)·s0)·s1)·h0)·h1 and added
+        in the order of the symbolic product.  So H equals the symbolic
+        value bit for bit when each U_rc* is one term and no two terms of
+        U_rc*·x share a monomial, as for transforms of operators (and their
+        partial transposes) over the shipped catalog.
+        """
+        last_x, last_H = self._last
+        if last_x is x:
+            return last_H
+        d = self.U.dim
+        H = np.zeros(d * d, dtype=complex)
+        if x.terms:
+            chains = [self.chain(t) for t in x.terms]
+            bins = np.concatenate([c[0] for c in chains])
+            factors = np.concatenate([c[1] for c in chains], axis=1)
+            coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(chains)),
+                               [len(c[0]) for c in chains])
+            values = factors[0] * coeffs
+            for factor in factors[1:]:
+                values = values * factor
+            np.add.at(H, bins, values)
+        H = H.reshape(d, d)
+        H.setflags(write=False)
+        self._last = (x, H)
+        return H
+
+
+def block_map(U: ProductCorep) -> BlockMap:
+    """The compiled maps of U, built on its first use.
+
+    Keyed by identity: the cache holds U itself, so its id cannot be reused
+    by another block while the entry lives.
+    """
+    block = _BLOCK_MAPS.get(id(U))
+    if block is None:
+        block = remember(_BLOCK_MAPS, id(U), BlockMap(U), BLOCK_MAPS_SIZE)
+    return block
 
 
 # -- single-factor transform -----------------------------------------------------

@@ -10,13 +10,23 @@ unless the a-power is zero and the c and c* powers match, and
 the q = 1 value being the classical limit of the same expression.  The
 closed form is validated in the test suite against an independent linear
 solver for the invariance equations.  On multi-leg elements h acts as the
-product of the per-leg values.
+product of the per-leg values, which is what lets every two-leg pairing be
+assembled from the single-leg values h(p·m) held in `pairing_tables`.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraParams, Element, Monomial
-from .hopf import MultiElement, coproduct, product_coproduct, product_coinverse
+from functools import lru_cache
+
+from .algebra import AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, remember
+from .hopf import (
+    MultiElement,
+    _coinverse_monomial,
+    _coproduct_monomial,
+    coproduct,
+    product_coinverse,
+    product_coproduct,
+)
 
 _UNIT_KEY = Monomial()
 
@@ -53,6 +63,70 @@ def haar(x) -> complex:
             total += value
         return total
     raise TypeError(f"haar() expects an Element or MultiElement, got {type(x)!r}")
+
+
+# entries per memo of one PairingTables; a memo is emptied once it is full
+PAIRING_MEMO_SIZE = 4096
+# AlgebraParams whose tables are kept at once
+PAIRING_TABLES_SIZE = 8
+
+
+class PairingTables:
+    """Single-leg Haar pairings at one AlgebraParams, filled as they are first asked for.
+
+    `leg_terms(p, m)` lists the non-zero terms s·h(w) of h(p·m) =
+    Σ_w s·h(w) over the normal form p·m = Σ_w s·w, and `leg(p, m)` is
+    their sum.  `convolution(m, p, p2)` is
+
+        G(m; p, p2) = Σ_{Δm = a1 ⊗ a2} h(κ(a1)·p2*) · h(p·a2),
+
+    the one-leg factor of the positive-definiteness pairing: for two-leg x
+    and b = Σ_j β_j p_j ⊗ s_j the pairing is
+    Σ x_(ma,mb) Σ_jk β_j conj(β_k) G(ma; p_j, p_k) G(mb; s_j, s_k).
+    """
+
+    __slots__ = ("params", "_leg", "_convolution")
+
+    def __init__(self, params: AlgebraParams):
+        self.params = params
+        self._leg: dict = {}
+        self._convolution: dict = {}
+
+    def leg_terms(self, p: Monomial, m: Monomial) -> tuple:
+        key = (p, m)
+        terms = self._leg.get(key)
+        if terms is None:
+            params = self.params
+            terms = tuple(
+                (scale, value)
+                for mono, scale in _mono_mul(p, m, params.q)
+                if (value := haar_monomial(mono, params))
+            )
+            remember(self._leg, key, terms, PAIRING_MEMO_SIZE)
+        return terms
+
+    def leg(self, p: Monomial, m: Monomial) -> complex:
+        return sum((scale * value for scale, value in self.leg_terms(p, m)), 0j)
+
+    def convolution(self, m: Monomial, p: Monomial, p2: Monomial) -> complex:
+        key = (m, p, p2)
+        value = self._convolution.get(key)
+        if value is None:
+            q = self.params.q
+            adj_scale, p2_adj = _mono_adjoint(p2, q)
+            value = 0j
+            for (a1, a2), coeff in _coproduct_monomial(self.params, m).terms.items():
+                kappa_scale, a1_kappa = _coinverse_monomial(a1, q)
+                value += (coeff * kappa_scale * adj_scale
+                          * self.leg(a1_kappa, p2_adj) * self.leg(p, a2))
+            remember(self._convolution, key, value, PAIRING_MEMO_SIZE)
+        return value
+
+
+@lru_cache(maxsize=PAIRING_TABLES_SIZE)
+def pairing_tables(params: AlgebraParams) -> PairingTables:
+    """The memoised pairing tables of one algebra, shared by every caller."""
+    return PairingTables(params)
 
 
 def translated_haar_left(a, b) -> complex:

@@ -35,6 +35,7 @@ from .algebra import (
     _mono,
     _mono_adjoint,
     _mono_mul,
+    remember,
 )
 
 
@@ -195,18 +196,6 @@ def dict_accumulate(pairs) -> dict:
     return out
 
 
-def as_multi(x, legs: int | None = None) -> MultiElement:
-    """View an Element as a one-leg MultiElement (MultiElements pass through)."""
-    if isinstance(x, MultiElement):
-        if legs is not None and x.legs != legs:
-            raise ValueError(f"expected {legs} legs, got {x.legs}")
-        return x
-    me = MultiElement(x.params, 1, {(mono,): coeff for mono, coeff in x.terms.items()})
-    if legs is not None and legs != 1:
-        raise ValueError(f"expected {legs} legs, got 1")
-    return me
-
-
 def _require_legs(x: MultiElement, legs: int):
     if not isinstance(x, MultiElement) or x.legs != legs:
         got = x.legs if isinstance(x, MultiElement) else "Element"
@@ -222,6 +211,8 @@ _DELTA_TABLE = {
     MONO_CSTAR: (((MONO_ASTAR, MONO_CSTAR), 1.0), ((MONO_CSTAR, MONO_A), 1.0)),
 }
 
+# Δ of each basis monomial, keyed by (q, tol, monomial); emptied once full.
+COPRODUCT_CACHE_SIZE = 1024
 _COPRODUCT_CACHE: dict = {}
 
 
@@ -242,8 +233,7 @@ def _coproduct_monomial(params: AlgebraParams, mono: Monomial) -> MultiElement:
         factor = MultiElement(params, 2, dict(_DELTA_TABLE[gen]))
         for _ in range(count):
             out = out * factor
-    _COPRODUCT_CACHE[key] = out
-    return out
+    return remember(_COPRODUCT_CACHE, key, out, COPRODUCT_CACHE_SIZE)
 
 
 def coproduct(x: Element) -> MultiElement:

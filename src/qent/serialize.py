@@ -7,6 +7,7 @@ fully determines the algebra it lives in.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 from .algebra import AlgebraParams, Element, Monomial, PLAIN, STAR
@@ -22,7 +23,10 @@ def complex_pair(z) -> list:
 
 def _from_pair(pair) -> complex:
     re, im = pair
-    return complex(float(re), float(im))
+    z = complex(float(re), float(im))
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite number {pair!r}")
+    return z
 
 
 def _mono_record(mono: Monomial) -> dict:

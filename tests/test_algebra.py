@@ -32,6 +32,14 @@ def test_params_validation():
         AlgebraParams(q=0.5, tol=0.0)
 
 
+@pytest.mark.parametrize("q, tol", [
+    (0.5, float("inf")), (0.5, float("nan")), (float("nan"), 1e-9), (float("inf"), 1e-9),
+])
+def test_params_reject_non_finite_values(q, tol):
+    with pytest.raises(ValueError):
+        AlgebraParams(q=q, tol=tol)
+
+
 def test_monomial_validation():
     Monomial(PLAIN, 0, 1, 2)
     Monomial(STAR, 3, 0, 0)

@@ -217,3 +217,31 @@ def test_element_files_fix_their_own_q(tmp_path, capsys):
     assert main(["ppt", "--input", str(el_path), "--q", "0.7"]) == 2
     # matching --q is fine
     assert main(["haar", "--input", str(el_path), "--q", "0.5"]) == 0
+
+
+def test_transform_unknown_pair_exits_2(tmp_path, capsys):
+    rho_path = write_singlet(tmp_path)
+    for pair in ("bogus", "fund", "fund*spin1"):
+        assert main(["transform", "--input", str(rho_path), "--pair", pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_finite_inputs_exit_2(tmp_path):
+    nan_path = tmp_path / "nan.json"
+    entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+    entries[6] = [float("nan"), 0.0]
+    dump_json({"dims": [2, 2], "entries": entries}, nan_path)
+    assert main(["transform", "--input", str(nan_path)]) == 2
+    assert main(["ppt", "--input", str(nan_path)]) == 2
+
+    rho_path = write_singlet(tmp_path)
+    el_path = tmp_path / "el.json"
+    assert main(["transform", "--input", str(rho_path), "--output", str(el_path)]) == 0
+    assert main(["transform", "--input", str(rho_path), "--tol", "inf"]) == 2
+    assert main(["check-pd", "--input", str(el_path), "--tol", "inf"]) == 2
+    assert main(["haar", "--input", str(el_path), "--tol", "nan"]) == 2
+    data = json.loads(el_path.read_text())
+    data["terms"][0]["coeff"] = [float("inf"), 0.0]
+    dump_json(data, el_path)
+    assert main(["check-pd", "--input", str(el_path)]) == 2

@@ -53,6 +53,16 @@ def test_densityop_validation():
     assert abs(rho.trace() - 1) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_non_finite_operators_are_rejected(U, bad):
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[1, 2] = bad
+    with pytest.raises(ValueError):
+        DensityOp((2, 2), mat)
+    with pytest.raises(ValueError):
+        forward(mat, U)
+
+
 def test_forward_singlet(params, U):
     x = forward(singlet_state(), U)
     expect = MultiElement(params, 2, {
