@@ -23,6 +23,7 @@ from .fourier import (
     block_map,
     inverse,
     inverse_single,
+    lift_block,
     support_residual,
     support_residual_single,
 )
@@ -100,12 +101,13 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
     """
     _require_two_legs(x)
     tol = x.params.tol
+    catalog = tuple(catalog)
+    blocks = [inverse(x, U) for U in catalog]
     per_block = {}
     failing = None
     failing_min = 0.0
     nonhermitian = False
-    for U in catalog:
-        block = inverse(x, U)
+    for U, block in zip(catalog, blocks):
         if float(np.max(np.abs(block - block.conj().T))) > tol:
             # the pairing takes non-real values against suitable witnesses
             nonhermitian = True
@@ -115,7 +117,7 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
             failing = U
             failing_min = min_eig
 
-    residual = support_residual(x, catalog)
+    residual = support_residual(x, catalog, blocks=blocks)
     if residual > tol:
         return PDReport(UNDECIDED_SUPPORT, per_block, residual)
     if failing is None and not nonhermitian:
@@ -138,7 +140,7 @@ def find_negative_witness(x: MultiElement, U: ProductCorep) -> MultiElement | No
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
     compiled = block_map(U)
-    A = compiled.trF * (compiled.sqrtF @ herm @ compiled.sqrtF)
+    A = lift_block(herm, U)
     eigvals, vecs = np.linalg.eigh(A)
     v = vecs[:, int(np.argmin(eigvals))]
     Finv = np.linalg.inv(U.F)

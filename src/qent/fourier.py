@@ -15,8 +15,7 @@ Elements.
 
 Both directions are linear, so each product block is compiled on first use
 into a `BlockMap`: the Haar pairings h(U_rc* · t) of each two-leg monomial
-t are memoised term by term from single-leg tables, and `forward` onto the
-block's monomials is a fixed matrix.
+t are memoised term by term from single-leg tables.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
 
 def reconstruct(x: MultiElement, U: ProductCorep) -> np.ndarray:
     """(tr F) √F x̂(U) √F: recovers ρ when x is the transform of ρ over U."""
-    block = block_map(U)
-    return block.trF * (block.sqrtF @ inverse(x, U) @ block.sqrtF)
+    return lift_block(inverse(x, U), U)
 
 
 def normalization_check(x: MultiElement) -> complex:
@@ -119,32 +117,37 @@ def normalization_check(x: MultiElement) -> complex:
     return product_counit(x)
 
 
-def support_residual(x: MultiElement, catalog) -> float:
+def support_residual(x: MultiElement, catalog, *, blocks=None) -> float:
     """Distance between x and its re-expansion from the catalog's blocks.
 
     Zero means every matrix-coefficient component of x lives in one of the
     catalog's corepresentation blocks; a positive value reports the largest
-    missed coefficient.
+    missed coefficient.  `blocks`, when given, holds the inverse transforms
+    x̂(U) in catalog order, so a caller that already has them does not
+    compute them again.
     """
+    catalog = tuple(catalog)
+    if blocks is None:
+        blocks = [inverse(x, U) for U in catalog]
     total: dict = {}
-    for U in catalog:
-        block = block_map(U)
-        coeffs = block.forward_matrix @ reconstruct(x, U).reshape(-1)
-        for mono, coeff in zip(block.monomials, coeffs.tolist()):
+    for U, block in zip(catalog, blocks):
+        for mono, coeff in forward(lift_block(block, U), U).terms.items():
             total[mono] = total.get(mono, 0j) + coeff
     gaps = [abs(coeff - total.pop(mono, 0j)) for mono, coeff in x.terms.items()]
     gaps.extend(abs(coeff) for coeff in total.values())
     return max(gaps, default=0.0)
 
 
+def lift_block(block: np.ndarray, U: ProductCorep) -> np.ndarray:
+    """(tr F) √F · block · √F."""
+    compiled = block_map(U)
+    return compiled.trF * (compiled.sqrtF @ block @ compiled.sqrtF)
+
+
 # -- compiled block maps -----------------------------------------------------------
 
-# product blocks kept at once, and per-monomial chains kept per block;
-# each memo is emptied once it is full
-BLOCK_MAPS_SIZE = 32
+# per-monomial chains kept per block; the memo is emptied once it is full
 BLOCK_CHAINS_SIZE = 512
-
-_BLOCK_MAPS: dict = {}
 
 
 class BlockMap:
@@ -155,39 +158,21 @@ class BlockMap:
       factors (β, s0, s1, h0, h1): the coefficient β of U_rc*, the scales
       of the two leg products and the Haar values of their monomials.  It
       is built from single-leg tables and memoised per monomial;
-    - `adjoints[r * d + c]` holds the terms of U_rc*;
-    - `forward_matrix` maps the row-major entries of a d×d operator to the
-      coefficients of `monomials` in its transform over U.
-
-    The H of the last element is kept with that element: one check asks for
-    the same block several times (block test, support residual, witness),
-    and elements are immutable by convention.
+    - `adjoints[r * d + c]` holds the terms of U_rc*.
     """
 
-    __slots__ = ("U", "adjoints", "monomials", "forward_matrix", "sqrtF", "inv_sqrtF", "trF",
-                 "_tables", "_chains", "_last")
+    __slots__ = ("dim", "adjoints", "sqrtF", "inv_sqrtF", "trF", "_tables", "_chains")
 
     def __init__(self, U: ProductCorep):
         d = U.dim
-        self.U = U
+        self.dim = d
         self.adjoints = tuple(
             tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d)
         )
-        sources = [(tup, row * d + col, coeff)
-                   for row in range(d) for col in range(d)
-                   for tup, coeff in U.entries[col][row].terms.items()]
-        index: dict = {}
-        for tup, _, _ in sources:
-            index.setdefault(tup, len(index))
-        self.monomials = tuple(index)
-        self.forward_matrix = np.zeros((len(index), d * d), dtype=complex)
-        for tup, k, coeff in sources:
-            self.forward_matrix[index[tup], k] += coeff
         self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
         self.trF = float(np.trace(U.F).real)
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
-        self._last = (None, None)
 
     def chain(self, t: tuple):
         """(entry indices, factors of shape (5, n)) of the non-zero terms of h(U_rc* · t)."""
@@ -216,10 +201,7 @@ class BlockMap:
         U_rc*·x share a monomial, as for transforms of operators (and their
         partial transposes) over the shipped catalog.
         """
-        last_x, last_H = self._last
-        if last_x is x:
-            return last_H
-        d = self.U.dim
+        d = self.dim
         H = np.zeros(d * d, dtype=complex)
         if x.terms:
             chains = [self.chain(t) for t in x.terms]
@@ -231,21 +213,15 @@ class BlockMap:
             for factor in factors[1:]:
                 values = values * factor
             np.add.at(H, bins, values)
-        H = H.reshape(d, d)
-        H.setflags(write=False)
-        self._last = (x, H)
-        return H
+        return H.reshape(d, d)
 
 
 def block_map(U: ProductCorep) -> BlockMap:
-    """The compiled maps of U, built on its first use.
-
-    Keyed by identity: the cache holds U itself, so its id cannot be reused
-    by another block while the entry lives.
-    """
-    block = _BLOCK_MAPS.get(id(U))
+    """The compiled maps of U, built on its first use and kept on U itself."""
+    block = U.__dict__.get("_block_map")
     if block is None:
-        block = remember(_BLOCK_MAPS, id(U), BlockMap(U), BLOCK_MAPS_SIZE)
+        block = BlockMap(U)
+        object.__setattr__(U, "_block_map", block)
     return block
 
 

@@ -133,18 +133,32 @@ def test_pd_pairing_matches_the_convolution(q, seed):
 
 def _cache_sizes():
     tables = haar_module.pairing_tables
-    blocks = fourier._BLOCK_MAPS
     return {
         "mono_mul": (algebra._mono_mul.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "coproduct": (len(hopf._COPRODUCT_CACHE), hopf.COPRODUCT_CACHE_SIZE),
         "pairing tables": (tables.cache_info().currsize, haar_module.PAIRING_TABLES_SIZE),
-        "block maps": (len(blocks), fourier.BLOCK_MAPS_SIZE),
-        "chains per block": (max((len(b._chains) for b in blocks.values()), default=0),
-                             fourier.BLOCK_CHAINS_SIZE),
     }
 
 
-def test_q_keyed_caches_stay_bounded_over_a_q_sweep():
+@pytest.fixture
+def compiled_blocks(monkeypatch):
+    """Every BlockMap compiled while the test runs."""
+    built = []
+
+    class Recording(fourier.BlockMap):
+        def __init__(self, U):
+            super().__init__(U)
+            built.append(self)
+
+    monkeypatch.setattr(fourier, "BlockMap", Recording)
+    return built
+
+
+def _most_chains(blocks):
+    return max((len(b._chains) for b in blocks), default=0)
+
+
+def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     rng = np.random.default_rng(11)
     probe = [random_element(rng, AlgebraParams(q=0.5), max_degree=3, n_terms=6) for _ in range(2)]
     misses_before = algebra._mono_mul.cache_info().misses
@@ -160,30 +174,41 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep():
             coproduct(Element(params, y.terms))
         for name, (size, bound) in _cache_sizes().items():
             assert size <= bound, (name, q)
+        assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
     # the sweep outgrew every bound, so the bounds were exercised, not just respected
     assert algebra._mono_mul.cache_info().misses - misses_before > algebra.MONO_MUL_CACHE_SIZE
     assert len(coproduct_keys) > hopf.COPRODUCT_CACHE_SIZE
-    assert 200 > haar_module.PAIRING_TABLES_SIZE and 4 * 200 > fourier.BLOCK_MAPS_SIZE
+    assert 200 > haar_module.PAIRING_TABLES_SIZE
 
 
-def test_one_q_working_set_fits_the_bounds():
+def test_one_q_working_set_fits_the_bounds(compiled_blocks):
     from qent.verify import run_suite
 
     params = AlgebraParams(q=0.3)
     algebra._mono_mul.cache_clear()
     hopf._COPRODUCT_CACHE.clear()
-    fourier._BLOCK_MAPS.clear()
     assert all(c.passed for c in run_suite("all", params))
     # nothing was evicted while one q was in use
     info = algebra._mono_mul.cache_info()
     assert info.misses == info.currsize < algebra.MONO_MUL_CACHE_SIZE
     tables = haar_module.pairing_tables(params)
-    sizes = _cache_sizes()
-    for name in ("coproduct", "block maps", "chains per block"):
-        assert sizes[name][0] < sizes[name][1], name
+    size, bound = _cache_sizes()["coproduct"]
+    assert size < bound
+    assert compiled_blocks and _most_chains(compiled_blocks) < fourier.BLOCK_CHAINS_SIZE
     assert len(tables._leg) < haar_module.PAIRING_MEMO_SIZE
     assert len(tables._convolution) < haar_module.PAIRING_MEMO_SIZE
+
+
+def test_compiled_maps_belong_to_their_block():
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params)
+    U = catalog[3]
+    x = forward(random_psd(np.random.default_rng(3), 4), U)
+    assert fourier.block_map(U) is fourier.block_map(U)
+    assert fourier.block_map(product_catalog(params)[3]) is not fourier.block_map(U)
+    blocks = [inverse(x, V) for V in catalog]
+    assert support_residual(x, catalog, blocks=blocks) == support_residual(x, catalog)
 
 
 def test_remember_empties_a_full_memo():
