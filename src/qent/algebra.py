@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 PLAIN = "plain"  # monomial carries a^k
 STAR = "star"    # monomial carries a*^k
@@ -48,22 +48,35 @@ class AlgebraParams:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A normal-ordered basis word a^k c^m c*^n (PLAIN) or a*^k c^m c*^n (STAR)."""
-
+class _MonomialFields(NamedTuple):
     sector: str = PLAIN
     k: int = 0
     m: int = 0
     n: int = 0
 
-    def __post_init__(self):
-        if self.sector not in (PLAIN, STAR):
-            raise ValueError(f"unknown sector {self.sector!r}")
-        if min(self.k, self.m, self.n) < 0:
+
+class Monomial(_MonomialFields):
+    """A normal-ordered basis word a^k c^m c*^n (PLAIN) or a*^k c^m c*^n (STAR).
+
+    A validated tuple value, so hashing and comparing monomials, and the
+    tuple keys of multi-leg terms built from them, run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sector: str = PLAIN, k: int = 0, m: int = 0, n: int = 0):
+        if sector not in (PLAIN, STAR):
+            raise ValueError(f"unknown sector {sector!r}")
+        if min(k, m, n) < 0:
             raise ValueError("monomial exponents must be non-negative")
-        if self.k == 0 and self.sector != PLAIN:
+        if k == 0 and sector != PLAIN:
             raise ValueError("k = 0 monomials must use the PLAIN sector")
+        return tuple.__new__(cls, (sector, k, m, n))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace skip __new__; route them through it
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -185,7 +198,8 @@ class Element:
 
     Instances are immutable by convention: every operation returns a new
     Element, so values can be shared freely between threads.  Coefficients
-    with modulus at most ``params.tol`` are pruned on construction.
+    with modulus at most ``params.tol`` are pruned on construction; a
+    non-finite coefficient raises ValueError.
     """
 
     __slots__ = ("params", "terms")
@@ -193,10 +207,14 @@ class Element:
     def __init__(self, params: AlgebraParams, terms: Mapping[Monomial, complex] | None = None):
         pruned = {}
         if terms:
+            tol = params.tol
             for mono, coeff in terms.items():
                 z = complex(coeff)
-                if abs(z) > params.tol:
+                size = abs(z)
+                if tol < size < math.inf:
                     pruned[mono] = z
+                elif not size <= tol:
+                    raise ValueError(f"coefficient of {mono} is not finite: {z!r}")
         self.params = params
         self.terms = pruned
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,14 +63,20 @@ class ProductCorep:
         return self.entries[row][col]
 
 
+# AlgebraParams whose trivial and fundamental coreps are kept at once
+COREPS_SIZE = 8
+
+
+@lru_cache(maxsize=COREPS_SIZE)
 def trivial_corep(params: AlgebraParams) -> Corep:
-    """The one-dimensional trivial corepresentation."""
+    """The one-dimensional trivial corepresentation, one shared instance per params."""
     entries = ((Element.unit(params),),)
     return Corep("triv", 1, entries, _freeze(np.array([[1.0]])), params)
 
 
+@lru_cache(maxsize=COREPS_SIZE)
 def fundamental_corep(params: AlgebraParams) -> Corep:
-    """The two-dimensional fundamental corepresentation [[a, √q c], [-c*/√q, a*]]."""
+    """The fundamental corepresentation [[a, √q c], [-c*/√q, a*]]; one shared instance per params."""
     a, astar, c, cstar = (Element.generator(params, g) for g in ("a", "a*", "c", "c*"))
     rq = math.sqrt(params.q)
     entries = (

@@ -157,16 +157,17 @@ def find_negative_witness(x: MultiElement, U: ProductCorep) -> MultiElement | No
 def is_positive_definite_single(x, coreps) -> PDReport:
     """Single-factor version of the block-wise positive-definiteness test."""
     tol = x.params.tol
+    coreps = tuple(coreps)
+    blocks = [inverse_single(x, u) for u in coreps]
     per_block = {}
     ok = True
-    for u in coreps:
-        block = inverse_single(x, u)
+    for u, block in zip(coreps, blocks):
         asym = float(np.max(np.abs(block - block.conj().T)))
         min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
         per_block[u.label] = min_eig
         if asym > tol or min_eig < -EIG_TOL:
             ok = False
-    residual = support_residual_single(x, coreps)
+    residual = support_residual_single(x, coreps, blocks=blocks)
     if residual > tol:
         return PDReport(UNDECIDED_SUPPORT, per_block, residual)
     return PDReport(POSITIVE_DEFINITE if ok else NOT_POSITIVE_DEFINITE, per_block, residual)

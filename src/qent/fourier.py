@@ -13,9 +13,9 @@ and the original operator is recovered as (tr F) √F x̂(U) √F.  The same map
 with a single-factor corepresentation act between matrices and one-leg
 Elements.
 
-Both directions are linear, so each product block is compiled on first use
-into a `BlockMap`: the Haar pairings h(U_rc* · t) of each two-leg monomial
-t are memoised term by term from single-leg tables.
+Both directions are linear, so each block, product or single-factor, is
+compiled on first use into a `BlockMap`: the Haar pairings h(U_rc* · t) of
+each term key t are memoised term by term from single-leg tables.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import Element, remember
 from .corep import Corep, ProductCorep
-from .haar import haar, pairing_tables
+from .haar import pairing_tables
 from .hopf import MultiElement, product_counit
 
 
@@ -87,14 +87,7 @@ def forward(rho, U: ProductCorep) -> MultiElement:
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
     if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
-    terms: dict = {}
-    for row in range(d):
-        for col in range(d):
-            coeff = mat[row, col]
-            if coeff:
-                for tup, c in U.entries[col][row].terms.items():
-                    terms[tup] = terms.get(tup, 0j) + c * coeff
-    return MultiElement(U.params, 2, terms)
+    return MultiElement(U.params, 2, _expand(mat, U))
 
 
 def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
@@ -129,17 +122,12 @@ def support_residual(x: MultiElement, catalog, *, blocks=None) -> float:
     catalog = tuple(catalog)
     if blocks is None:
         blocks = [inverse(x, U) for U in catalog]
-    total: dict = {}
-    for U, block in zip(catalog, blocks):
-        for mono, coeff in forward(lift_block(block, U), U).terms.items():
-            total[mono] = total.get(mono, 0j) + coeff
-    gaps = [abs(coeff - total.pop(mono, 0j)) for mono, coeff in x.terms.items()]
-    gaps.extend(abs(coeff) for coeff in total.values())
-    return max(gaps, default=0.0)
+    parts = [forward(lift_block(b, U), U) for U, b in zip(catalog, blocks)]
+    return _reexpansion_gap(x, parts)
 
 
-def lift_block(block: np.ndarray, U: ProductCorep) -> np.ndarray:
-    """(tr F) √F · block · √F."""
+def lift_block(block: np.ndarray, U) -> np.ndarray:
+    """(tr F) √F · block · √F, for a product or a single-factor corep U."""
     compiled = block_map(U)
     return compiled.trF * (compiled.sqrtF @ block @ compiled.sqrtF)
 
@@ -151,21 +139,25 @@ BLOCK_CHAINS_SIZE = 512
 
 
 class BlockMap:
-    """The linear maps of one product-corep block U, compiled on first use.
+    """The linear maps of one corep block U, compiled on first use.
 
-    - `chain(t)` lists, for a two-leg monomial t, every non-zero term of
-      the Haar values h(U_rc* · t) as its entry index r * d + c and its
-      factors (β, s0, s1, h0, h1): the coefficient β of U_rc*, the scales
-      of the two leg products and the Haar values of their monomials.  It
-      is built from single-leg tables and memoised per monomial;
+    U is a product corep (terms keyed by two-leg tuples of monomials) or a
+    single-factor corep (terms keyed by monomials).
+
+    - `chain(t)` lists, for a term key t, every non-zero term of the Haar
+      values h(U_rc* · t) as its entry index r * d + c and its factors
+      (β, s_0, .., h_0, ..): the coefficient β of U_rc*, the scale of each
+      leg's product and the Haar value of each leg's monomial.  It is built
+      from single-leg tables and memoised per key;
     - `adjoints[r * d + c]` holds the terms of U_rc*.
     """
 
-    __slots__ = ("dim", "adjoints", "sqrtF", "inv_sqrtF", "trF", "_tables", "_chains")
+    __slots__ = ("dim", "legs", "adjoints", "sqrtF", "inv_sqrtF", "trF", "_tables", "_chains")
 
-    def __init__(self, U: ProductCorep):
+    def __init__(self, U):
         d = U.dim
         self.dim = d
+        self.legs = 2 if isinstance(U, ProductCorep) else 1
         self.adjoints = tuple(
             tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d)
         )
@@ -174,32 +166,40 @@ class BlockMap:
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
 
-    def chain(self, t: tuple):
-        """(entry indices, factors of shape (5, n)) of the non-zero terms of h(U_rc* · t)."""
+    def chain(self, t):
+        """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
         found = self._chains.get(t)
         if found is None:
             leg_terms = self._tables.leg_terms
-            m0, m1 = t
             bins, factors = [], []
-            for rc, terms in enumerate(self.adjoints):
-                for (p0, p1), beta in terms:
-                    for s0, h0 in leg_terms(p0, m0):
-                        for s1, h1 in leg_terms(p1, m1):
+            if self.legs == 1:
+                for rc, terms in enumerate(self.adjoints):
+                    for p, beta in terms:
+                        for s, h in leg_terms(p, t):
                             bins.append(rc)
-                            factors.append((beta, s0, s1, h0, h1))
+                            factors.append((beta, s, h))
+            else:
+                m0, m1 = t
+                for rc, terms in enumerate(self.adjoints):
+                    for (p0, p1), beta in terms:
+                        for s0, h0 in leg_terms(p0, m0):
+                            for s1, h1 in leg_terms(p1, m1):
+                                bins.append(rc)
+                                factors.append((beta, s0, s1, h0, h1))
             found = (np.array(bins, dtype=np.intp),
-                     np.array(factors, dtype=complex).reshape(-1, 5).T.copy())
+                     np.array(factors, dtype=complex).reshape(-1, 1 + 2 * self.legs).T.copy())
             remember(self._chains, t, found, BLOCK_CHAINS_SIZE)
         return found
 
-    def haar_matrix(self, x: MultiElement) -> np.ndarray:
+    def haar_matrix(self, x) -> np.ndarray:
         """H with H[r, c] = h(U_rc* · x).
 
-        Each term is multiplied out as ((((β·x_t)·s0)·s1)·h0)·h1 and added
-        in the order of the symbolic product.  So H equals the symbolic
-        value bit for bit when each U_rc* is one term and no two terms of
-        U_rc*·x share a monomial, as for transforms of operators (and their
-        partial transposes) over the shipped catalog.
+        Each term is multiplied out as β·x_t, then by each leg's scale,
+        then by each leg's Haar value, and added in the order of the
+        symbolic product.  So H equals the symbolic value bit for bit when
+        each U_rc* is one term and no two terms of U_rc*·x share a
+        monomial, as for transforms of operators (and their partial
+        transposes) over the shipped catalog.
         """
         d = self.dim
         H = np.zeros(d * d, dtype=complex)
@@ -216,8 +216,8 @@ class BlockMap:
         return H.reshape(d, d)
 
 
-def block_map(U: ProductCorep) -> BlockMap:
-    """The compiled maps of U, built on its first use and kept on U itself."""
+def block_map(U) -> BlockMap:
+    """The compiled maps of a corep U, built on its first use and kept on U itself."""
     block = U.__dict__.get("_block_map")
     if block is None:
         block = BlockMap(U)
@@ -233,39 +233,30 @@ def forward_single(mat, u: Corep) -> Element:
     d = u.dim
     if arr.shape != (d, d):
         raise ValueError(f"operator shape {arr.shape} does not match corep dimension {d}")
-    out = Element.zero(u.params)
-    for i in range(d):
-        for j in range(d):
-            coeff = arr[i, j]
-            if coeff:
-                out = out + u.entries[j][i] * coeff
-    return out
+    return Element(u.params, _expand(arr, u))
 
 
 def inverse_single(x: Element, u: Corep) -> np.ndarray:
+    """The inverse transform of a one-leg element x against the single-factor block u."""
     if not isinstance(x, Element):
         raise ValueError("inverse_single() expects a one-leg Element")
     if x.params != u.params:
         raise ValueError("element and corepresentation parameters differ")
-    d = u.dim
-    H = np.empty((d, d), dtype=complex)
-    for r in range(d):
-        for c in range(d):
-            H[r, c] = haar(u.entries[r][c].adjoint() * x)
-    sqrtF, inv_sqrtF = _sqrt_pair(u.F)
-    return inv_sqrtF @ H.T @ sqrtF
+    block = block_map(u)
+    return block.inv_sqrtF @ block.haar_matrix(x).T @ block.sqrtF
 
 
 def reconstruct_single(x: Element, u: Corep) -> np.ndarray:
-    sqrtF, _ = _sqrt_pair(u.F)
-    return float(np.trace(u.F).real) * (sqrtF @ inverse_single(x, u) @ sqrtF)
+    return lift_block(inverse_single(x, u), u)
 
 
-def support_residual_single(x: Element, coreps) -> float:
-    total = Element.zero(x.params)
-    for u in coreps:
-        total = total + forward_single(reconstruct_single(x, u), u)
-    return x.distance(total)
+def support_residual_single(x: Element, coreps, *, blocks=None) -> float:
+    """`support_residual` for a one-leg x over single-factor coreps."""
+    coreps = tuple(coreps)
+    if blocks is None:
+        blocks = [inverse_single(x, u) for u in coreps]
+    parts = [forward_single(lift_block(b, u), u) for u, b in zip(coreps, blocks)]
+    return _reexpansion_gap(x, parts)
 
 
 # -- reference states ------------------------------------------------------------
@@ -299,6 +290,30 @@ def product_basis_projector(i: int, k: int, dims=(2, 2)) -> DensityOp:
 
 
 # -- internals --------------------------------------------------------------------
+
+def _expand(mat: np.ndarray, U) -> dict:
+    """The terms of Σ mat[row, col] U_(col),(row), accumulated into one dict."""
+    d = U.dim
+    terms: dict = {}
+    for row in range(d):
+        for col in range(d):
+            coeff = mat[row, col]
+            if coeff:
+                for key, c in U.entries[col][row].terms.items():
+                    terms[key] = terms.get(key, 0j) + c * coeff
+    return terms
+
+
+def _reexpansion_gap(x, parts) -> float:
+    """Largest coefficient gap between x and the sum of the re-expanded blocks in `parts`."""
+    total: dict = {}
+    for part in parts:
+        for key, coeff in part.terms.items():
+            total[key] = total.get(key, 0j) + coeff
+    gaps = [abs(coeff - total.pop(key, 0j)) for key, coeff in x.terms.items()]
+    gaps.extend(abs(coeff) for coeff in total.values())
+    return max(gaps, default=0.0)
+
 
 def _sqrt_pair(F: np.ndarray):
     """(√F, F^(-1/2)) for a positive matrix; diagonal inputs stay exact."""

@@ -18,6 +18,7 @@ unitary corepresentation and Δ coassociative.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from .algebra import (
@@ -40,7 +41,12 @@ from .algebra import (
 
 
 class MultiElement:
-    """Linear combination of tuples of monomials: an element of a tensor power."""
+    """Linear combination of tuples of monomials: an element of a tensor power.
+
+    Every key must be a plain tuple of `legs` Monomials. Coefficients with
+    modulus at most ``params.tol`` are pruned on construction; a non-finite
+    coefficient raises ValueError.
+    """
 
     __slots__ = ("params", "legs", "terms")
 
@@ -49,12 +55,18 @@ class MultiElement:
             raise ValueError("legs must be at least 1")
         pruned = {}
         if terms:
+            tol = params.tol
+            kinds = (Monomial,) * legs
             for tup, coeff in terms.items():
-                if len(tup) != legs:
-                    raise ValueError(f"term {tup!r} does not have {legs} legs")
+                if not (type(tup) is tuple and len(tup) == legs
+                        and all(map(isinstance, tup, kinds))):
+                    raise ValueError(f"term {tup!r} is not a tuple of {legs} monomials")
                 z = complex(coeff)
-                if abs(z) > params.tol:
+                size = abs(z)
+                if tol < size < math.inf:
                     pruned[tup] = z
+                elif not size <= tol:
+                    raise ValueError(f"coefficient of {tup!r} is not finite: {z!r}")
         self.params = params
         self.legs = legs
         self.terms = pruned

@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, Element, Monomial, PLAIN, STAR, generators
 from .corep import (
+    _sum,
     fundamental_corep,
     intertwiner_residual,
     orthogonality_check,
@@ -186,8 +187,8 @@ def hopf_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: int = 
     for i in range(2):
         for j in range(2):
             target = Element.unit(params) * (1.0 if i == j else 0.0)
-            lhs = _sum_elements(coinverse(fund.entries[i][r]) * fund.entries[r][j] for r in range(2))
-            rhs = _sum_elements(fund.entries[i][r] * coinverse(fund.entries[r][j]) for r in range(2))
+            lhs = _sum(coinverse(fund.entries[i][r]) * fund.entries[r][j] for r in range(2))
+            rhs = _sum(fund.entries[i][r] * coinverse(fund.entries[r][j]) for r in range(2))
             antipode_matrix = max(antipode_matrix, lhs.distance(target), rhs.distance(target))
 
     anti_comult = 0.0
@@ -473,14 +474,6 @@ def _fold_legs(dx: MultiElement, apply_kappa_first: bool) -> Element:
         else:
             right = coinverse(right)
         total = total + (left * right) * coeff
-    return total
-
-
-def _sum_elements(elements):
-    it = iter(elements)
-    total = next(it)
-    for e in it:
-        total = total + e
     return total
 
 

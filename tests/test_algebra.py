@@ -52,6 +52,32 @@ def test_monomial_validation():
     assert Monomial(PLAIN, 2, 1, 3).degree == 6
 
 
+def test_monomial_is_a_validated_tuple_value():
+    mono = Monomial(STAR, 2, 1, 0)
+    assert repr(mono) == "Monomial(sector='star', k=2, m=1, n=0)"
+    assert mono == Monomial(STAR, 2, 1, 0) and hash(mono) == hash(Monomial(STAR, 2, 1, 0))
+    assert {(mono, Monomial()): 1}[(Monomial(STAR, 2, 1, 0), Monomial(PLAIN))] == 1
+    with pytest.raises(AttributeError):
+        mono.k = 3
+    # the namedtuple copy paths go through the same checks
+    with pytest.raises(ValueError):
+        mono._replace(k=0)
+    with pytest.raises(ValueError):
+        Monomial._make((PLAIN, 0, -1, 0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan")),
+                                 complex(float("-inf"), 1.0)])
+def test_element_rejects_non_finite_coefficients(params, bad):
+    a = Element.generator(params, "a")
+    with pytest.raises(ValueError):
+        Element(params, {Monomial(PLAIN, 1, 0, 0): bad})
+    with pytest.raises(ValueError):
+        a * bad
+    with pytest.raises(ValueError):
+        a + bad
+
+
 def test_normal_form_examples(params):
     a, astar, c, cstar = gens(params)
     # ca = q^-1 ac

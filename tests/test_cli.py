@@ -1,8 +1,10 @@
 """End-to-end command-line tests over real files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qent.algebra import AlgebraParams, Element
 from qent.cli import main
@@ -177,6 +179,17 @@ def test_demo_singlet(capsys):
     assert "counit of the transform: 1" in out
     assert "0.5 != 1" in out  # the quarter-coefficient variant fails normalization
     assert "ENTANGLED" in out
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("q", ["0.1", "0.5", "1.0"])
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_demo_singlet_matches_the_recorded_output(capsys, q, fmt, suffix):
+    assert main(["demo-singlet", "--q", q, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"demo_singlet_q{q}.{suffix}").read_bytes()
 
 
 def test_demo_singlet_q1_notes_classical(capsys):

@@ -1,10 +1,11 @@
 """Compiled Haar-pairing maps against their symbolic definitions, and cache bounds.
 
-`inverse`, `support_residual`, `find_negative_witness` and `pd_witness_value`
-evaluate memoised single-leg tables. The symbolic definitions they replace
-are written out here as oracles: H[r, c] = h(U_rc* · x) from the normal-
-ordered product, the support residual from `forward` of each reconstructed
-block, and the pairing from `haar.convolve_check`.
+`inverse`, `inverse_single`, `support_residual`, `support_residual_single`,
+`find_negative_witness` and `pd_witness_value` evaluate memoised single-leg
+tables. The symbolic definitions they replace are written out here as
+oracles: H[r, c] = h(U_rc* · x) from the normal-ordered product, the support
+residual from the forward transform of each reconstructed block, and the
+pairing from `haar.convolve_check`.
 """
 
 import sys
@@ -14,16 +15,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qent.algebra import PLAIN, STAR, AlgebraParams, Element, Monomial, remember
-from qent.corep import product_catalog
-from qent.entangle import pd_witness_value, ppt_check
-from qent.fourier import DensityOp, _sqrt_pair, forward, inverse, support_residual
+from qent.corep import fundamental_corep, product_catalog, standard_catalog
+from qent.entangle import is_positive_definite_single, pd_witness_value, ppt_check
+from qent.fourier import (
+    DensityOp,
+    _sqrt_pair,
+    forward,
+    forward_single,
+    inverse,
+    inverse_single,
+    support_residual,
+    support_residual_single,
+)
 from qent.haar import convolve_check, haar
 from qent.hopf import MultiElement, coproduct
-from qent.verify import random_element, random_psd, random_witness
+from qent.verify import random_element, random_pd_element, random_psd, random_witness, run_suite
 
 # the modules, not the functions of the same names re-exported by qent
-algebra, hopf, haar_module, fourier = (
-    sys.modules[f"qent.{name}"] for name in ("algebra", "hopf", "haar", "fourier")
+algebra, hopf, haar_module, corep, fourier = (
+    sys.modules[f"qent.{name}"] for name in ("algebra", "hopf", "haar", "corep", "fourier")
 )
 
 QS = (0.2, 0.5, 1.0)
@@ -59,6 +69,21 @@ def two_leg_elements(draw, q):
     return MultiElement(params, 2, terms)
 
 
+@st.composite
+def one_leg_elements(draw, q):
+    """The transform of a random 2x2 matrix, a multiple of 1 and up to four terms of degree <= 2."""
+    params = AlgebraParams(q=q, tol=TOL)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = forward_single(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                       fundamental_corep(params))
+    terms = dict(x.terms)
+    extra = draw(st.lists(st.tuples(monomials(), _coeffs), max_size=4))
+    for mono, coeff in [(Monomial(), draw(_coeffs))] + extra:
+        terms[mono] = terms.get(mono, 0j) + coeff
+    return Element(params, terms)
+
+
 def symbolic_inverse(x, U):
     H = np.array([[haar(U.entries[r][c].adjoint() * x) for c in range(U.dim)]
                   for r in range(U.dim)])
@@ -72,6 +97,17 @@ def symbolic_support_residual(x, catalog):
         sqrtF, _ = _sqrt_pair(U.F)
         block = float(np.trace(U.F).real) * (sqrtF @ symbolic_inverse(x, U) @ sqrtF)
         total = total + forward(block, U)
+    return x.distance(total)
+
+
+def symbolic_support_residual_single(x, coreps):
+    total = Element.zero(x.params)
+    for u in coreps:
+        sqrtF, _ = _sqrt_pair(u.F)
+        block = float(np.trace(u.F).real) * (sqrtF @ symbolic_inverse(x, u) @ sqrtF)
+        for i in range(u.dim):
+            for j in range(u.dim):
+                total = total + u.entries[j][i] * complex(block[i, j])
     return x.distance(total)
 
 
@@ -99,6 +135,21 @@ def test_support_residual_matches_the_symbolic_reexpansion(q, data):
     for blocks in (catalog, catalog[3:], catalog[:2]):
         got = support_residual(x, blocks)
         assert abs(got - symbolic_support_residual(x, blocks)) <= 1e-10 * _scale(x)
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_single_factor_blocks_match_the_symbolic_pairing(q, data):
+    x = data.draw(one_leg_elements(q))
+    coreps = tuple(standard_catalog(x.params).values())
+    blocks = [inverse_single(x, u) for u in coreps]
+    for u, got in zip(coreps, blocks):
+        assert np.max(np.abs(got - symbolic_inverse(x, u))) <= 1e-10 * _scale(x), u.label
+    for subset in (coreps, coreps[:1], coreps[1:]):
+        got = support_residual_single(x, subset)
+        assert abs(got - symbolic_support_residual_single(x, subset)) <= 1e-10 * _scale(x)
+    assert support_residual_single(x, coreps, blocks=blocks) == support_residual_single(x, coreps)
 
 
 @pytest.mark.parametrize("q", (0.5, 1.0))
@@ -131,12 +182,16 @@ def test_pd_pairing_matches_the_convolution(q, seed):
             assert abs(got - expect) <= 1e-10 * (1.0 + abs(expect))
 
 
-def _cache_sizes():
+def _cache_sizes(params):
     tables = haar_module.pairing_tables
+    single = fourier.block_map(fundamental_corep(params))
     return {
         "mono_mul": (algebra._mono_mul.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "coproduct": (len(hopf._COPRODUCT_CACHE), hopf.COPRODUCT_CACHE_SIZE),
         "pairing tables": (tables.cache_info().currsize, haar_module.PAIRING_TABLES_SIZE),
+        "trivial coreps": (corep.trivial_corep.cache_info().currsize, corep.COREPS_SIZE),
+        "fundamental coreps": (corep.fundamental_corep.cache_info().currsize, corep.COREPS_SIZE),
+        "single block memo": (len(single._chains), fourier.BLOCK_CHAINS_SIZE),
     }
 
 
@@ -172,7 +227,9 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
             pd_witness_value(x, report.witness)
         for y in probe:
             coproduct(Element(params, y.terms))
-        for name, (size, bound) in _cache_sizes().items():
+        is_positive_definite_single(random_pd_element(rng, params),
+                                    standard_catalog(params).values())
+        for name, (size, bound) in _cache_sizes(params).items():
             assert size <= bound, (name, q)
         assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
@@ -180,6 +237,7 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     assert algebra._mono_mul.cache_info().misses - misses_before > algebra.MONO_MUL_CACHE_SIZE
     assert len(coproduct_keys) > hopf.COPRODUCT_CACHE_SIZE
     assert 200 > haar_module.PAIRING_TABLES_SIZE
+    assert 200 > corep.COREPS_SIZE
 
 
 def test_one_q_working_set_fits_the_bounds(compiled_blocks):
@@ -193,8 +251,10 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
     info = algebra._mono_mul.cache_info()
     assert info.misses == info.currsize < algebra.MONO_MUL_CACHE_SIZE
     tables = haar_module.pairing_tables(params)
-    size, bound = _cache_sizes()["coproduct"]
-    assert size < bound
+    sizes = _cache_sizes(params)
+    for name in ("coproduct", "single block memo"):
+        size, bound = sizes[name]
+        assert size < bound, name
     assert compiled_blocks and _most_chains(compiled_blocks) < fourier.BLOCK_CHAINS_SIZE
     assert len(tables._leg) < haar_module.PAIRING_MEMO_SIZE
     assert len(tables._convolution) < haar_module.PAIRING_MEMO_SIZE
@@ -209,6 +269,25 @@ def test_compiled_maps_belong_to_their_block():
     assert fourier.block_map(product_catalog(params)[3]) is not fourier.block_map(U)
     blocks = [inverse(x, V) for V in catalog]
     assert support_residual(x, catalog, blocks=blocks) == support_residual(x, catalog)
+
+
+def test_verify_solves_the_fundamental_intertwiner_once(monkeypatch):
+    solved = []
+    original = corep.compute_F
+
+    def counting(entries, params):
+        solved.append(params)
+        return original(entries, params)
+
+    monkeypatch.setattr(corep, "compute_F", counting)
+    corep.fundamental_corep.cache_clear()
+    params = AlgebraParams(q=0.3)
+    for seed in (1, 2):
+        assert all(c.passed for c in run_suite("all", params, seed))
+    assert len(solved) <= 1
+    # one shared instance per params, and so one compiled single-factor block
+    assert fundamental_corep(params) is fundamental_corep(AlgebraParams(q=0.3))
+    assert standard_catalog(params)["triv"] is corep.trivial_corep(params)
 
 
 def test_remember_empties_a_full_memo():

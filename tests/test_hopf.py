@@ -259,3 +259,26 @@ def test_multielement_product_associativity(params, rng):
         y = random_multi_element(rng, params, max_degree=2, n_terms=3)
         z = random_multi_element(rng, params, max_degree=2, n_terms=3)
         assert ((x * y) * z).distance(x * (y * z)) < 1e-8
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 1.0)])
+def test_multielement_rejects_non_finite_coefficients(params, bad):
+    unit = (Monomial(), Monomial())
+    with pytest.raises(ValueError):
+        MultiElement(params, 2, {unit: bad})
+    with pytest.raises(ValueError):
+        MultiElement.unit(params, 2) * bad
+
+
+def test_multielement_keys_are_tuples_of_monomials(params):
+    a = Monomial(PLAIN, 1, 0, 0)
+    # a bare Monomial is a 4-tuple itself, but not a four-leg key
+    with pytest.raises(ValueError):
+        MultiElement(params, 4, {a: 1.0})
+    with pytest.raises(ValueError):
+        MultiElement(params, 2, {("a", "c"): 1.0})
+    with pytest.raises(ValueError):
+        MultiElement(params, 2, {(a,): 1.0})
+    with pytest.raises(ValueError):
+        MultiElement(params, 1, {a: 1.0})
+    assert MultiElement(params, 1, {(a,): 1.0}).coeff((a,)) == 1.0
