@@ -16,6 +16,7 @@ suite, 2 malformed input or unsupported dimensions, 3 undecided support.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -345,7 +346,13 @@ def singlet_demo_report(params: AlgebraParams) -> dict:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qent` argument parser, built once per process.
+
+    Building it costs about as much as a small `qent ppt` request, and
+    `parse_args` keeps no state between calls, so `main` reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="qent",
         description="Symbolic quantum-SU(2) engine: transforms, positivity and PPT checks.",

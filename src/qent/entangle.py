@@ -68,21 +68,18 @@ def pd_witness_value(x: MultiElement, b: MultiElement) -> complex:
 
     Both functionals are products over legs, so with b = Σ_j β_j p_j ⊗ s_j
     the value is Σ x_(ma,mb) Σ_jk β_j conj(β_k) G(ma; p_j, p_k) G(mb; s_j, s_k)
-    with the memoised one-leg factor G of `PairingTables.convolution`.
+    with the Gram matrices of the memoised one-leg factor G from
+    `PairingTables.gram`.
     """
     _require_two_legs(x)
     _require_two_legs(b)
     if x.params != b.params:
         raise ValueError("operands carry different algebra parameters")
-    convolution = pairing_tables(x.params).convolution
+    gram = pairing_tables(x.params).gram
     lefts = [p for p, _ in b.terms]
     rights = [s for _, s in b.terms]
     beta = np.fromiter(b.terms.values(), complex, len(b.terms))
     weights = np.outer(beta, beta.conj())
-
-    def gram(m, monos):
-        return np.array([[convolution(m, p, p2) for p2 in monos] for p in monos])
-
     left_grams = {ma: gram(ma, lefts) for ma in {ma for ma, _ in x.terms}}
     right_grams = {mb: gram(mb, rights) for mb in {mb for _, mb in x.terms}}
     total = 0j
@@ -107,14 +104,14 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
     failing = None
     failing_min = 0.0
     nonhermitian = False
-    for U, block in zip(catalog, blocks):
+    for i, (U, block) in enumerate(zip(catalog, blocks)):
         if float(np.max(np.abs(block - block.conj().T))) > tol:
             # the pairing takes non-real values against suitable witnesses
             nonhermitian = True
         min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
         per_block[U.label] = min_eig
         if min_eig < -EIG_TOL and min_eig < failing_min:
-            failing = U
+            failing = i
             failing_min = min_eig
 
     residual = support_residual(x, catalog, blocks=blocks)
@@ -122,20 +119,25 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
         return PDReport(UNDECIDED_SUPPORT, per_block, residual)
     if failing is None and not nonhermitian:
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
-    witness = find_negative_witness(x, failing) if (with_witness and failing is not None) else None
+    witness = None
+    if with_witness and failing is not None:
+        witness = find_negative_witness(x, catalog[failing], block=blocks[failing])
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
-def find_negative_witness(x: MultiElement, U: ProductCorep) -> MultiElement | None:
+def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> MultiElement | None:
     """A witness b with pd_witness_value(x, b) < 0, or None when the block is PSD.
 
     The block's most negative eigenvector is pulled back through the
     deformed orthogonality relations: with b a combination of adjoints of
     one row of matrix coefficients, the pairing collapses to a positive
     multiple of ⟨v|A|v⟩ for the block coefficient matrix A, so the negative
-    eigenvector certifies failure.
+    eigenvector certifies failure.  `block`, when given, is the inverse
+    transform x̂(U), so a caller that already has it does not compute it
+    again.
     """
-    block = inverse(x, U)
+    if block is None:
+        block = inverse(x, U)
     herm = (block + block.conj().T) / 2.0
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None

@@ -15,7 +15,8 @@ Elements.
 
 Both directions are linear, so each block, product or single-factor, is
 compiled on first use into a `BlockMap`: the Haar pairings h(U_rc* · t) of
-each term key t are memoised term by term from single-leg tables.
+each term key t are memoised term by term from single-leg tables, and the
+forward direction is one matrix over the block's support.
 """
 
 from __future__ import annotations
@@ -118,12 +119,15 @@ def support_residual(x: MultiElement, catalog, *, blocks=None) -> float:
     missed coefficient.  `blocks`, when given, holds the inverse transforms
     x̂(U) in catalog order, so a caller that already has them does not
     compute them again.
+
+    Each lifted block is re-expanded through its block's expansion matrix
+    and the parts are summed key by key.  Unlike `forward`, the parts are not
+    pruned at tol, so coefficients at or below tol count towards the gap.
     """
     catalog = tuple(catalog)
     if blocks is None:
         blocks = [inverse(x, U) for U in catalog]
-    parts = [forward(lift_block(b, U), U) for U, b in zip(catalog, blocks)]
-    return _reexpansion_gap(x, parts)
+    return _reexpansion_gap(x, catalog, blocks)
 
 
 def lift_block(block: np.ndarray, U) -> np.ndarray:
@@ -136,6 +140,8 @@ def lift_block(block: np.ndarray, U) -> np.ndarray:
 
 # per-monomial chains kept per block; the memo is emptied once it is full
 BLOCK_CHAINS_SIZE = 512
+# gathered chains kept per block, one per ordered tuple of term keys
+BLOCK_LAYOUTS_SIZE = 64
 
 
 class BlockMap:
@@ -149,10 +155,15 @@ class BlockMap:
       (β, s_0, .., h_0, ..): the coefficient β of U_rc*, the scale of each
       leg's product and the Haar value of each leg's monomial.  It is built
       from single-leg tables and memoised per key;
-    - `adjoints[r * d + c]` holds the terms of U_rc*.
+    - `adjoints[r * d + c]` holds the terms of U_rc*;
+    - `support` lists the term keys of U's entries in the order in which
+      Σ mat[row, col] U_(col),(row) first meets them, row by row, and
+      `expansion` is the matrix E with E[s, row * d + col] the coefficient
+      of support[s] in U_(col),(row), so that sum is E @ vec(mat).
     """
 
-    __slots__ = ("dim", "legs", "adjoints", "sqrtF", "inv_sqrtF", "trF", "_tables", "_chains")
+    __slots__ = ("dim", "legs", "adjoints", "sqrtF", "inv_sqrtF", "trF", "support", "expansion",
+                 "_tables", "_chains", "_layouts")
 
     def __init__(self, U):
         d = U.dim
@@ -163,8 +174,19 @@ class BlockMap:
         )
         self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
         self.trF = float(np.trace(U.F).real)
+        index: dict = {}
+        coefficients = [
+            (index.setdefault(key, len(index)), row * d + col, c)
+            for row in range(d) for col in range(d)
+            for key, c in U.entries[col][row].terms.items()
+        ]
+        self.support = tuple(index)
+        self.expansion = np.zeros((len(index), d * d), dtype=complex)
+        for s, rc, c in coefficients:
+            self.expansion[s, rc] = c
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
+        self._layouts: dict = {}
 
     def chain(self, t):
         """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
@@ -200,15 +222,24 @@ class BlockMap:
         each U_rc* is one term and no two terms of U_rc*·x share a
         monomial, as for transforms of operators (and their partial
         transposes) over the shipped catalog.
+
+        The chains of x's keys, concatenated, are memoised per ordered tuple
+        of keys, since a stream of operators over one block repeats the
+        same few term layouts.
         """
         d = self.dim
         H = np.zeros(d * d, dtype=complex)
         if x.terms:
-            chains = [self.chain(t) for t in x.terms]
-            bins = np.concatenate([c[0] for c in chains])
-            factors = np.concatenate([c[1] for c in chains], axis=1)
-            coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(chains)),
-                               [len(c[0]) for c in chains])
+            keys = tuple(x.terms)
+            layout = self._layouts.get(keys)
+            if layout is None:
+                chains = [self.chain(t) for t in keys]
+                layout = (np.concatenate([c[0] for c in chains]),
+                          np.concatenate([c[1] for c in chains], axis=1),
+                          np.array([len(c[0]) for c in chains], dtype=np.intp))
+                remember(self._layouts, keys, layout, BLOCK_LAYOUTS_SIZE)
+            bins, factors, counts = layout
+            coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(keys)), counts)
             values = factors[0] * coeffs
             for factor in factors[1:]:
                 values = values * factor
@@ -255,8 +286,7 @@ def support_residual_single(x: Element, coreps, *, blocks=None) -> float:
     coreps = tuple(coreps)
     if blocks is None:
         blocks = [inverse_single(x, u) for u in coreps]
-    parts = [forward_single(lift_block(b, u), u) for u, b in zip(coreps, blocks)]
-    return _reexpansion_gap(x, parts)
+    return _reexpansion_gap(x, coreps, blocks)
 
 
 # -- reference states ------------------------------------------------------------
@@ -292,23 +322,18 @@ def product_basis_projector(i: int, k: int, dims=(2, 2)) -> DensityOp:
 # -- internals --------------------------------------------------------------------
 
 def _expand(mat: np.ndarray, U) -> dict:
-    """The terms of Σ mat[row, col] U_(col),(row), accumulated into one dict."""
-    d = U.dim
-    terms: dict = {}
-    for row in range(d):
-        for col in range(d):
-            coeff = mat[row, col]
-            if coeff:
-                for key, c in U.entries[col][row].terms.items():
-                    terms[key] = terms.get(key, 0j) + c * coeff
-    return terms
+    """The terms of Σ mat[row, col] U_(col),(row), as E @ vec(mat) over U's support."""
+    compiled = block_map(U)
+    return dict(zip(compiled.support, compiled.expansion @ mat.reshape(-1)))
 
 
-def _reexpansion_gap(x, parts) -> float:
-    """Largest coefficient gap between x and the sum of the re-expanded blocks in `parts`."""
+def _reexpansion_gap(x, coreps, blocks) -> float:
+    """Largest coefficient gap between x and the sum of its lifted blocks re-expanded over U."""
     total: dict = {}
-    for part in parts:
-        for key, coeff in part.terms.items():
+    for U, block in zip(coreps, blocks):
+        compiled = block_map(U)
+        parts = compiled.expansion @ lift_block(block, U).reshape(-1)
+        for key, coeff in zip(compiled.support, parts.tolist()):
             total[key] = total.get(key, 0j) + coeff
     gaps = [abs(coeff - total.pop(key, 0j)) for key, coeff in x.terms.items()]
     gaps.extend(abs(coeff) for coeff in total.values())

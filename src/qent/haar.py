@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .algebra import AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, remember
 from .hopf import (
     MultiElement,
@@ -69,6 +71,11 @@ def haar(x) -> complex:
 PAIRING_MEMO_SIZE = 4096
 # AlgebraParams whose tables are kept at once
 PAIRING_TABLES_SIZE = 8
+# witness monomials indexed by the Gram matrices; index and matrices are emptied
+# together when a call would overflow it, so one call's monomials always fit
+GRAM_INDEX_SIZE = 64
+# Gram matrices kept per table, one per leg monomial m; the memo is emptied once it is full
+GRAM_MATRICES_SIZE = 64
 
 
 class PairingTables:
@@ -83,14 +90,17 @@ class PairingTables:
     the one-leg factor of the positive-definiteness pairing: for two-leg x
     and b = Σ_j β_j p_j ⊗ s_j the pairing is
     Σ x_(ma,mb) Σ_jk β_j conj(β_k) G(ma; p_j, p_k) G(mb; s_j, s_k).
+    `gram(m, monos)` is the matrix of G(m; p, p2) over p, p2 in monos.
     """
 
-    __slots__ = ("params", "_leg", "_convolution")
+    __slots__ = ("params", "_leg", "_convolution", "_gram_index", "_grams")
 
     def __init__(self, params: AlgebraParams):
         self.params = params
         self._leg: dict = {}
         self._convolution: dict = {}
+        self._gram_index: dict = {}
+        self._grams: dict = {}
 
     def leg_terms(self, p: Monomial, m: Monomial) -> tuple:
         key = (p, m)
@@ -121,6 +131,40 @@ class PairingTables:
                           * self.leg(a1_kappa, p2_adj) * self.leg(p, a2))
             remember(self._convolution, key, value, PAIRING_MEMO_SIZE)
         return value
+
+    def gram(self, m: Monomial, monos) -> np.ndarray:
+        """The matrix [[G(m; p, p2) for p2 in monos] for p in monos].
+
+        It is sliced from one matrix per m over an index of every monomial
+        asked for so far, whose entries are filled from `convolution` the
+        first time they are asked for.  Witnesses of one algebra share few
+        monomials, so the index stays small and the slices are cheap.
+        """
+        index = self._gram_index
+        new = {p for p in monos if p not in index}
+        if len(index) + len(new) > GRAM_INDEX_SIZE:
+            index.clear()
+            self._grams.clear()
+        for p in monos:
+            index.setdefault(p, len(index))
+        rows = np.fromiter((index[p] for p in monos), np.intp, len(monos))
+        size = len(index)
+        found = self._grams.get(m)
+        if found is None or found[0].shape[0] < size:
+            values = np.zeros((size, size), dtype=complex)
+            known = np.zeros((size, size), dtype=bool)
+            if found is not None:
+                old = found[0].shape[0]
+                values[:old, :old], known[:old, :old] = found
+            found = remember(self._grams, m, (values, known), GRAM_MATRICES_SIZE)
+        values, known = found
+        block = (rows[:, None], rows)
+        missing = ~known[block]
+        if missing.any():
+            for i, j in zip(*np.nonzero(missing)):
+                values[rows[i], rows[j]] = self.convolution(m, monos[i], monos[j])
+            known[block] = True
+        return values[block]
 
 
 @lru_cache(maxsize=PAIRING_TABLES_SIZE)

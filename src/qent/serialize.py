@@ -2,7 +2,9 @@
 
 All complex numbers are written as two-entry [re, im] arrays; nothing is
 string-encoded.  Element payloads carry q and tol in their header so a file
-fully determines the algebra it lives in.
+fully determines the algebra it lives in.  Integer fields (dims, legs and
+the exponents k, m, n) must be JSON integers: a float, a string or a
+boolean there raises ValueError instead of being truncated.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ def _from_pair(pair) -> complex:
     return z
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field; floats, strings and booleans are refused, not truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _mono_record(mono: Monomial) -> dict:
     return {"sector": mono.sector, "k": mono.k, "m": mono.m, "n": mono.n}
 
@@ -37,7 +46,7 @@ def _mono_from_record(rec) -> Monomial:
     sector = rec["sector"]
     if sector not in (PLAIN, STAR):
         raise ValueError(f"unknown sector {sector!r}")
-    return Monomial(sector, int(rec["k"]), int(rec["m"]), int(rec["n"]))
+    return Monomial(sector, *(_integer(rec[field], field) for field in ("k", "m", "n")))
 
 
 def element_to_dict(x: Element) -> dict:
@@ -70,7 +79,7 @@ def multielement_to_dict(x: MultiElement) -> dict:
 
 def multielement_from_dict(data) -> MultiElement:
     params = AlgebraParams(q=float(data["q"]), tol=float(data["tol"]))
-    legs = int(data["legs"])
+    legs = _integer(data["legs"], "legs")
     terms = {}
     for rec in data["terms"]:
         tup = tuple(_mono_from_record(r) for r in rec["monomials"])
@@ -84,7 +93,7 @@ def densityop_to_dict(rho: DensityOp) -> dict:
 
 
 def densityop_from_dict(data) -> DensityOp:
-    n, m = (int(d) for d in data["dims"])
+    n, m = (_integer(d, "dims") for d in data["dims"])
     flat = [_from_pair(pair) for pair in data["entries"]]
     if len(flat) != (n * m) ** 2:
         raise ValueError(f"expected {(n * m) ** 2} matrix entries, got {len(flat)}")

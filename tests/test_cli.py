@@ -258,3 +258,88 @@ def test_non_finite_inputs_exit_2(tmp_path):
     data["terms"][0]["coeff"] = [float("inf"), 0.0]
     dump_json(data, el_path)
     assert main(["check-pd", "--input", str(el_path)]) == 2
+
+
+def _singlet_entries():
+    return densityop_to_dict(singlet_state())["entries"]
+
+
+@pytest.mark.parametrize("dims", [[2.7, 2], [2, 2.0], ["2", 2], [True, 2]])
+def test_non_integer_dims_exit_2(tmp_path, capsys, dims):
+    # int() used to truncate these, so [2.7, 2] ran as 2x2 and exited 0
+    path = tmp_path / "rho.json"
+    dump_json({"dims": dims, "entries": _singlet_entries()}, path)
+    for command in ("ppt", "transform"):
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "Traceback" not in err
+
+
+def _element_file(tmp_path, edit):
+    params = AlgebraParams(q=0.5)
+    U = product_catalog(params, ("fund*fund",))[0]
+    from qent.fourier import forward
+
+    data = multielement_to_dict(forward(singlet_state(), U))
+    edit(data)
+    path = tmp_path / "el.json"
+    dump_json(data, path)
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 1.9), ("k", "0"), ("k", True), ("m", 0.0), ("n", False), ("legs", 2.0), ("legs", "2"),
+])
+def test_non_integer_element_fields_exit_2(tmp_path, capsys, field, value):
+    def edit(data):
+        if field == "legs":
+            data["legs"] = value
+        else:
+            data["terms"][0]["monomials"][0][field] = value
+
+    path = _element_file(tmp_path, edit)
+    for command in ("check-pd", "ppt", "haar"):
+        assert main([command, "--input", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "Traceback" not in err
+    if field != "legs":
+        one_leg = element_to_dict(Element.generator(AlgebraParams(q=0.5), "c"))
+        one_leg["terms"][0][field] = value
+        dump_json(one_leg, path)
+        assert main(["haar", "--input", str(path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+
+def test_integer_element_fields_still_load(tmp_path, capsys):
+    path = _element_file(tmp_path, lambda data: None)
+    assert main(["check-pd", "--input", str(path)]) == 0
+    assert main(["haar", "--input", str(path)]) == 0
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    from qent.cli import build_parser
+
+    monkeypatch.delenv("QENT_DEFAULT_Q", raising=False)
+    assert build_parser() is build_parser()
+    rho_path = write_singlet(tmp_path)
+    runs = (["ppt", "--input", str(rho_path), "--q", "0.3", "--format", "json"],
+            ["demo-singlet", "--format", "json"],
+            ["ppt", "--input", str(rho_path), "--q", "0.9", "--format", "json"],
+            ["demo-singlet", "--q", "0.7", "--format", "json"])
+
+    def outputs(order):
+        found = {}
+        for i in order:
+            assert main(runs[i]) in (0, 1)
+            found[i] = json.loads(capsys.readouterr().out)
+        return found
+
+    forward_order, backward_order = outputs(range(4)), outputs(reversed(range(4)))
+    assert forward_order == backward_order
+    # no --q, no --input and no --format leaks from one call into the next
+    assert forward_order[1]["q"] == 0.5 and forward_order[3]["q"] == 0.7
+    at_03, at_09 = forward_order[0]["algebra_report"], forward_order[2]["algebra_report"]
+    assert at_03["verdict"] == at_09["verdict"] == "NOT_POSITIVE_DEFINITE"
+    assert at_03["per_block"] != at_09["per_block"]
+    assert main(["verify", "--suite", "corep", "--q", "0.4"]) == 0
+    assert "q=0.4" in capsys.readouterr().out

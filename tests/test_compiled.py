@@ -5,7 +5,10 @@
 tables. The symbolic definitions they replace are written out here as
 oracles: H[r, c] = h(U_rc* · x) from the normal-ordered product, the support
 residual from the forward transform of each reconstructed block, and the
-pairing from `haar.convolve_check`.
+pairing from `haar.convolve_check`. The loops that the compiled forms
+replaced (gathering chains on every call, summing ρ_rc·U_cr entry by entry,
+the Gram matrices term by term) are written out too, and the compiled forms
+must equal them bit for bit.
 """
 
 import sys
@@ -16,7 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from qent.algebra import PLAIN, STAR, AlgebraParams, Element, Monomial, remember
 from qent.corep import fundamental_corep, product_catalog, standard_catalog
-from qent.entangle import is_positive_definite_single, pd_witness_value, ppt_check
+from qent.entangle import (
+    find_negative_witness,
+    is_positive_definite,
+    is_positive_definite_single,
+    pd_witness_value,
+    ppt_check,
+)
 from qent.fourier import (
     DensityOp,
     _sqrt_pair,
@@ -32,8 +41,9 @@ from qent.hopf import MultiElement, coproduct
 from qent.verify import random_element, random_pd_element, random_psd, random_witness, run_suite
 
 # the modules, not the functions of the same names re-exported by qent
-algebra, hopf, haar_module, corep, fourier = (
-    sys.modules[f"qent.{name}"] for name in ("algebra", "hopf", "haar", "corep", "fourier")
+algebra, hopf, haar_module, corep, fourier, entangle = (
+    sys.modules[f"qent.{name}"]
+    for name in ("algebra", "hopf", "haar", "corep", "fourier", "entangle")
 )
 
 QS = (0.2, 0.5, 1.0)
@@ -185,6 +195,7 @@ def test_pd_pairing_matches_the_convolution(q, seed):
 def _cache_sizes(params):
     tables = haar_module.pairing_tables
     single = fourier.block_map(fundamental_corep(params))
+    gram = tables(params)
     return {
         "mono_mul": (algebra._mono_mul.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "coproduct": (len(hopf._COPRODUCT_CACHE), hopf.COPRODUCT_CACHE_SIZE),
@@ -192,6 +203,9 @@ def _cache_sizes(params):
         "trivial coreps": (corep.trivial_corep.cache_info().currsize, corep.COREPS_SIZE),
         "fundamental coreps": (corep.fundamental_corep.cache_info().currsize, corep.COREPS_SIZE),
         "single block memo": (len(single._chains), fourier.BLOCK_CHAINS_SIZE),
+        "single block layouts": (len(single._layouts), fourier.BLOCK_LAYOUTS_SIZE),
+        "gram index": (len(gram._gram_index), haar_module.GRAM_INDEX_SIZE),
+        "gram matrices": (len(gram._grams), haar_module.GRAM_MATRICES_SIZE),
     }
 
 
@@ -213,6 +227,10 @@ def _most_chains(blocks):
     return max((len(b._chains) for b in blocks), default=0)
 
 
+def _most_layouts(blocks):
+    return max((len(b._layouts) for b in blocks), default=0)
+
+
 def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     rng = np.random.default_rng(11)
     probe = [random_element(rng, AlgebraParams(q=0.5), max_degree=3, n_terms=6) for _ in range(2)]
@@ -232,6 +250,7 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
         for name, (size, bound) in _cache_sizes(params).items():
             assert size <= bound, (name, q)
         assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
+        assert _most_layouts(compiled_blocks) <= fourier.BLOCK_LAYOUTS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
     # the sweep outgrew every bound, so the bounds were exercised, not just respected
     assert algebra._mono_mul.cache_info().misses - misses_before > algebra.MONO_MUL_CACHE_SIZE
@@ -256,8 +275,12 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
         size, bound = sizes[name]
         assert size < bound, name
     assert compiled_blocks and _most_chains(compiled_blocks) < fourier.BLOCK_CHAINS_SIZE
+    assert _most_layouts(compiled_blocks) < fourier.BLOCK_LAYOUTS_SIZE
     assert len(tables._leg) < haar_module.PAIRING_MEMO_SIZE
     assert len(tables._convolution) < haar_module.PAIRING_MEMO_SIZE
+    for name in ("gram index", "gram matrices"):
+        size, bound = sizes[name]
+        assert 0 < size < bound, name
 
 
 def test_compiled_maps_belong_to_their_block():
@@ -296,3 +319,177 @@ def test_remember_empties_a_full_memo():
         remember(memo, key, key * key, 3)
         assert len(memo) <= 3
     assert memo == {3: 9, 4: 16}
+
+
+def _gathered_haar_matrix(block, x):
+    """H from the per-key chains, gathered and concatenated afresh on every call."""
+    d = block.dim
+    H = np.zeros(d * d, dtype=complex)
+    chains = [block.chain(t) for t in x.terms]
+    bins = np.concatenate([c[0] for c in chains])
+    factors = np.concatenate([c[1] for c in chains], axis=1)
+    coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(chains)),
+                       [len(c[0]) for c in chains])
+    values = factors[0] * coeffs
+    for factor in factors[1:]:
+        values = values * factor
+    np.add.at(H, bins, values)
+    return H.reshape(d, d)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_layout_hits_and_misses_give_the_gathered_matrix(q, data):
+    x = data.draw(two_leg_elements(q))
+    items = list(x.terms.items())
+    order = data.draw(st.permutations(range(len(items))))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    rescale = complex(data.draw(_coeffs))
+    variants = [
+        x,
+        MultiElement(x.params, 2, {items[i][0]: items[i][1] for i in order}),
+        MultiElement(x.params, 2, {k: c for (k, c), kept in zip(items, keep) if kept}),
+    ]
+    variants = [y for y in variants if y.terms]
+    for U in product_catalog(x.params):
+        block = fourier.block_map(U)
+        for y in variants:
+            expect = _gathered_haar_matrix(block, y)
+            block._layouts.clear()
+            miss = inverse(y, U)
+            assert tuple(y.terms) in block._layouts
+            hit = inverse(y, U)
+            assert _same_bits(miss, hit)
+            assert _same_bits(block.haar_matrix(y), expect)
+            # the same layout with other coefficients reuses the memo
+            other = MultiElement(x.params, 2, {k: c * rescale for k, c in y.terms.items()})
+            assert _same_bits(block.haar_matrix(other), _gathered_haar_matrix(block, other))
+
+
+def _written_out_forward(mat, U):
+    """Σ mat[row, col] U_(col),(row), summed entry by entry."""
+    terms: dict = {}
+    for row in range(U.dim):
+        for col in range(U.dim):
+            coeff = mat[row, col]
+            if coeff:
+                for key, c in U.entries[col][row].terms.items():
+                    terms[key] = terms.get(key, 0j) + c * coeff
+    return terms
+
+
+@pytest.mark.parametrize("q", QS)
+def test_forward_is_the_written_out_sum_bit_for_bit(q):
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        for U in product_catalog(params):
+            mat = rng.normal(size=(U.dim, U.dim)) + 1j * rng.normal(size=(U.dim, U.dim))
+            mat[rng.random(size=mat.shape) < 0.3] = 0.0
+            got = forward(mat, U)
+            expect = MultiElement(params, 2, _written_out_forward(mat, U))
+            assert list(got.terms.items()) == list(expect.terms.items())
+        for u in standard_catalog(params).values():
+            mat = rng.normal(size=(u.dim, u.dim)) + 1j * rng.normal(size=(u.dim, u.dim))
+            got = forward_single(mat, u)
+            assert list(got.terms.items()) == list(Element(params, _written_out_forward(mat, u)).terms.items())
+
+
+@pytest.mark.parametrize("q", QS)
+def test_the_witness_from_a_given_block_is_the_same(q):
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(23)
+    catalog = product_catalog(params)
+    found = 0
+    for _ in range(10):
+        x = hopf.partial_theta(forward(random_psd(rng, 4), catalog[3]))
+        for U in catalog:
+            plain = find_negative_witness(x, U)
+            given_block = find_negative_witness(x, U, block=inverse(x, U))
+            if plain is None:
+                assert given_block is None
+            else:
+                found += 1
+                assert list(plain.terms.items()) == list(given_block.terms.items())
+    assert found
+
+
+def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch):
+    calls = []
+    original = fourier.inverse
+
+    def counting(x, U):
+        calls.append(U.label)
+        return original(x, U)
+
+    monkeypatch.setattr(entangle, "inverse", counting)
+    monkeypatch.setattr(fourier, "inverse", counting)
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params)
+    report = ppt_check(forward(fourier.singlet_state(), catalog[3]), catalog)
+    assert report.verdict == entangle.NOT_POSITIVE_DEFINITE and report.witness is not None
+    assert sorted(calls) == sorted(U.label for U in catalog)
+    calls.clear()
+    report = is_positive_definite(forward(fourier.singlet_state(), catalog[3]), catalog)
+    assert report.verdict == entangle.POSITIVE_DEFINITE and len(calls) == len(catalog)
+
+
+def _term_by_term_gram(tables, m, monos):
+    return np.array([[tables.convolution(m, p, p2) for p2 in monos] for p in monos])
+
+
+@pytest.mark.parametrize("q", QS)
+def test_gram_slices_equal_the_term_by_term_gram(q):
+    params = AlgebraParams(q=q, tol=TOL)
+    tables = haar_module.PairingTables(params)
+    rng = np.random.default_rng(29)
+    U = product_catalog(params, ("fund*fund",))[0]
+    for _ in range(20):
+        b = random_witness(rng, params)
+        x = MultiElement(params, 2, {**forward(random_psd(rng, 4), U).terms,
+                                     **random_witness(rng, params).terms})
+        for monos in ([p for p, _ in b.terms], [s for _, s in b.terms]):
+            for m in {m for key in x.terms for m in key}:
+                got = tables.gram(m, monos)
+                assert np.array_equal(got, _term_by_term_gram(tables, m, monos))
+
+
+def test_gram_index_and_matrices_stay_bounded(monkeypatch):
+    monkeypatch.setattr(haar_module, "GRAM_INDEX_SIZE", 12)
+    monkeypatch.setattr(haar_module, "GRAM_MATRICES_SIZE", 5)
+    params = AlgebraParams(q=0.4)
+    tables = haar_module.PairingTables(params)
+    legs = [Monomial(PLAIN, 0, m, n) for m in range(3) for n in range(3)]
+    pool = legs + [Monomial(sector, k, 0, 0) for k in (1, 2) for sector in (PLAIN, STAR)]
+    rng = np.random.default_rng(31)
+    indexed, kept = set(), set()
+    for _ in range(40):
+        monos = [pool[int(i)] for i in rng.integers(len(pool), size=5)]
+        m = legs[int(rng.integers(len(legs)))]
+        assert np.array_equal(tables.gram(m, monos), _term_by_term_gram(tables, m, monos))
+        assert len(tables._gram_index) <= 12 and len(tables._grams) <= 5
+        indexed.update(tables._gram_index)
+        kept.update(tables._grams)
+    # the run outgrew both bounds, so both were exercised
+    assert len(indexed) > 12 and len(kept) > 5
+
+
+def test_layout_memo_stays_bounded():
+    params = AlgebraParams(q=0.5)
+    U = product_catalog(params, ("fund*fund",))[0]
+    block = fourier.block_map(U)
+    items = list(forward(random_psd(np.random.default_rng(37), 4), U).terms.items())
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(3 * fourier.BLOCK_LAYOUTS_SIZE):
+        y = MultiElement(params, 2, dict(items[i] for i in rng.permutation(len(items))[:8]))
+        expect = _gathered_haar_matrix(block, y)
+        assert _same_bits(block.haar_matrix(y), expect)
+        assert len(block._layouts) <= fourier.BLOCK_LAYOUTS_SIZE
+        seen.add(tuple(y.terms))
+    assert len(seen) > fourier.BLOCK_LAYOUTS_SIZE
