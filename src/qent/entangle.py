@@ -9,6 +9,12 @@ single-factor positive definite elements; applying the transposition map to
 one leg of a separable element preserves positive definiteness, giving a
 transform-side partial-transposition test that mirrors the matrix-side PPT
 criterion.
+
+Every step of the two-leg test is linear in x's coefficients, so
+`is_positive_definite` (and with it `ppt_check`, on θx) takes every block
+and the support residual from one product with the catalog's compiled map
+(`fourier.catalog_map`), tests the blocks of each size in one stacked
+eigen-solve, and builds a witness from the failing block only.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corep import ProductCorep, product_corep, standard_catalog
+from .corep import ProductCorep, standard_catalog
 from .fourier import (
     DensityOp,
     block_map,
+    catalog_map,
     inverse,
     inverse_single,
     lift_block,
-    support_residual,
     support_residual_single,
 )
 from .haar import pairing_tables
@@ -95,33 +101,47 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
     the catalog must span x (support residual within tolerance); otherwise
     the verdict is NOT_POSITIVE_DEFINITE or UNDECIDED_SUPPORT respectively.
     A failing block yields a concrete witness b with a negative pairing.
+
+    The blocks and the residual come from the catalog's compiled map in one
+    product; the blocks of each size are tested in one stacked eigen-solve.
     """
     _require_two_legs(x)
     tol = x.params.tol
     catalog = tuple(catalog)
-    blocks = [inverse(x, U) for U in catalog]
+    compiled = catalog_map(catalog)
+    flat, residual = compiled.apply(x)
+    minima = [0.0] * len(catalog)
+    nonhermitian = False
+    for positions, take in compiled.stacks:
+        blocks = flat[take]
+        if blocks.shape[1] == 1:
+            values = blocks.reshape(-1)
+            asymmetry = 2.0 * np.abs(values.imag)
+            lowest = values.real
+        else:
+            adjoints = blocks.conj().swapaxes(1, 2)
+            asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2))
+            lowest = np.linalg.eigvalsh((blocks + adjoints) / 2.0)[:, 0]
+        # a non-hermitian block pairs to non-real values against suitable witnesses
+        nonhermitian = nonhermitian or bool(asymmetry.max() > tol)
+        for i, value in zip(positions, lowest.tolist()):
+            minima[i] = value
     per_block = {}
     failing = None
     failing_min = 0.0
-    nonhermitian = False
-    for i, (U, block) in enumerate(zip(catalog, blocks)):
-        if float(np.max(np.abs(block - block.conj().T))) > tol:
-            # the pairing takes non-real values against suitable witnesses
-            nonhermitian = True
-        min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
+    for i, (U, min_eig) in enumerate(zip(catalog, minima)):
         per_block[U.label] = min_eig
         if min_eig < -EIG_TOL and min_eig < failing_min:
             failing = i
             failing_min = min_eig
 
-    residual = support_residual(x, catalog, blocks=blocks)
     if residual > tol:
         return PDReport(UNDECIDED_SUPPORT, per_block, residual)
     if failing is None and not nonhermitian:
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
     if with_witness and failing is not None:
-        witness = find_negative_witness(x, catalog[failing], block=blocks[failing])
+        witness = find_negative_witness(x, catalog[failing], block=compiled.block(flat, failing))
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
@@ -130,7 +150,8 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
 
     The block's most negative eigenvector is pulled back through the
     deformed orthogonality relations: with b a combination of adjoints of
-    one row of matrix coefficients, the pairing collapses to a positive
+    one row of matrix coefficients (compiled once per block, see
+    `BlockMap.witness_adjoints`), the pairing collapses to a positive
     multiple of ⟨v|A|v⟩ for the block coefficient matrix A, so the negative
     eigenvector certifies failure.  `block`, when given, is the inverse
     transform x̂(U), so a caller that already has it does not compute it
@@ -141,25 +162,26 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     herm = (block + block.conj().T) / 2.0
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
-    compiled = block_map(U)
     A = lift_block(herm, U)
     eigvals, vecs = np.linalg.eigh(A)
     v = vecs[:, int(np.argmin(eigvals))]
-    Finv = np.linalg.inv(U.F)
-    row = int(np.argmax(np.sum(np.abs(Finv) ** 2, axis=0)))
     terms: dict = {}
-    for col in range(U.dim):
+    for col, adjoint in enumerate(block_map(U).witness_adjoints):
         beta = v[col].conjugate()
         if abs(beta) > 0:
-            for tup, coeff in compiled.adjoints[row * U.dim + col]:
+            for tup, coeff in adjoint:
                 terms[tup] = terms.get(tup, 0j) + coeff * beta
     return MultiElement(x.params, 2, terms)
 
 
 def is_positive_definite_single(x, coreps) -> PDReport:
     """Single-factor version of the block-wise positive-definiteness test."""
+    return _single_report(x, tuple(coreps))[0]
+
+
+def _single_report(x, coreps):
+    """(report of `is_positive_definite_single`, the inverse blocks it tested)."""
     tol = x.params.tol
-    coreps = tuple(coreps)
     blocks = [inverse_single(x, u) for u in coreps]
     per_block = {}
     ok = True
@@ -171,8 +193,8 @@ def is_positive_definite_single(x, coreps) -> PDReport:
             ok = False
     residual = support_residual_single(x, coreps, blocks=blocks)
     if residual > tol:
-        return PDReport(UNDECIDED_SUPPORT, per_block, residual)
-    return PDReport(POSITIVE_DEFINITE if ok else NOT_POSITIVE_DEFINITE, per_block, residual)
+        return PDReport(UNDECIDED_SUPPORT, per_block, residual), blocks
+    return PDReport(POSITIVE_DEFINITE if ok else NOT_POSITIVE_DEFINITE, per_block, residual), blocks
 
 
 def separable_build(terms, coreps=None) -> MultiElement:
@@ -233,32 +255,32 @@ def tensor_pd(a, b, coreps=None):
     """a ⊗ b for positive definite single-factor elements, with a PSD certificate.
 
     The certificate records the single-factor block minima together with the
-    product-block minima; the product blocks are Kronecker products of the
-    single-factor blocks, so positivity of the factors forces positivity of
-    the product.
+    product-block minima.  With F = F_u ⊗ F_v, the block of a ⊗ b over
+    u ⊗ v is the Kronecker product of the blocks of a over u and of b over
+    v, so positivity of the factors forces positivity of the product, and
+    the product minima are taken from those Kronecker products.
     """
     params = a.params
     if coreps is None:
         coreps = tuple(standard_catalog(params).values())
-    report_a = is_positive_definite_single(a, coreps)
-    report_b = is_positive_definite_single(b, coreps)
+    coreps = tuple(coreps)
+    report_a, blocks_a = _single_report(a, coreps)
+    report_b, blocks_b = _single_report(b, coreps)
     for name, report in (("left", report_a), ("right", report_b)):
         if report.verdict != POSITIVE_DEFINITE:
             raise ValueError(f"{name} factor is not positive definite ({report.verdict})")
-    product = tensor(a, b)
     product_minima = {}
-    for u in coreps:
-        for v in coreps:
-            U = product_corep(u, v)
-            block = inverse(product, U)
+    for u, block_a in zip(coreps, blocks_a):
+        for v, block_b in zip(coreps, blocks_b):
+            block = np.kron(block_a, block_b)
             min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
-            product_minima[U.label] = min_eig
+            product_minima[f"{u.label}*{v.label}"] = min_eig
     certificate = {
         "left": report_a.per_block,
         "right": report_b.per_block,
         "product": product_minima,
     }
-    return product, certificate
+    return tensor(a, b), certificate
 
 
 def decide_separability_2x2(rho: DensityOp) -> str:

@@ -16,7 +16,15 @@ Elements.
 Both directions are linear, so each block, product or single-factor, is
 compiled on first use into a `BlockMap`: the Haar pairings h(U_rc* · t) of
 each term key t are memoised term by term from single-leg tables, and the
-forward direction is one matrix over the block's support.
+forward direction is one matrix over the block's support.  `inverse` and
+`support_residual` work block by block through it.
+
+A whole catalog of product blocks is compiled on first use into one
+`CatalogMap`: a single matrix from x's coefficients over the catalog's
+support to every block x̂(U) at once, built leg by leg from the same
+single-leg tables, and the matrix that re-expands the lifted blocks, so
+the support residual is one more product.  The positivity test in
+`qent.entangle` runs on it.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ def forward(rho, U: ProductCorep) -> MultiElement:
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
     if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
-    return MultiElement(U.params, 2, _expand(mat, U))
+    return MultiElement._trusted(U.params, 2, _expand(mat, U))
 
 
 def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
@@ -155,35 +163,29 @@ class BlockMap:
       (β, s_0, .., h_0, ..): the coefficient β of U_rc*, the scale of each
       leg's product and the Haar value of each leg's monomial.  It is built
       from single-leg tables and memoised per key;
-    - `adjoints[r * d + c]` holds the terms of U_rc*;
+    - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness_adjoints`
+      those of the row that `find_negative_witness` combines: the column of
+      F⁻¹ with the largest norm;
     - `support` lists the term keys of U's entries in the order in which
       Σ mat[row, col] U_(col),(row) first meets them, row by row, and
       `expansion` is the matrix E with E[s, row * d + col] the coefficient
       of support[s] in U_(col),(row), so that sum is E @ vec(mat).
     """
 
-    __slots__ = ("dim", "legs", "adjoints", "sqrtF", "inv_sqrtF", "trF", "support", "expansion",
-                 "_tables", "_chains", "_layouts")
+    __slots__ = ("dim", "legs", "adjoints", "witness_adjoints", "sqrtF", "inv_sqrtF", "trF",
+                 "support", "expansion", "_tables", "_chains", "_layouts")
 
     def __init__(self, U):
         d = U.dim
         self.dim = d
         self.legs = 2 if isinstance(U, ProductCorep) else 1
-        self.adjoints = tuple(
-            tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d)
-        )
+        self.adjoints = _adjoint_terms(U)
+        finv = np.linalg.inv(U.F)
+        row = int(np.argmax(np.sum(np.abs(finv) ** 2, axis=0)))
+        self.witness_adjoints = self.adjoints[row * d:(row + 1) * d]
         self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
         self.trF = float(np.trace(U.F).real)
-        index: dict = {}
-        coefficients = [
-            (index.setdefault(key, len(index)), row * d + col, c)
-            for row in range(d) for col in range(d)
-            for key, c in U.entries[col][row].terms.items()
-        ]
-        self.support = tuple(index)
-        self.expansion = np.zeros((len(index), d * d), dtype=complex)
-        for s, rc, c in coefficients:
-            self.expansion[s, rc] = c
+        self.support, self.expansion = _expansion(U)
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
         self._layouts: dict = {}
@@ -256,6 +258,145 @@ def block_map(U) -> BlockMap:
     return block
 
 
+# -- compiled catalog maps ----------------------------------------------------------
+
+# catalogs whose maps are kept at once; the memo is emptied once it is full
+CATALOG_MAPS_SIZE = 4
+# columns of keys outside the support kept per catalog map; emptied once full
+CATALOG_COLUMNS_SIZE = 512
+_CATALOG_MAPS: dict = {}
+
+
+class CatalogMap:
+    """The inverse transforms over a catalog of product coreps, and their re-expansion.
+
+    The blocks lie end to end in one vector: block i is
+    flat[offsets[i]:offsets[i] + d²], the rows of x̂(U_i) in turn.  `index`
+    numbers the catalog's support, the term keys of the blocks' entries in
+    catalog order.  For x with coefficients v over the support,
+    flat = `matrix` @ v, plus `column(t)`·x_t
+    for each key t of x outside the support.  `reexpansion` @ flat holds,
+    over the support, the coefficients of Σ_U forward((tr F)·√F·x̂(U)·√F, U).
+
+    Each slot j is one term β_j·(p_j ⊗ s_j) of one adjoint U_rc*, so
+    h(U_rc*·(m ⊗ n)) = Σ_j β_j·h(p_j·m)·h(s_j·n) and every column is
+
+        TA · (G_L ⊙ G_R),   G_L[j, t] = h(p_j·m_t),   G_R[j, t] = h(s_j·n_t),
+
+    where TA puts β_j in its block entry and folds in the block's
+    F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from `PairingTables.leg`
+    evaluated over the distinct slot and key monomials of each leg only.
+    `stacks` groups the blocks by size: (catalog positions, index array of
+    shape (blocks, d, d) into flat) per size.
+    """
+
+    __slots__ = ("coreps", "params", "offsets", "index", "matrix", "reexpansion", "stacks",
+                 "_slot_legs", "_slot_matrix", "_tables", "_columns")
+
+    def __init__(self, catalog):
+        self.coreps = tuple(catalog)
+        self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
+        size = sum(U.dim * U.dim for U in self.coreps)
+        transfer = np.zeros((size, size), dtype=complex)
+        offsets, slots, index, lifts = [], [], {}, []
+        offset = 0
+        for U in self.coreps:
+            d = U.dim
+            end = offset + d * d
+            sqrtF, inv_sqrtF = _sqrt_pair(U.F)
+            # vec x̂ = T @ vec H for x̂ = F^(-1/2)·Hᵀ·F^(1/2), and vec of the lift = Λ @ vec x̂
+            transfer[offset:end, offset:end] = np.einsum(
+                "ic,rk->ikrc", inv_sqrtF, sqrtF).reshape(d * d, d * d)
+            lift = float(np.trace(U.F).real) * np.einsum(
+                "ia,bk->ikab", sqrtF, sqrtF).reshape(d * d, d * d)
+            slots.extend((offset + rc, beta, p, s)
+                         for rc, terms in enumerate(_adjoint_terms(U))
+                         for (p, s), beta in terms)
+            support, expansion = _expansion(U)
+            rows = [index.setdefault(key, len(index)) for key in support]
+            lifts.append((rows, offset, end, expansion @ lift))
+            offsets.append(offset)
+            offset = end
+        self.offsets = tuple(offsets)
+        self.index = index
+        placed = np.zeros((size, len(slots)), dtype=complex)
+        for j, (entry, beta, _, _) in enumerate(slots):
+            placed[entry, j] = beta
+        self._slot_matrix = transfer @ placed
+        self._slot_legs = tuple(_distinct([slot[side] for slot in slots]) for side in (2, 3))
+        self._tables = pairing_tables(self.params[0]) if self.params else None
+        self._columns: dict = {}
+        self.matrix = self._pairing(tuple(index))
+        self.reexpansion = np.zeros((len(index), size), dtype=complex)
+        for rows, offset, end, part in lifts:
+            self.reexpansion[rows, offset:end] += part
+        by_size: dict = {}
+        for i, U in enumerate(self.coreps):
+            by_size.setdefault(U.dim, []).append(i)
+        self.stacks = tuple(
+            (tuple(positions),
+             np.array([offsets[i] + np.arange(d * d).reshape(d, d) for i in positions]))
+            for d, positions in by_size.items()
+        )
+
+    def apply(self, x: MultiElement):
+        """(flat, residual) for a two-leg x; the residual is that of `support_residual`."""
+        if any(p != x.params for p in self.params):
+            raise ValueError("element and corepresentation parameters differ")
+        index = self.index
+        v = np.zeros(len(index), dtype=complex)
+        outside = []
+        for key, coeff in x.terms.items():
+            s = index.get(key)
+            if s is None:
+                outside.append((key, coeff))
+            else:
+                v[s] = coeff
+        flat = self.matrix @ v
+        missed = 0.0
+        if outside:
+            coeffs = np.array([c for _, c in outside])
+            flat = flat + np.column_stack([self.column(t) for t, _ in outside]) @ coeffs
+            missed = float(np.max(np.abs(coeffs)))
+        gaps = np.abs(v - self.reexpansion @ flat)
+        return flat, max(float(gaps.max(initial=0.0)), missed)
+
+    def block(self, flat: np.ndarray, i: int) -> np.ndarray:
+        """x̂(U_i) from flat."""
+        d = self.coreps[i].dim
+        return flat[self.offsets[i]:self.offsets[i] + d * d].reshape(d, d)
+
+    def column(self, t) -> np.ndarray:
+        """The column of a key t outside the support; memoised per key."""
+        found = self._columns.get(t)
+        if found is None:
+            found = remember(self._columns, t, self._pairing((t,))[:, 0], CATALOG_COLUMNS_SIZE)
+        return found
+
+    def _pairing(self, keys) -> np.ndarray:
+        """TA · (G_L ⊙ G_R) over the given keys."""
+        product = np.ones((self._slot_matrix.shape[1], len(keys)), dtype=complex)
+        for side, (monos, rows) in enumerate(self._slot_legs):
+            key_monos, cols = _distinct([t[side] for t in keys])
+            table = np.array([[self._tables.leg(p, m) for m in key_monos] for p in monos],
+                             dtype=complex).reshape(len(monos), len(key_monos))
+            product *= table[np.ix_(rows, cols)]
+        return self._slot_matrix @ product
+
+
+def catalog_map(catalog) -> CatalogMap:
+    """The compiled maps of a catalog of product coreps, built on its first use.
+
+    The memo is keyed by the identities of the catalog's coreps; each map
+    holds its coreps, so their ids cannot be reused while it is kept.
+    """
+    key = tuple(map(id, catalog))
+    found = _CATALOG_MAPS.get(key)
+    if found is None:
+        found = remember(_CATALOG_MAPS, key, CatalogMap(catalog), CATALOG_MAPS_SIZE)
+    return found
+
+
 # -- single-factor transform -----------------------------------------------------
 
 def forward_single(mat, u: Corep) -> Element:
@@ -325,6 +466,34 @@ def _expand(mat: np.ndarray, U) -> dict:
     """The terms of Σ mat[row, col] U_(col),(row), as E @ vec(mat) over U's support."""
     compiled = block_map(U)
     return dict(zip(compiled.support, compiled.expansion @ mat.reshape(-1)))
+
+
+def _adjoint_terms(U) -> tuple:
+    """The terms of U_rc*, at index r * d + c."""
+    d = U.dim
+    return tuple(tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d))
+
+
+def _expansion(U):
+    """(support, E) of U: see `BlockMap`."""
+    d = U.dim
+    index: dict = {}
+    coefficients = [
+        (index.setdefault(key, len(index)), row * d + col, c)
+        for row in range(d) for col in range(d)
+        for key, c in U.entries[col][row].terms.items()
+    ]
+    expansion = np.zeros((len(index), d * d), dtype=complex)
+    for s, rc, c in coefficients:
+        expansion[s, rc] = c
+    return tuple(index), expansion
+
+
+def _distinct(items):
+    """(the distinct items in order of first appearance, the position of each item among them)."""
+    seen: dict = {}
+    positions = [seen.setdefault(item, len(seen)) for item in items]
+    return tuple(seen), np.array(positions, dtype=np.intp)
 
 
 def _reexpansion_gap(x, coreps, blocks) -> float:

@@ -53,23 +53,28 @@ class MultiElement:
     def __init__(self, params: AlgebraParams, legs: int, terms: Mapping[tuple, complex] | None = None):
         if legs < 1:
             raise ValueError("legs must be at least 1")
-        pruned = {}
         if terms:
-            tol = params.tol
             kinds = (Monomial,) * legs
-            for tup, coeff in terms.items():
+            for tup in terms:
                 if not (type(tup) is tuple and len(tup) == legs
                         and all(map(isinstance, tup, kinds))):
                     raise ValueError(f"term {tup!r} is not a tuple of {legs} monomials")
-                z = complex(coeff)
-                size = abs(z)
-                if tol < size < math.inf:
-                    pruned[tup] = z
-                elif not size <= tol:
-                    raise ValueError(f"coefficient of {tup!r} is not finite: {z!r}")
         self.params = params
         self.legs = legs
-        self.terms = pruned
+        self.terms = _pruned(terms, params.tol) if terms else {}
+
+    @classmethod
+    def _trusted(cls, params: AlgebraParams, legs: int, terms: Mapping[tuple, complex]) -> "MultiElement":
+        """A MultiElement over keys the caller built as tuples of `legs` monomials.
+
+        The keys are not checked again; coefficients are pruned at tol and
+        rejected when non-finite, as by the constructor.
+        """
+        out = cls.__new__(cls)
+        out.params = params
+        out.legs = legs
+        out.terms = _pruned(terms, params.tol)
+        return out
 
     @classmethod
     def zero(cls, params: AlgebraParams, legs: int) -> "MultiElement":
@@ -181,6 +186,19 @@ class MultiElement:
         return _format_terms(self.terms)
 
 
+def _pruned(terms: Mapping[tuple, complex], tol: float) -> dict:
+    """The terms with modulus above tol; ValueError on a non-finite coefficient."""
+    pruned = {}
+    for tup, coeff in terms.items():
+        z = complex(coeff)
+        size = abs(z)
+        if tol < size < math.inf:
+            pruned[tup] = z
+        elif not size <= tol:
+            raise ValueError(f"coefficient of {tup!r} is not finite: {z!r}")
+    return pruned
+
+
 def tensor(*factors) -> MultiElement:
     """Tensor product of Elements / MultiElements, with legs concatenated."""
     if not factors:
@@ -198,7 +216,7 @@ def tensor(*factors) -> MultiElement:
             items = list(f.terms.items())
             legs += f.legs
         terms = [(tup + t2, c * c2) for tup, c in terms for t2, c2 in items]
-    return MultiElement(params, legs, dict_accumulate(terms))
+    return MultiElement._trusted(params, legs, dict_accumulate(terms))
 
 
 def dict_accumulate(pairs) -> dict:
@@ -401,4 +419,4 @@ def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:
         scale, mono2 = _theta_monomial(tup[leg], q)
         key = (mono2, tup[1]) if leg == 0 else (tup[0], mono2)
         out[key] = out.get(key, 0j) + coeff * scale
-    return MultiElement(x.params, 2, out)
+    return MultiElement._trusted(x.params, 2, out)

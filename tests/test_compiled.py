@@ -206,6 +206,7 @@ def _cache_sizes(params):
         "single block layouts": (len(single._layouts), fourier.BLOCK_LAYOUTS_SIZE),
         "gram index": (len(gram._gram_index), haar_module.GRAM_INDEX_SIZE),
         "gram matrices": (len(gram._grams), haar_module.GRAM_MATRICES_SIZE),
+        "catalog maps": (len(fourier._CATALOG_MAPS), fourier.CATALOG_MAPS_SIZE),
     }
 
 
@@ -257,6 +258,7 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     assert len(coproduct_keys) > hopf.COPRODUCT_CACHE_SIZE
     assert 200 > haar_module.PAIRING_TABLES_SIZE
     assert 200 > corep.COREPS_SIZE
+    assert 200 > fourier.CATALOG_MAPS_SIZE
 
 
 def test_one_q_working_set_fits_the_bounds(compiled_blocks):
@@ -420,23 +422,217 @@ def test_the_witness_from_a_given_block_is_the_same(q):
 
 
 def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch):
-    calls = []
-    original = fourier.inverse
+    applied, inverted = [], []
+    original_apply, original_inverse = fourier.CatalogMap.apply, fourier.inverse
 
-    def counting(x, U):
-        calls.append(U.label)
-        return original(x, U)
+    def counting_apply(self, x):
+        applied.append(self)
+        return original_apply(self, x)
 
-    monkeypatch.setattr(entangle, "inverse", counting)
-    monkeypatch.setattr(fourier, "inverse", counting)
+    def counting_inverse(x, U):
+        inverted.append(U.label)
+        return original_inverse(x, U)
+
+    monkeypatch.setattr(fourier.CatalogMap, "apply", counting_apply)
+    monkeypatch.setattr(entangle, "inverse", counting_inverse)
+    monkeypatch.setattr(fourier, "inverse", counting_inverse)
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
     report = ppt_check(forward(fourier.singlet_state(), catalog[3]), catalog)
     assert report.verdict == entangle.NOT_POSITIVE_DEFINITE and report.witness is not None
-    assert sorted(calls) == sorted(U.label for U in catalog)
-    calls.clear()
+    # one application of the catalog's map gives every block, and the
+    # witness reuses the failing one instead of transforming again
+    assert len(applied) == 1 and applied[0] is fourier.catalog_map(catalog)
+    assert inverted == []
+    applied.clear()
     report = is_positive_definite(forward(fourier.singlet_state(), catalog[3]), catalog)
-    assert report.verdict == entangle.POSITIVE_DEFINITE and len(calls) == len(catalog)
+    assert report.verdict == entangle.POSITIVE_DEFINITE and len(applied) == 1
+    assert inverted == []
+
+
+def _per_block_report(x, catalog):
+    """The positivity test block by block, through `inverse` and `support_residual`."""
+    blocks = [inverse(x, U) for U in catalog]
+    minima = {U.label: float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min())
+              for U, b in zip(catalog, blocks)}
+    hermitian = all(np.max(np.abs(b - b.conj().T)) <= x.params.tol for b in blocks)
+    residual = support_residual(x, catalog, blocks=blocks)
+    if residual > x.params.tol:
+        verdict = entangle.UNDECIDED_SUPPORT
+    elif hermitian and min(minima.values(), default=0.0) >= -entangle.EIG_TOL:
+        verdict = entangle.POSITIVE_DEFINITE
+    else:
+        verdict = entangle.NOT_POSITIVE_DEFINITE
+    return verdict, minima, residual
+
+
+CATALOGS = (None, ("fund*fund",), ("fund*triv", "triv*triv"))
+
+
+@st.composite
+def pd_test_elements(draw, q):
+    """The transform of a PSD, hermitian or general 4x4 matrix, maybe θ on a leg, plus up to three terms of any degree <= 2."""
+    params = AlgebraParams(q=q)
+    U = product_catalog(params, ("fund*fund",))[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("psd", "hermitian", "general")))
+    if kind == "psd":
+        mat = random_psd(rng, 4)
+    else:
+        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if kind == "hermitian":
+            mat = mat + mat.conj().T
+    x = forward(mat, U)
+    leg = draw(st.sampled_from((None, 0, 1)))
+    if leg is not None:
+        x = hopf.partial_theta(x, leg=leg)
+    terms = dict(x.terms)
+    for left, right, coeff in draw(st.lists(st.tuples(monomials(), monomials(), _coeffs), max_size=3)):
+        terms[(left, right)] = terms.get((left, right), 0j) + coeff
+    return MultiElement(params, 2, terms)
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_catalog_map_matches_the_per_block_path(q, data):
+    x = data.draw(pd_test_elements(q))
+    for pairs in CATALOGS:
+        catalog = product_catalog(x.params) if pairs is None else product_catalog(x.params, pairs)
+        report = is_positive_definite(x, catalog)
+        verdict, minima, residual = _per_block_report(x, catalog)
+        assert report.verdict == verdict, pairs
+        assert list(report.per_block) == list(minima)
+        for label, value in minima.items():
+            assert abs(report.per_block[label] - value) <= 1e-12 * (1.0 + abs(value)), label
+        # both residuals round at the scale of x's coefficients, which reach
+        # 1/q times the drawn ones under θ: at q = 0.2 the per-block path is
+        # off by 1.6e-12 on a residual that is zero in exact arithmetic
+        assert abs(report.support_residual - residual) <= 1e-12 * (_scale(x) + residual)
+        assert (report.witness is not None) == (
+            verdict == entangle.NOT_POSITIVE_DEFINITE and min(minima.values()) < -entangle.EIG_TOL)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_a_non_hermitian_one_by_one_block_is_not_positive_definite(q):
+    params = AlgebraParams(q=q)
+    catalog = product_catalog(params)
+    x = MultiElement(params, 2, {(Monomial(), Monomial()): 1.0 + 0.5j})
+    report = is_positive_definite(x, catalog)
+    assert report.verdict == _per_block_report(x, catalog)[0] == entangle.NOT_POSITIVE_DEFINITE
+    assert report.per_block["triv*triv"] == 1.0 and report.witness is None
+
+
+def test_catalog_map_columns_stay_bounded(monkeypatch):
+    monkeypatch.setattr(fourier, "CATALOG_COLUMNS_SIZE", 6)
+    params = AlgebraParams(q=0.6)
+    catalog = product_catalog(params)
+    compiled = fourier.CatalogMap(catalog)
+    outside = [(Monomial(PLAIN, 0, m, n), Monomial(PLAIN, 0, n, m)) for m in range(4) for n in range(4)]
+    outside = [t for t in outside if t not in compiled.index]
+    seen = set()
+    for t in outside:
+        x = MultiElement(params, 2, {t: 0.5})
+        flat, residual = compiled.apply(x)
+        expect = np.concatenate([inverse(x, U).reshape(-1) for U in catalog])
+        assert np.max(np.abs(flat - expect)) <= 1e-12
+        assert abs(residual - support_residual(x, catalog)) <= 1e-12
+        assert len(compiled._columns) <= 6
+        seen.update(compiled._columns)
+    # the run outgrew the bound, so it was exercised
+    assert len(seen) > 6
+
+
+def _written_out_witness(x, U, block):
+    """The witness from the row of F⁻¹ with the largest column norm, chosen on every call."""
+    herm = (block + block.conj().T) / 2.0
+    eigvals, vecs = np.linalg.eigh(fourier.lift_block(herm, U))
+    v = vecs[:, int(np.argmin(eigvals))]
+    Finv = np.linalg.inv(U.F)
+    row = int(np.argmax(np.sum(np.abs(Finv) ** 2, axis=0)))
+    terms: dict = {}
+    for col in range(U.dim):
+        beta = v[col].conjugate()
+        if abs(beta) > 0:
+            for tup, coeff in U.entries[row][col].adjoint().terms.items():
+                terms[tup] = terms.get(tup, 0j) + coeff * beta
+    return MultiElement(x.params, 2, terms)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_the_compiled_witness_row_gives_the_written_out_witness(q):
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(43)
+    catalog = product_catalog(params)
+    found = 0
+    for _ in range(10):
+        x = hopf.partial_theta(forward(random_psd(rng, 4) - 0.3 * np.eye(4), catalog[3]))
+        for U in catalog:
+            block = inverse(x, U)
+            witness = find_negative_witness(x, U, block=block)
+            if witness is not None:
+                found += 1
+                expect = _written_out_witness(x, U, block)
+                assert list(witness.terms.items()) == list(expect.terms.items())
+    assert found
+
+
+def test_verify_compiles_few_block_maps(compiled_blocks):
+    assert all(c.passed for c in run_suite("all", AlgebraParams(q=0.3)))
+    assert len(compiled_blocks) <= 6
+
+
+@pytest.mark.parametrize("q", QS)
+def test_tensor_pd_product_minima_are_the_product_corep_values(q):
+    params = AlgebraParams(q=q)
+    singles = tuple(standard_catalog(params).values())
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        a, b = random_pd_element(rng, params), random_pd_element(rng, params)
+        product, certificate = entangle.tensor_pd(a, b, singles)
+        expect = {}
+        for u in singles:
+            for v in singles:
+                U = corep.product_corep(u, v)
+                block = inverse(product, U)
+                expect[U.label] = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
+        assert list(certificate["product"]) == list(expect)
+        for label, value in expect.items():
+            assert abs(certificate["product"][label] - value) <= 1e-12, label
+
+
+def test_trusted_constructions_equal_the_validating_constructor(monkeypatch):
+    params = AlgebraParams(q=0.4, tol=1e-6)
+    rng = np.random.default_rng(53)
+    catalog = product_catalog(params)
+    mats = [random_psd(rng, 4) for _ in range(5)]
+    # entries near tol, so both constructors prune some coefficients
+    mats += [m * np.where(rng.random(size=(4, 4)) < 0.5, 1e-6, 1.0) for m in mats]
+    pds = [random_pd_element(rng, params) for _ in range(4)]
+
+    def outputs():
+        out = []
+        for mat in mats:
+            for U in catalog:
+                x = forward(mat[:U.dim, :U.dim], U)
+                out += [x, hopf.partial_theta(x, leg=0), hopf.partial_theta(x, leg=1)]
+        for a in pds:
+            for b in pds:
+                out += [hopf.tensor(a, b), hopf.tensor(a, out[0])]
+        return [(y.legs, list(y.terms.items())) for y in out]
+
+    trusted = outputs()
+    monkeypatch.setattr(MultiElement, "_trusted",
+                        classmethod(lambda cls, p, legs, terms: cls(p, legs, terms)))
+    assert outputs() == trusted
+    assert any(len(terms) < 16 for legs, terms in trusted if legs == 2)
+
+
+def test_trusted_constructions_reject_non_finite_coefficients():
+    params = AlgebraParams(q=0.5)
+    big = Element(params, {Monomial(PLAIN, 1, 0, 0): 1e200})
+    with pytest.raises(ValueError, match="not finite"):
+        hopf.tensor(big, big)
 
 
 def _term_by_term_gram(tables, m, monos):
