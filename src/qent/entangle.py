@@ -30,7 +30,6 @@ from .fourier import (
     catalog_map,
     inverse,
     inverse_single,
-    lift_block,
     support_residual_single,
 )
 from .haar import pairing_tables
@@ -141,7 +140,8 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
     if with_witness and failing is not None:
-        witness = find_negative_witness(x, catalog[failing], block=compiled.block(flat, failing))
+        block = compiled.block(flat, failing)
+        witness = _witness(x, (block + block.conj().T) / 2.0, *compiled.witnesses[failing])
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
@@ -151,9 +151,9 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     The block's most negative eigenvector is pulled back through the
     deformed orthogonality relations: with b a combination of adjoints of
     one row of matrix coefficients (compiled once per block, see
-    `BlockMap.witness_adjoints`), the pairing collapses to a positive
-    multiple of ⟨v|A|v⟩ for the block coefficient matrix A, so the negative
-    eigenvector certifies failure.  `block`, when given, is the inverse
+    `BlockMap.witness_adjoints` and `CatalogMap.witnesses`), the pairing
+    collapses to a positive multiple of ⟨v|A|v⟩ for the block coefficient
+    matrix A, so the negative eigenvector certifies failure.  `block`, when given, is the inverse
     transform x̂(U), so a caller that already has it does not compute it
     again.
     """
@@ -162,11 +162,16 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     herm = (block + block.conj().T) / 2.0
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
-    A = lift_block(herm, U)
-    eigvals, vecs = np.linalg.eigh(A)
+    compiled = block_map(U)
+    return _witness(x, herm, compiled.sqrtF, compiled.trF, compiled.witness_adjoints)
+
+
+def _witness(x, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
+    """The witness of `find_negative_witness` from a non-PSD hermitian block and U's compiled data."""
+    eigvals, vecs = np.linalg.eigh(trF * (sqrtF @ herm @ sqrtF))
     v = vecs[:, int(np.argmin(eigvals))]
     terms: dict = {}
-    for col, adjoint in enumerate(block_map(U).witness_adjoints):
+    for col, adjoint in enumerate(witness_adjoints):
         beta = v[col].conjugate()
         if abs(beta) > 0:
             for tup, coeff in adjoint:

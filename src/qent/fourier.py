@@ -90,6 +90,9 @@ class DensityOp:
 
 def forward(rho, U: ProductCorep) -> MultiElement:
     """ρ̂ = Σ ρ_(ik),(jl) U_(jl),(ik); linear in ρ."""
+    # the keys of a product corep's entries are two-leg tuples, as the trusted constructor needs
+    if not isinstance(U, ProductCorep):
+        raise ValueError("forward() expects a product corep; use forward_single for one factor")
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
     d = U.dim
     if mat.shape != (d, d):
@@ -179,13 +182,8 @@ class BlockMap:
         d = U.dim
         self.dim = d
         self.legs = 2 if isinstance(U, ProductCorep) else 1
-        self.adjoints = _adjoint_terms(U)
-        finv = np.linalg.inv(U.F)
-        row = int(np.argmax(np.sum(np.abs(finv) ** 2, axis=0)))
-        self.witness_adjoints = self.adjoints[row * d:(row + 1) * d]
-        self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
-        self.trF = float(np.trace(U.F).real)
-        self.support, self.expansion = _expansion(U)
+        (self.adjoints, self.witness_adjoints, self.sqrtF, self.inv_sqrtF, self.trF,
+         self.support, self.expansion) = _block_data(U)
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
         self._layouts: dict = {}
@@ -261,9 +259,7 @@ def block_map(U) -> BlockMap:
 # -- compiled catalog maps ----------------------------------------------------------
 
 # catalogs whose maps are kept at once; the memo is emptied once it is full
-CATALOG_MAPS_SIZE = 4
-# columns of keys outside the support kept per catalog map; emptied once full
-CATALOG_COLUMNS_SIZE = 512
+CATALOG_MAPS_SIZE = 1
 _CATALOG_MAPS: dict = {}
 
 
@@ -274,8 +270,8 @@ class CatalogMap:
     flat[offsets[i]:offsets[i] + d²], the rows of x̂(U_i) in turn.  `index`
     numbers the catalog's support, the term keys of the blocks' entries in
     catalog order.  For x with coefficients v over the support,
-    flat = `matrix` @ v, plus `column(t)`·x_t
-    for each key t of x outside the support.  `reexpansion` @ flat holds,
+    flat = `matrix` @ v, plus the columns of the same formula, built per
+    call, for x's keys outside the support.  `reexpansion` @ flat holds,
     over the support, the coefficients of Σ_U forward((tr F)·√F·x̂(U)·√F, U).
 
     Each slot j is one term β_j·(p_j ⊗ s_j) of one adjoint U_rc*, so
@@ -287,37 +283,39 @@ class CatalogMap:
     F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from `PairingTables.leg`
     evaluated over the distinct slot and key monomials of each leg only.
     `stacks` groups the blocks by size: (catalog positions, index array of
-    shape (blocks, d, d) into flat) per size.
+    shape (blocks, d, d) into flat) per size, and `witnesses[i]` holds
+    (√F, tr F, witness adjoints) of block i, as on its `BlockMap`, so a
+    witness is built without compiling one.
     """
 
     __slots__ = ("coreps", "params", "offsets", "index", "matrix", "reexpansion", "stacks",
-                 "_slot_legs", "_slot_matrix", "_tables", "_columns")
+                 "witnesses", "_slot_legs", "_slot_matrix", "_tables")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
         size = sum(U.dim * U.dim for U in self.coreps)
         transfer = np.zeros((size, size), dtype=complex)
-        offsets, slots, index, lifts = [], [], {}, []
+        offsets, slots, index, lifts, witnesses = [], [], {}, [], []
         offset = 0
         for U in self.coreps:
+            adjoints, witness_adjoints, sqrtF, inv_sqrtF, trF, support, expansion = _block_data(U)
             d = U.dim
             end = offset + d * d
-            sqrtF, inv_sqrtF = _sqrt_pair(U.F)
             # vec x̂ = T @ vec H for x̂ = F^(-1/2)·Hᵀ·F^(1/2), and vec of the lift = Λ @ vec x̂
             transfer[offset:end, offset:end] = np.einsum(
                 "ic,rk->ikrc", inv_sqrtF, sqrtF).reshape(d * d, d * d)
-            lift = float(np.trace(U.F).real) * np.einsum(
-                "ia,bk->ikab", sqrtF, sqrtF).reshape(d * d, d * d)
+            lift = trF * np.einsum("ia,bk->ikab", sqrtF, sqrtF).reshape(d * d, d * d)
             slots.extend((offset + rc, beta, p, s)
-                         for rc, terms in enumerate(_adjoint_terms(U))
+                         for rc, terms in enumerate(adjoints)
                          for (p, s), beta in terms)
-            support, expansion = _expansion(U)
             rows = [index.setdefault(key, len(index)) for key in support]
             lifts.append((rows, offset, end, expansion @ lift))
+            witnesses.append((sqrtF, trF, witness_adjoints))
             offsets.append(offset)
             offset = end
         self.offsets = tuple(offsets)
+        self.witnesses = tuple(witnesses)
         self.index = index
         placed = np.zeros((size, len(slots)), dtype=complex)
         for j, (entry, beta, _, _) in enumerate(slots):
@@ -325,7 +323,6 @@ class CatalogMap:
         self._slot_matrix = transfer @ placed
         self._slot_legs = tuple(_distinct([slot[side] for slot in slots]) for side in (2, 3))
         self._tables = pairing_tables(self.params[0]) if self.params else None
-        self._columns: dict = {}
         self.matrix = self._pairing(tuple(index))
         self.reexpansion = np.zeros((len(index), size), dtype=complex)
         for rows, offset, end, part in lifts:
@@ -356,7 +353,7 @@ class CatalogMap:
         missed = 0.0
         if outside:
             coeffs = np.array([c for _, c in outside])
-            flat = flat + np.column_stack([self.column(t) for t, _ in outside]) @ coeffs
+            flat = flat + self._pairing(tuple(t for t, _ in outside)) @ coeffs
             missed = float(np.max(np.abs(coeffs)))
         gaps = np.abs(v - self.reexpansion @ flat)
         return flat, max(float(gaps.max(initial=0.0)), missed)
@@ -365,13 +362,6 @@ class CatalogMap:
         """x̂(U_i) from flat."""
         d = self.coreps[i].dim
         return flat[self.offsets[i]:self.offsets[i] + d * d].reshape(d, d)
-
-    def column(self, t) -> np.ndarray:
-        """The column of a key t outside the support; memoised per key."""
-        found = self._columns.get(t)
-        if found is None:
-            found = remember(self._columns, t, self._pairing((t,))[:, 0], CATALOG_COLUMNS_SIZE)
-        return found
 
     def _pairing(self, keys) -> np.ndarray:
         """TA · (G_L ⊙ G_R) over the given keys."""
@@ -468,15 +458,15 @@ def _expand(mat: np.ndarray, U) -> dict:
     return dict(zip(compiled.support, compiled.expansion @ mat.reshape(-1)))
 
 
-def _adjoint_terms(U) -> tuple:
-    """The terms of U_rc*, at index r * d + c."""
+def _block_data(U):
+    """(adjoints, witness_adjoints, √F, F^(-1/2), tr F, support, expansion) of U: see `BlockMap`."""
     d = U.dim
-    return tuple(tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d))
-
-
-def _expansion(U):
-    """(support, E) of U: see `BlockMap`."""
-    d = U.dim
+    adjoints = tuple(
+        tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d)
+    )
+    finv = np.linalg.inv(U.F)
+    witness_row = int(np.argmax(np.sum(np.abs(finv) ** 2, axis=0)))
+    sqrtF, inv_sqrtF = _sqrt_pair(U.F)
     index: dict = {}
     coefficients = [
         (index.setdefault(key, len(index)), row * d + col, c)
@@ -486,7 +476,8 @@ def _expansion(U):
     expansion = np.zeros((len(index), d * d), dtype=complex)
     for s, rc, c in coefficients:
         expansion[s, rc] = c
-    return tuple(index), expansion
+    return (adjoints, adjoints[witness_row * d:(witness_row + 1) * d], sqrtF, inv_sqrtF,
+            float(np.trace(U.F).real), tuple(index), expansion)
 
 
 def _distinct(items):

@@ -421,7 +421,7 @@ def test_the_witness_from_a_given_block_is_the_same(q):
     assert found
 
 
-def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch):
+def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch, compiled_blocks):
     applied, inverted = [], []
     original_apply, original_inverse = fourier.CatalogMap.apply, fourier.inverse
 
@@ -438,16 +438,40 @@ def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch):
     monkeypatch.setattr(fourier, "inverse", counting_inverse)
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
-    report = ppt_check(forward(fourier.singlet_state(), catalog[3]), catalog)
+    x = forward(fourier.singlet_state(), catalog[3])
+    compiled_blocks.clear()
+    report = ppt_check(x, catalog)
     assert report.verdict == entangle.NOT_POSITIVE_DEFINITE and report.witness is not None
     # one application of the catalog's map gives every block, and the
-    # witness reuses the failing one instead of transforming again
+    # witness reuses the failing one and the map's compiled data instead of
+    # transforming again or compiling a block map
     assert len(applied) == 1 and applied[0] is fourier.catalog_map(catalog)
-    assert inverted == []
+    assert inverted == [] and compiled_blocks == []
     applied.clear()
     report = is_positive_definite(forward(fourier.singlet_state(), catalog[3]), catalog)
     assert report.verdict == entangle.POSITIVE_DEFINITE and len(applied) == 1
     assert inverted == []
+
+
+@pytest.mark.parametrize("q", QS)
+def test_the_catalog_witness_is_that_of_the_failing_block(q):
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(59)
+    found = 0
+    # in both orders, so the failing fund*fund block is neither always first nor always last
+    for catalog in (product_catalog(params), product_catalog(params)[::-1]):
+        compiled = fourier.catalog_map(catalog)
+        U = next(V for V in catalog if V.label == "fund*fund")
+        for _ in range(10):
+            x = hopf.partial_theta(forward(random_psd(rng, 4), U))
+            report = is_positive_definite(x, catalog)
+            if report.witness is not None:
+                found += 1
+                failing = min(range(len(catalog)), key=lambda i: report.per_block[catalog[i].label])
+                flat, _ = compiled.apply(x)
+                expect = find_negative_witness(x, catalog[failing], block=compiled.block(flat, failing))
+                assert list(report.witness.terms.items()) == list(expect.terms.items())
+    assert found
 
 
 def _per_block_report(x, catalog):
@@ -523,24 +547,19 @@ def test_a_non_hermitian_one_by_one_block_is_not_positive_definite(q):
     assert report.per_block["triv*triv"] == 1.0 and report.witness is None
 
 
-def test_catalog_map_columns_stay_bounded(monkeypatch):
-    monkeypatch.setattr(fourier, "CATALOG_COLUMNS_SIZE", 6)
+def test_catalog_map_columns_of_keys_outside_the_support_match_the_per_block_path():
     params = AlgebraParams(q=0.6)
     catalog = product_catalog(params)
     compiled = fourier.CatalogMap(catalog)
     outside = [(Monomial(PLAIN, 0, m, n), Monomial(PLAIN, 0, n, m)) for m in range(4) for n in range(4)]
     outside = [t for t in outside if t not in compiled.index]
-    seen = set()
+    assert outside
     for t in outside:
         x = MultiElement(params, 2, {t: 0.5})
         flat, residual = compiled.apply(x)
         expect = np.concatenate([inverse(x, U).reshape(-1) for U in catalog])
         assert np.max(np.abs(flat - expect)) <= 1e-12
         assert abs(residual - support_residual(x, catalog)) <= 1e-12
-        assert len(compiled._columns) <= 6
-        seen.update(compiled._columns)
-    # the run outgrew the bound, so it was exercised
-    assert len(seen) > 6
 
 
 def _written_out_witness(x, U, block):
@@ -626,6 +645,14 @@ def test_trusted_constructions_equal_the_validating_constructor(monkeypatch):
                         classmethod(lambda cls, p, legs, terms: cls(p, legs, terms)))
     assert outputs() == trusted
     assert any(len(terms) < 16 for legs, terms in trusted if legs == 2)
+
+
+def test_forward_refuses_a_single_factor_corep():
+    params = AlgebraParams(q=0.5)
+    with pytest.raises(ValueError, match="product corep"):
+        forward(np.eye(2), fundamental_corep(params))
+    with pytest.raises(ValueError, match="product corep"):
+        forward(np.eye(1), standard_catalog(params)["triv"])
 
 
 def test_trusted_constructions_reject_non_finite_coefficients():
