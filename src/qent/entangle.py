@@ -11,10 +11,14 @@ transform-side partial-transposition test that mirrors the matrix-side PPT
 criterion.
 
 Every step of the two-leg test is linear in x's coefficients, so
-`is_positive_definite` (and with it `ppt_check`, on θx) takes every block
-and the support residual from one product with the catalog's compiled map
-(`fourier.catalog_map`), tests the blocks of each size in one stacked
-eigen-solve, and builds a witness from the failing block only.
+`is_positive_definite` takes every block and the support residual from one
+product with the catalog's compiled map (`fourier.catalog_map`).  The
+transposition map on one leg moves and rescales coefficients over the
+catalog's support, so `ppt_check` applies the map's θ index and scale to
+x's gathered coefficients and builds no θx.  Both then share one block
+test: one pass over the blocks gives their hermitian parts and the
+largest asymmetry, the blocks of each size are tested in one stacked
+eigen-solve, and a witness is built from the failing block only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .fourier import (
     support_residual_single,
 )
 from .haar import pairing_tables
-from .hopf import MultiElement, partial_theta, tensor
+from .hopf import MultiElement, _require_theta_leg, partial_theta, tensor
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
 NOT_POSITIVE_DEFINITE = "NOT_POSITIVE_DEFINITE"
@@ -105,30 +109,29 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
     product; the blocks of each size are tested in one stacked eigen-solve.
     """
     _require_two_legs(x)
-    tol = x.params.tol
-    catalog = tuple(catalog)
-    compiled = catalog_map(catalog)
-    flat, residual = compiled.apply(x)
-    minima = [0.0] * len(catalog)
-    nonhermitian = False
+    compiled = catalog_map(tuple(catalog))
+    return _block_report(compiled, *compiled.apply(x), x.params, with_witness)
+
+
+def _block_report(compiled, flat, residual, params, with_witness=True) -> PDReport:
+    """The report of `is_positive_definite` from the blocks of the catalog map's `flat`."""
+    tol = params.tol
+    adjoint = flat[compiled.transpose].conj()
+    herm = (flat + adjoint) / 2.0
+    # a non-hermitian block pairs to non-real values against suitable witnesses
+    nonhermitian = bool(np.abs(flat - adjoint).max(initial=0.0) > tol)
+    minima = [0.0] * len(compiled.coreps)
     for positions, take in compiled.stacks:
-        blocks = flat[take]
-        if blocks.shape[1] == 1:
-            values = blocks.reshape(-1)
-            asymmetry = 2.0 * np.abs(values.imag)
-            lowest = values.real
+        if take.ndim == 1:
+            lowest = herm.real[take]
         else:
-            adjoints = blocks.conj().swapaxes(1, 2)
-            asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2))
-            lowest = np.linalg.eigvalsh((blocks + adjoints) / 2.0)[:, 0]
-        # a non-hermitian block pairs to non-real values against suitable witnesses
-        nonhermitian = nonhermitian or bool(asymmetry.max() > tol)
+            lowest = np.linalg.eigvalsh(herm[take])[:, 0]
         for i, value in zip(positions, lowest.tolist()):
             minima[i] = value
     per_block = {}
     failing = None
     failing_min = 0.0
-    for i, (U, min_eig) in enumerate(zip(catalog, minima)):
+    for i, (U, min_eig) in enumerate(zip(compiled.coreps, minima)):
         per_block[U.label] = min_eig
         if min_eig < -EIG_TOL and min_eig < failing_min:
             failing = i
@@ -140,8 +143,7 @@ def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True)
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
     if with_witness and failing is not None:
-        block = compiled.block(flat, failing)
-        witness = _witness(x, (block + block.conj().T) / 2.0, *compiled.witnesses[failing])
+        witness = _witness(params, compiled.block(herm, failing), *compiled.witnesses[failing])
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
@@ -157,17 +159,24 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     transform x̂(U), so a caller that already has it does not compute it
     again.
     """
+    # the witness is built with the trusted constructor from U's adjoints, keyed as x is
+    if not isinstance(U, ProductCorep):
+        raise ValueError("find_negative_witness expects a product corep")
     if block is None:
         block = inverse(x, U)
     herm = (block + block.conj().T) / 2.0
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
     compiled = block_map(U)
-    return _witness(x, herm, compiled.sqrtF, compiled.trF, compiled.witness_adjoints)
+    return _witness(x.params, herm, compiled.sqrtF, compiled.trF, compiled.witness_adjoints)
 
 
-def _witness(x, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
-    """The witness of `find_negative_witness` from a non-PSD hermitian block and U's compiled data."""
+def _witness(params, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
+    """The witness of `find_negative_witness` from a non-PSD hermitian block and U's compiled data.
+
+    The keys of a product corep's adjoints are two-leg tuples, as the
+    trusted constructor needs.
+    """
     eigvals, vecs = np.linalg.eigh(trF * (sqrtF @ herm @ sqrtF))
     v = vecs[:, int(np.argmin(eigvals))]
     terms: dict = {}
@@ -176,7 +185,7 @@ def _witness(x, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
         if abs(beta) > 0:
             for tup, coeff in adjoint:
                 terms[tup] = terms.get(tup, 0j) + coeff * beta
-    return MultiElement(x.params, 2, terms)
+    return MultiElement._trusted(params, 2, terms)
 
 
 def is_positive_definite_single(x, coreps) -> PDReport:
@@ -235,8 +244,21 @@ def ppt_check(x: MultiElement, catalog, *, leg: int = 1) -> PDReport:
 
     Separable elements always pass; a failure certifies entanglement of any
     operator whose transform is x.
+
+    The report is that of is_positive_definite(partial_theta(x, leg=leg),
+    catalog), bit for bit.  When x lives on the catalog's support and θ maps
+    that support onto itself, θx is not built: the catalog map's θ index
+    and scale (`CatalogMap.apply_theta`) turn x's gathered coefficients into
+    those of θx, which go through the same block test.  Otherwise θx is
+    built and tested as above.
     """
-    return is_positive_definite(partial_theta(x, leg=leg), catalog)
+    _require_theta_leg(x, leg)
+    catalog = tuple(catalog)
+    compiled = catalog_map(catalog)
+    applied = compiled.apply_theta(x, leg)
+    if applied is None:
+        return is_positive_definite(partial_theta(x, leg=leg), catalog)
+    return _block_report(compiled, *applied, x.params)
 
 
 def partial_transpose(matrix, dims, leg: int = 1) -> np.ndarray:

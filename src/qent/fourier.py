@@ -23,18 +23,23 @@ A whole catalog of product blocks is compiled on first use into one
 `CatalogMap`: a single matrix from x's coefficients over the catalog's
 support to every block x̂(U) at once, built leg by leg from the same
 single-leg tables, and the matrix that re-expands the lifted blocks, so
-the support residual is one more product.  The positivity test in
-`qent.entangle` runs on it.
+the support residual is one more product.  The transposition map on one
+leg only moves and rescales coefficients over that support, so the map
+also keeps it as an index and a scale per leg, and a partial transpose is
+tested without building θx.  The positivity test in `qent.entangle` runs
+on it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .algebra import Element, remember
 from .corep import Corep, ProductCorep
 from .haar import pairing_tables
-from .hopf import MultiElement, product_counit
+from .hopf import MultiElement, _theta_monomial, product_counit
 
 
 class DensityOp:
@@ -282,14 +287,17 @@ class CatalogMap:
     where TA puts β_j in its block entry and folds in the block's
     F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from `PairingTables.leg`
     evaluated over the distinct slot and key monomials of each leg only.
-    `stacks` groups the blocks by size: (catalog positions, index array of
-    shape (blocks, d, d) into flat) per size, and `witnesses[i]` holds
-    (√F, tr F, witness adjoints) of block i, as on its `BlockMap`, so a
-    witness is built without compiling one.
+    `transpose` sends each position of flat to that of its transposed
+    entry in the same block.  `stacks` groups the blocks by size: (catalog
+    positions, index array into flat) per size, of shape (blocks, d, d),
+    or (blocks,) for 1×1 blocks.  `witnesses[i]` holds (√F, tr F, witness
+    adjoints) of block i, as on its `BlockMap`, so a witness is built
+    without compiling one.  `theta(leg)` is the transposition map on the
+    support, built on first use.
     """
 
-    __slots__ = ("coreps", "params", "offsets", "index", "matrix", "reexpansion", "stacks",
-                 "witnesses", "_slot_legs", "_slot_matrix", "_tables")
+    __slots__ = ("coreps", "params", "offsets", "index", "matrix", "reexpansion", "transpose",
+                 "stacks", "witnesses", "_slot_legs", "_slot_matrix", "_tables", "_thetas")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
@@ -330,15 +338,20 @@ class CatalogMap:
         by_size: dict = {}
         for i, U in enumerate(self.coreps):
             by_size.setdefault(U.dim, []).append(i)
-        self.stacks = tuple(
-            (tuple(positions),
-             np.array([offsets[i] + np.arange(d * d).reshape(d, d) for i in positions]))
-            for d, positions in by_size.items()
-        )
+        stacks = []
+        for d, positions in by_size.items():
+            take = np.array([offsets[i] + np.arange(d * d).reshape(d, d) for i in positions])
+            stacks.append((tuple(positions), take.reshape(-1) if d == 1 else take))
+        self.stacks = tuple(stacks)
+        self.transpose = np.array(
+            [offset + c * U.dim + r for offset, U in zip(offsets, self.coreps)
+             for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
+        self._thetas: dict = {}
 
-    def apply(self, x: MultiElement):
-        """(flat, residual) for a two-leg x; the residual is that of `support_residual`."""
-        if any(p != x.params for p in self.params):
+    def gather(self, x: MultiElement):
+        """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
+        # params lists the catalog's distinct parameters, so x matches all of them or none
+        if self.params and self.params != (x.params,):
             raise ValueError("element and corepresentation parameters differ")
         index = self.index
         v = np.zeros(len(index), dtype=complex)
@@ -349,6 +362,70 @@ class CatalogMap:
                 outside.append((key, coeff))
             else:
                 v[s] = coeff
+        return v, outside
+
+    def apply(self, x: MultiElement):
+        """(flat, residual) for a two-leg x; the residual is that of `support_residual`."""
+        return self.transform(*self.gather(x))
+
+    def apply_theta(self, x: MultiElement, leg: int):
+        """`apply` of partial_theta(x, leg=leg), or None where this map cannot give it.
+
+        θx has coefficient scale·v[src] at each support key, pruned at tol
+        as by `partial_theta`'s constructor, and each part is rounded as
+        the symbolic 0j + coeff·scale rounds it.  The map works on the real
+        and imaginary parts side by side, so src and scale index those.
+        None when x has keys outside the support, θ does not map the
+        support onto itself, or θx or its blocks are not finite.
+        """
+        v, outside = self.gather(x)
+        theta = self.theta(leg)
+        if outside or theta is None:
+            return None
+        src, scale = theta
+        # a coefficient scaled past the largest float leaves a residual that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = v.view(float)[src]
+            parts *= scale
+            parts += 0.0
+            size = np.hypot(parts[0::2], parts[1::2])  # the libm hypot of Python's abs(complex)
+            np.copyto(parts.reshape(-1, 2), 0.0, where=(size <= x.params.tol)[:, None])
+            flat, residual = self.transform(parts.view(complex))
+        return (flat, residual) if math.isfinite(residual) else None
+
+    def theta(self, leg: int):
+        """(src, scale) of the transposition map on `leg` over the support, or None.
+
+        partial_theta sends the key at position i to the key at position j
+        and scales its coefficient by (-1)^(m+n)·q^(n-m), with (m, n) the c
+        and c* powers of the key's leg monomial.  src holds 2i and 2i + 1
+        at 2j and 2j + 1, the real and imaginary parts of the coefficients,
+        and scale holds the factor at both.  None when some image lies
+        outside the support.
+        """
+        if leg not in self._thetas:
+            self._thetas[leg] = self._theta_map(leg)
+        return self._thetas[leg]
+
+    def _theta_map(self, leg):
+        index = self.index
+        if not index:
+            return None
+        q = self.params[0].q
+        images = {m: _theta_monomial(m, q) for m in {key[leg] for key in index}}
+        src = [0] * (2 * len(index))
+        scale = [0.0] * (2 * len(index))
+        for i, key in enumerate(index):
+            factor, mono = images[key[leg]]
+            j = index.get((mono, key[1]) if leg == 0 else (key[0], mono))
+            if j is None:
+                return None
+            src[2 * j], src[2 * j + 1] = 2 * i, 2 * i + 1
+            scale[2 * j] = scale[2 * j + 1] = factor
+        return np.array(src, dtype=np.intp), np.array(scale)
+
+    def transform(self, v: np.ndarray, outside=()):
+        """(flat, residual) from x's coefficients v over the support and its other terms."""
         flat = self.matrix @ v
         missed = 0.0
         if outside:

@@ -99,6 +99,9 @@ class MultiElement:
         if self.legs != other.legs:
             raise ValueError(f"leg mismatch: {self.legs} vs {other.legs}")
 
+    # sums, products and adjoints build their keys from keys already checked,
+    # so they use the trusted constructor
+
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
             other = MultiElement(self.params, self.legs, {(UNIT,) * self.legs: other})
@@ -108,7 +111,7 @@ class MultiElement:
         out = dict(self.terms)
         for tup, coeff in other.terms.items():
             out[tup] = out.get(tup, 0j) + coeff
-        return MultiElement(self.params, self.legs, out)
+        return MultiElement._trusted(self.params, self.legs, out)
 
     __radd__ = __add__
 
@@ -120,7 +123,7 @@ class MultiElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return MultiElement(
+            return MultiElement._trusted(
                 self.params, self.legs,
                 {tup: coeff * other for tup, coeff in self.terms.items()},
             )
@@ -143,7 +146,7 @@ class MultiElement:
                     ]
                 for tup, coeff in partial:
                     out[tup] = out.get(tup, 0j) + coeff
-        return MultiElement(self.params, self.legs, out)
+        return MultiElement._trusted(self.params, self.legs, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -162,7 +165,7 @@ class MultiElement:
                 monos.append(mono2)
             key = tuple(monos)
             out[key] = out.get(key, 0j) + coeff.conjugate() * scale
-        return MultiElement(self.params, self.legs, out)
+        return MultiElement._trusted(self.params, self.legs, out)
 
     def distance(self, other: "MultiElement") -> float:
         self._check(other)
@@ -216,14 +219,10 @@ def tensor(*factors) -> MultiElement:
             items = list(f.terms.items())
             legs += f.legs
         terms = [(tup + t2, c * c2) for tup, c in terms for t2, c2 in items]
-    return MultiElement._trusted(params, legs, dict_accumulate(terms))
-
-
-def dict_accumulate(pairs) -> dict:
     out: dict = {}
-    for key, coeff in pairs:
+    for key, coeff in terms:
         out[key] = out.get(key, 0j) + coeff
-    return out
+    return MultiElement._trusted(params, legs, out)
 
 
 def _require_legs(x: MultiElement, legs: int):
@@ -410,9 +409,7 @@ def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:
     monomial basis; with this convention the image of a transformed density
     matrix is the transform of its partial transpose.
     """
-    _require_legs(x, 2)
-    if leg not in (0, 1):
-        raise ValueError("leg must be 0 or 1")
+    _require_theta_leg(x, leg)
     q = x.params.q
     out: dict = {}
     for tup, coeff in x.terms.items():
@@ -420,3 +417,10 @@ def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:
         key = (mono2, tup[1]) if leg == 0 else (tup[0], mono2)
         out[key] = out.get(key, 0j) + coeff * scale
     return MultiElement._trusted(x.params, 2, out)
+
+
+def _require_theta_leg(x: MultiElement, leg: int):
+    """The argument checks of `partial_theta`, in its order and with its messages."""
+    _require_legs(x, 2)
+    if leg not in (0, 1):
+        raise ValueError("leg must be 0 or 1")

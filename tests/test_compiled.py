@@ -422,31 +422,41 @@ def test_the_witness_from_a_given_block_is_the_same(q):
 
 
 def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch, compiled_blocks):
-    applied, inverted = [], []
-    original_apply, original_inverse = fourier.CatalogMap.apply, fourier.inverse
+    applied, inverted, transposed = [], [], []
+    original_transform, original_inverse = fourier.CatalogMap.transform, fourier.inverse
+    original_theta = hopf.partial_theta
 
-    def counting_apply(self, x):
+    def counting_transform(self, v, outside=()):
         applied.append(self)
-        return original_apply(self, x)
+        return original_transform(self, v, outside)
 
     def counting_inverse(x, U):
         inverted.append(U.label)
         return original_inverse(x, U)
 
-    monkeypatch.setattr(fourier.CatalogMap, "apply", counting_apply)
+    def counting_theta(x, leg=1):
+        transposed.append(leg)
+        return original_theta(x, leg=leg)
+
+    monkeypatch.setattr(fourier.CatalogMap, "transform", counting_transform)
     monkeypatch.setattr(entangle, "inverse", counting_inverse)
     monkeypatch.setattr(fourier, "inverse", counting_inverse)
+    monkeypatch.setattr(entangle, "partial_theta", counting_theta)
+    monkeypatch.setattr(hopf, "partial_theta", counting_theta)
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
     x = forward(fourier.singlet_state(), catalog[3])
     compiled_blocks.clear()
-    report = ppt_check(x, catalog)
-    assert report.verdict == entangle.NOT_POSITIVE_DEFINITE and report.witness is not None
-    # one application of the catalog's map gives every block, and the
-    # witness reuses the failing one and the map's compiled data instead of
-    # transforming again or compiling a block map
-    assert len(applied) == 1 and applied[0] is fourier.catalog_map(catalog)
-    assert inverted == [] and compiled_blocks == []
+    for leg in (0, 1):
+        applied.clear()
+        report = ppt_check(x, catalog, leg=leg)
+        assert report.verdict == entangle.NOT_POSITIVE_DEFINITE and report.witness is not None
+        # one application of the catalog's map, to x's coefficients moved by
+        # the map's θ, gives every block; no θx is built, and the witness
+        # reuses the failing block and the map's compiled data instead of
+        # transforming again or compiling a block map
+        assert len(applied) == 1 and applied[0] is fourier.catalog_map(catalog)
+        assert inverted == [] and transposed == [] and compiled_blocks == []
     applied.clear()
     report = is_positive_definite(forward(fourier.singlet_state(), catalog[3]), catalog)
     assert report.verdict == entangle.POSITIVE_DEFINITE and len(applied) == 1
@@ -472,6 +482,70 @@ def test_the_catalog_witness_is_that_of_the_failing_block(q):
                 expect = find_negative_witness(x, catalog[failing], block=compiled.block(flat, failing))
                 assert list(report.witness.terms.items()) == list(expect.terms.items())
     assert found
+
+
+def _report_bits(report):
+    """Every field of a report, floats as their exact hex, witness terms in order."""
+    witness = None if report.witness is None else [
+        (key, coeff.real.hex(), coeff.imag.hex()) for key, coeff in report.witness.terms.items()]
+    return (report.verdict, [(label, value.hex()) for label, value in report.per_block.items()],
+            float(report.support_residual).hex(), witness)
+
+
+@st.composite
+def theta_test_elements(draw, q):
+    """`pd_test_elements`, maybe kept to the catalog's support, plus terms whose θ image is at or below tol.
+
+    θ scales a term by -q on a leg whose monomial is c*, so a coefficient
+    of modulus t·tol/q with t <= 1 lies above tol for t > q, while its
+    image lies at or below tol (at t = 1, up to rounding).
+    """
+    x = draw(pd_test_elements(q))
+    params = x.params
+    support = fourier.catalog_map(product_catalog(params)).index
+    terms = dict(x.terms)
+    if draw(st.booleans()):
+        terms = {key: coeff for key, coeff in terms.items() if key in support}
+    cstar = Monomial(PLAIN, 0, 0, 1)
+    small = [key for key in support if cstar in key]
+    for key in draw(st.lists(st.sampled_from(small), max_size=3)):
+        t = draw(st.sampled_from((1.0,)) | st.floats(0.5, 1.0))
+        phase = draw(st.floats(0.0, 2.0 * np.pi))
+        terms[key] = t * params.tol / q * complex(np.cos(phase), np.sin(phase))
+    return MultiElement(params, 2, terms)
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ppt_check_is_the_check_of_the_partial_transpose(q, data):
+    x = data.draw(theta_test_elements(q))
+    for pairs in CATALOGS:
+        catalog = product_catalog(x.params) if pairs is None else product_catalog(x.params, pairs)
+        for leg in (0, 1):
+            expect = is_positive_definite(hopf.partial_theta(x, leg=leg), catalog)
+            assert _report_bits(ppt_check(x, catalog, leg=leg)) == _report_bits(expect), (pairs, leg)
+
+
+def test_ppt_check_raises_what_the_partial_transpose_check_raises():
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params)
+    x = forward(fourier.singlet_state(), catalog[3])
+    a, c = Monomial(PLAIN, 1, 0, 0), Monomial(PLAIN, 0, 1, 0)
+    cases = [
+        (x, catalog, 2),
+        (Element(params, {a: 1.0}), catalog, 1),
+        (MultiElement(params, 1, {(a,): 1.0}), catalog, 0),
+        (x, product_catalog(AlgebraParams(q=0.4)), 1),
+        # θ on leg 1 scales the coefficient of a ⊗ c by -1/q, past the largest float
+        (MultiElement(params, 2, {(a, c): 1e308}), catalog, 1),
+    ]
+    for y, cat, leg in cases:
+        with pytest.raises(ValueError) as expect:
+            is_positive_definite(hopf.partial_theta(y, leg=leg), cat)
+        with pytest.raises(ValueError) as got:
+            ppt_check(y, cat, leg=leg)
+        assert str(got.value) == str(expect.value)
 
 
 def _per_block_report(x, catalog):
@@ -638,6 +712,10 @@ def test_trusted_constructions_equal_the_validating_constructor(monkeypatch):
         for a in pds:
             for b in pds:
                 out += [hopf.tensor(a, b), hopf.tensor(a, out[0])]
+        # sums, products and adjoints of the elements above
+        twos = [y for y in out if y.legs == 2][::7]
+        for y, z in zip(twos, twos[1:]):
+            out += [y + z, y - z, y * z, y * 1e-6, 2.0 * y, y.adjoint()]
         return [(y.legs, list(y.terms.items())) for y in out]
 
     trusted = outputs()
@@ -653,6 +731,14 @@ def test_forward_refuses_a_single_factor_corep():
         forward(np.eye(2), fundamental_corep(params))
     with pytest.raises(ValueError, match="product corep"):
         forward(np.eye(1), standard_catalog(params)["triv"])
+
+
+def test_find_negative_witness_refuses_a_single_factor_corep():
+    params = AlgebraParams(q=0.5)
+    x = hopf.partial_theta(forward(fourier.singlet_state(), product_catalog(params)[3]))
+    for block in (None, -np.eye(2)):
+        with pytest.raises(ValueError, match="product corep"):
+            find_negative_witness(x, fundamental_corep(params), block=block)
 
 
 def test_trusted_constructions_reject_non_finite_coefficients():
