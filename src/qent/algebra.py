@@ -124,31 +124,31 @@ def _mono_sort_key(mono: Monomial):
     return (_SORT_KEY[mono.sector], mono.k, mono.m, mono.n)
 
 
-def _mono_times_gen(mono: Monomial, gen: str, q: float) -> dict:
-    """Right-multiply a basis monomial by a single generator."""
+def _times_gen_rules(mono: Monomial, gen: str):
+    """Right-multiply a basis monomial by a single generator, without q.
+
+    Returns ((monomial, (power, kind)), ...): the scale of each monomial is
+    phase = q**power, and -phase / q for kind "/" or -phase * q for kind "*".
+    """
     k, m, n = mono.k, mono.m, mono.n
     if gen == GEN_C:
-        return {_mono(mono.sector, k, m + 1, n): 1.0}
+        return ((_mono(mono.sector, k, m + 1, n), (0, None)),)
     if gen == GEN_CSTAR:
-        return {_mono(mono.sector, k, m, n + 1): 1.0}
+        return ((_mono(mono.sector, k, m, n + 1), (0, None)),)
     if gen == GEN_A:
         # commute a to the left of the c-block, then absorb: a*a = 1 - (1/q) cc*
-        phase = q ** (-(m + n))
+        power = -(m + n)
         if mono.sector == PLAIN:
-            return {_mono(PLAIN, k + 1, m, n): phase}
-        return {
-            _mono(STAR, k - 1, m, n): phase,
-            _mono(STAR, k - 1, m + 1, n + 1): -phase / q,
-        }
+            return ((_mono(PLAIN, k + 1, m, n), (power, None)),)
+        return ((_mono(STAR, k - 1, m, n), (power, None)),
+                (_mono(STAR, k - 1, m + 1, n + 1), (power, "/")))
     if gen == GEN_ASTAR:
         # commute a* to the left of the c-block, then absorb: aa* = 1 - q cc*
-        phase = q ** (m + n)
+        power = m + n
         if mono.sector == STAR or k == 0:
-            return {_mono(STAR, k + 1, m, n): phase}
-        return {
-            _mono(PLAIN, k - 1, m, n): phase,
-            _mono(PLAIN, k - 1, m + 1, n + 1): -phase * q,
-        }
+            return ((_mono(STAR, k + 1, m, n), (power, None)),)
+        return ((_mono(PLAIN, k - 1, m, n), (power, None)),
+                (_mono(PLAIN, k - 1, m + 1, n + 1), (power, "*")))
     raise ValueError(f"unknown generator {gen!r}")
 
 
@@ -166,31 +166,63 @@ def remember(cache: dict, key, value, maxsize: int):
 
 
 @lru_cache(maxsize=MONO_MUL_CACHE_SIZE)
-def _mono_mul(x: Monomial, y: Monomial, q: float):
-    """Normal-ordered product of two basis monomials, as ((monomial, coeff), ...)."""
-    acc = {x: 1.0 + 0.0j}
-    steps = (
-        (GEN_A if y.sector == PLAIN else GEN_ASTAR, y.k),
-        (GEN_C, y.m),
-        (GEN_CSTAR, y.n),
-    )
-    for gen, count in steps:
+def _mono_mul_program(x: Monomial, y: Monomial):
+    """The rewriting of x·y, which does not depend on q: (steps, monomials).
+
+    x is multiplied by the generators of y one at a time; each step lists
+    (source, target, power, kind) for every term it writes, in the order in
+    which the rewriting meets them (see `_times_gen_rules`), and the last
+    step's targets are `monomials`.
+    """
+    monos = (x,)
+    steps = []
+    for gen, count in ((GEN_A if y.sector == PLAIN else GEN_ASTAR, y.k), (GEN_C, y.m), (GEN_CSTAR, y.n)):
         for _ in range(count):
-            nxt: dict = {}
-            for mono, coeff in acc.items():
-                for mono2, scale in _mono_times_gen(mono, gen, q).items():
-                    nxt[mono2] = nxt.get(mono2, 0j) + coeff * scale
-            acc = nxt
-    return tuple(acc.items())
+            index: dict = {}
+            ops = tuple((src, index.setdefault(mono2, len(index)), power, kind)
+                        for src, mono in enumerate(monos)
+                        for mono2, (power, kind) in _times_gen_rules(mono, gen))
+            steps.append((len(index), ops))
+            monos = tuple(index)
+    return tuple(steps), monos
+
+
+@lru_cache(maxsize=MONO_MUL_CACHE_SIZE)
+def _mono_mul(x: Monomial, y: Monomial, q: float):
+    """Normal-ordered product of two basis monomials, as ((monomial, coeff), ...).
+
+    The program of `_mono_mul_program` is run with numbers: every term adds
+    coeff·scale onto 0j in its target, so a fresh q costs arithmetic only.
+    """
+    steps, monos = _mono_mul_program(x, y)
+    coeffs = [1.0 + 0.0j]
+    for width, ops in steps:
+        nxt = [0j] * width
+        for src, dst, power, kind in ops:
+            scale = q ** power
+            if kind == "/":
+                scale = -scale / q
+            elif kind == "*":
+                scale = -scale * q
+            nxt[dst] += coeffs[src] * scale
+        coeffs = nxt
+    return tuple(zip(monos, coeffs))
 
 
 def _mono_adjoint(mono: Monomial, q: float):
     """Adjoint of a basis monomial as (real scale, monomial)."""
-    if mono.sector == PLAIN:
-        scale = q ** ((mono.m + mono.n) * mono.k)
-        return scale, _mono(STAR, mono.k, mono.n, mono.m)
-    scale = q ** (-(mono.m + mono.n) * mono.k)
-    return scale, _mono(PLAIN, mono.k, mono.n, mono.m)
+    return q ** _adjoint_power(mono), _adjoint_image(mono)
+
+
+def _adjoint_power(mono: Monomial) -> int:
+    """The power of q that scales the adjoint of a basis monomial."""
+    power = (mono.m + mono.n) * mono.k
+    return power if mono.sector == PLAIN else -power
+
+
+def _adjoint_image(mono: Monomial) -> Monomial:
+    """The basis monomial of the adjoint of a basis monomial."""
+    return _mono(STAR if mono.sector == PLAIN else PLAIN, mono.k, mono.n, mono.m)
 
 
 class Element:
@@ -199,7 +231,9 @@ class Element:
     Instances are immutable by convention: every operation returns a new
     Element, so values can be shared freely between threads.  Coefficients
     with modulus at most ``params.tol`` are pruned on construction; a
-    non-finite coefficient raises ValueError.
+    coefficient whose modulus is not finite (a non-finite one, or a finite
+    one such as 1.5e308 + 1.5e308j whose modulus overflows) raises
+    ValueError.
     """
 
     __slots__ = ("params", "terms")
@@ -210,11 +244,14 @@ class Element:
             tol = params.tol
             for mono, coeff in terms.items():
                 z = complex(coeff)
-                size = abs(z)
+                try:
+                    size = abs(z)
+                except OverflowError:  # a finite z whose modulus overflows
+                    size = math.inf
                 if tol < size < math.inf:
                     pruned[mono] = z
                 elif not size <= tol:
-                    raise ValueError(f"coefficient of {mono} is not finite: {z!r}")
+                    raise ValueError(f"the modulus of the coefficient of {mono} is not finite: {z!r}")
         self.params = params
         self.terms = pruned
 

@@ -138,7 +138,7 @@ def cmd_transform(args) -> int:
     if U.dims != rho.dims:
         raise CliError(f"corep pair {pair} has dims {U.dims}, input has {rho.dims}")
 
-    element = forward(rho, U)
+    element = _forward(rho, U)
     eps = normalization_check(element)
     trace = rho.trace()
     if args.output:
@@ -156,6 +156,14 @@ def cmd_transform(args) -> int:
         *( [f"wrote {args.output}"] if args.output else [str(element)] ),
     ])
     return EXIT_OK
+
+
+def _forward(rho, U) -> MultiElement:
+    """forward(rho, U); a transform coefficient whose modulus overflows is malformed input."""
+    try:
+        return forward(rho, U)
+    except ValueError as exc:
+        raise CliError(f"cannot transform the operator: {exc}")
 
 
 def _load_two_leg(path) -> MultiElement:
@@ -224,7 +232,7 @@ def cmd_ppt(args) -> int:
             matrix_report = ppt_matrix(value)
         except ValueError as exc:
             raise CliError(str(exc))
-        algebra_report = ppt_check(forward(value, U), catalog)
+        algebra_report = ppt_check(_forward(value, U), catalog)
         agreement = matrix_report.psd == (algebra_report.verdict == POSITIVE_DEFINITE)
         payload = {
             "matrix_ppt": matrix_report.psd,

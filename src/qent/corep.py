@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, Element
 from .haar import haar
-from .hopf import MultiElement, coinverse_squared, tensor
+from .hopf import MultiElement, coinverse_squared
 
 _NULLSPACE_RTOL = 1e-10
 
@@ -96,37 +96,16 @@ def compute_F(entries, params: AlgebraParams) -> np.ndarray:
     positive trace fixes the scale.
     """
     dim = len(entries)
-    k2 = [[coinverse_squared(e) for e in row] for row in entries]
+    rows = _intertwiner_system(entries)
 
-    monomials = set()
-    for row in entries:
-        for e in row:
-            monomials.update(e.terms)
-    for row in k2:
-        for e in row:
-            monomials.update(e.terms)
-    monomials = sorted(monomials, key=lambda m: (m.sector, m.k, m.m, m.n))
-
-    rows = []
-    for i in range(dim):
-        for j in range(dim):
-            for mono in monomials:
-                row = np.zeros(dim * dim, dtype=complex)
-                for r in range(dim):
-                    row[r * dim + j] += k2[i][r].coeff(mono)
-                    row[i * dim + r] -= entries[r][j].coeff(mono)
-                if np.any(np.abs(row) > 0):
-                    rows.append(row)
-
-    if not rows:
+    if not len(rows):
         if dim == 1:
             return np.array([[1.0]])
         raise ValueError("degenerate intertwiner system")
 
-    system = np.array(rows)
-    _, sigma, vh = np.linalg.svd(system)
+    _, sigma, vh = np.linalg.svd(rows)
     scale = sigma[0] if sigma.size else 1.0
-    null_count = int(np.sum(sigma <= _NULLSPACE_RTOL * scale)) + (dim * dim - len(sigma))
+    null_count = int(np.count_nonzero(sigma <= _NULLSPACE_RTOL * scale)) + (dim * dim - len(sigma))
     if null_count != 1:
         raise ValueError(
             f"intertwiner solution space has dimension {null_count}; "
@@ -135,33 +114,104 @@ def compute_F(entries, params: AlgebraParams) -> np.ndarray:
     F0 = vh[-1].reshape(dim, dim)
 
     # rotate the free phase away, then enforce hermiticity and positivity
-    pivot = F0.flat[int(np.argmax(np.abs(F0)))]
+    pivot = F0.flat[int(np.abs(F0).argmax())]
     F0 = F0 * (pivot.conjugate() / abs(pivot))
-    if np.max(np.abs(F0 - F0.conj().T)) > 1e-8 * np.max(np.abs(F0)):
+    if np.abs(F0 - F0.conj().T).max() > 1e-8 * np.abs(F0).max():
         raise ValueError("intertwiner is not hermitian up to a phase")
     F0 = (F0 + F0.conj().T).real / 2.0
     eigvals = np.linalg.eigvalsh(F0)
-    if np.all(eigvals < 0):
+    if (eigvals < 0).all():
         F0, eigvals = -F0, -eigvals[::-1]
-    if np.min(eigvals) <= 0:
+    if eigvals.min() <= 0:
         raise ValueError("no positive intertwiner exists for this input")
 
-    scale = math.sqrt(np.trace(np.linalg.inv(F0)).real / np.trace(F0).real)
+    scale = math.sqrt(np.linalg.inv(F0).trace().real / F0.trace().real)
     return scale * F0
 
 
+def _intertwiner_system(entries) -> np.ndarray:
+    """The non-zero rows of `compute_F`'s linear system, one per (i, j, monomial t).
+
+    Row (i, j, t) holds κ²(u_ir)_t at r·dim + j and -(u_rj)_t at i·dim + r
+    for every r, over the monomials of u and κ²(u) in sorted order; it
+    is assembled by `_intertwiner_layout`'s index arrays.
+    """
+    dim = len(entries)
+    k2 = [[coinverse_squared(e) for e in row] for row in entries]
+    monomials = sorted({mono for grid in (entries, k2) for row in grid for e in row for mono in e.terms},
+                       key=lambda m: (m.sector, m.k, m.m, m.n))
+    count = len(monomials)
+    position = {mono: t for t, mono in enumerate(monomials)}
+    # coefficient of monomial t in u_rj and in κ²(u_rj), each at flat index (t·dim + r)·dim + j
+    coeffs = ([0j] * (count * dim * dim), [0j] * (count * dim * dim))
+    for values, grid in zip(coeffs, (entries, k2)):
+        for r, row in enumerate(grid):
+            for j, e in enumerate(row):
+                for mono, c in e.terms.items():
+                    values[(position[mono] * dim + r) * dim + j] = c
+    plus_at, plus_from, minus_at, minus_from = _intertwiner_layout(dim, count)
+    system = np.zeros(dim * dim * count * dim * dim, dtype=complex)
+    system[plus_at] += np.array(coeffs[1])[plus_from]
+    system[minus_at] -= np.array(coeffs[0])[minus_from]
+    system = system.reshape(-1, dim * dim)
+    return system[(np.abs(system) > 0).any(axis=1)]
+
+
+# (dim, monomial count) shapes of `compute_F`'s system whose index arrays are kept
+INTERTWINER_LAYOUTS_SIZE = 8
+
+
+@lru_cache(maxsize=INTERTWINER_LAYOUTS_SIZE)
+def _intertwiner_layout(dim: int, count: int):
+    """Where `_intertwiner_system` puts each coefficient, as flat index arrays.
+
+    The system has shape (dim, dim, count, dim · dim) before its zero rows
+    are dropped.  Returns (plus_at, plus_from, minus_at, minus_from) into
+    the flattened system and coefficient lists.  No position is hit twice
+    by one of the two sums, so adding onto zeros and then subtracting
+    gives the bits of a loop that adds and subtracts in either order.
+    """
+    plus_at, plus_from, minus_at, minus_from = [], [], [], []
+    for i in range(dim):
+        for j in range(dim):
+            for t in range(count):
+                row = ((i * dim + j) * count + t) * dim * dim
+                for r in range(dim):
+                    plus_at.append(row + r * dim + j)
+                    plus_from.append((t * dim + i) * dim + r)
+                    minus_at.append(row + i * dim + r)
+                    minus_from.append((t * dim + r) * dim + j)
+    return tuple(np.array(a, dtype=np.intp) for a in (plus_at, plus_from, minus_at, minus_from))
+
+
 def product_corep(u: Corep, v: Corep) -> ProductCorep:
-    """Entry-wise tensor product with U_(ik),(jl) = u_ij ⊗ v_kl and F = F_u ⊗ F_v."""
+    """Entry-wise tensor product with U_(ik),(jl) = u_ij ⊗ v_kl and F = F_u ⊗ F_v.
+
+    The entries equal `hopf.tensor(u_ij, v_kl)` bit for bit, pruning included.
+    """
     if u.params != v.params:
         raise ValueError("factors carry different algebra parameters")
+    params = u.params
     n, m = u.dim, v.dim
-    entries = tuple(
-        tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
-        for i in range(n)
-        for k in range(m)
-    )
-    F = np.kron(u.F, v.F)
-    return ProductCorep(f"{u.label}*{v.label}", u, v, n * m, entries, _freeze(F), u.params)
+    # tensor(u_ij, v_kl) in one trusted construction: its coefficients ((1+0j)·a)·b summed onto 0j,
+    # in its key order, pruned as its constructor prunes
+    lefts = [[[(a, (1.0 + 0.0j) * ca) for a, ca in e.terms.items()] for e in row] for row in u.entries]
+    rights = [[tuple(e.terms.items()) for e in row] for row in v.entries]
+    entries = []
+    for i in range(n):
+        for k in range(m):
+            row = []
+            for left in lefts[i]:
+                for right in rights[k]:
+                    terms = {}
+                    for a, ca in left:
+                        for b, cb in right:
+                            terms[a, b] = 0j + ca * cb
+                    row.append(MultiElement._trusted(params, 2, terms))
+            entries.append(tuple(row))
+    # np.kron's own broadcast product, without its generic set-up
+    F = (u.F[:, None, :, None] * v.F[None, :, None, :]).reshape(n * m, n * m)
+    return ProductCorep(f"{u.label}*{v.label}", u, v, n * m, tuple(entries), _freeze(F), u.params)
 
 
 def unitarity_residual(u) -> float:

@@ -143,7 +143,7 @@ def _block_report(compiled, flat, residual, params, with_witness=True) -> PDRepo
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
     if with_witness and failing is not None:
-        witness = _witness(params, compiled.block(herm, failing), *compiled.witnesses[failing])
+        witness = _witness(params, compiled.block(herm, failing), *compiled.witness(failing))
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
@@ -153,7 +153,7 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     The block's most negative eigenvector is pulled back through the
     deformed orthogonality relations: with b a combination of adjoints of
     one row of matrix coefficients (compiled once per block, see
-    `BlockMap.witness_adjoints` and `CatalogMap.witnesses`), the pairing
+    `BlockMap.witness` and `CatalogMap.witness`), the pairing
     collapses to a positive multiple of ⟨v|A|v⟩ for the block coefficient
     matrix A, so the negative eigenvector certifies failure.  `block`, when given, is the inverse
     transform x̂(U), so a caller that already has it does not compute it
@@ -168,14 +168,16 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
     compiled = block_map(U)
-    return _witness(x.params, herm, compiled.sqrtF, compiled.trF, compiled.witness_adjoints)
+    return _witness(x.params, herm, *compiled.witness)
 
 
 def _witness(params, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
     """The witness of `find_negative_witness` from a non-PSD hermitian block and U's compiled data.
 
-    The keys of a product corep's adjoints are two-leg tuples, as the
-    trusted constructor needs.
+    sqrtF is √F as a complex matrix, which gives the bits the matrix
+    product would give after casting a real √F itself.  The keys of a
+    product corep's adjoints are two-leg tuples, as the trusted
+    constructor needs.
     """
     eigvals, vecs = np.linalg.eigh(trF * (sqrtF @ herm @ sqrtF))
     v = vecs[:, int(np.argmin(eigvals))]

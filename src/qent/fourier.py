@@ -28,18 +28,36 @@ leg only moves and rescales coefficients over that support, so the map
 also keeps it as an index and a scale per leg, and a partial transpose is
 tested without building θx.  The positivity test in `qent.entangle` runs
 on it.
+
+Compiling splits into a plan and a fill.  Over the shipped blocks the term
+keys of every entry, adjoint, support key and θ image are the same at
+every q; only the coefficients, F and the one-leg Haar values depend on q.
+So everything index-like (the support, slot positions, the leg
+monomials and which of their pairings can be non-zero, transpose and
+stack indices, re-expansion positions, θ's source positions) is a plan,
+built once per shape from the term keys of the entries and kept in a
+bounded memo: `_BlockPlan` per block, `_CatalogPlan` per catalog, so a q
+where pruning drops a key gets its own plan.  The fill computes the
+numbers of one q with numpy and the same arithmetic, in the same order,
+as the symbolic products it replaces, so the results are the same bits:
+the adjoint coefficients β = 0j + conj(c)·q^e, F^(±1/2), tr F, the witness
+row, the one-leg Haar table and the θ scales.  A fill reads nothing of a
+corep but its shape, tol, coefficients and F, and is memoised by their
+bits, so the fund*fund that `qent ppt` builds for `forward` and the one in
+its catalog share one fill.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .algebra import Element, remember
+from .algebra import Element, _adjoint_image, _adjoint_power, remember
 from .corep import Corep, ProductCorep
-from .haar import pairing_tables
-from .hopf import MultiElement, _theta_monomial, product_counit
+from .haar import leg_support, pairing_tables
+from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
 
 
 class DensityOp:
@@ -164,34 +182,58 @@ class BlockMap:
     """The linear maps of one corep block U, compiled on first use.
 
     U is a product corep (terms keyed by two-leg tuples of monomials) or a
-    single-factor corep (terms keyed by monomials).
+    single-factor corep (terms keyed by monomials).  Its data come from
+    `_block_data(U)`: the plan of its shape filled at its q.
 
     - `chain(t)` lists, for a term key t, every non-zero term of the Haar
       values h(U_rc* · t) as its entry index r * d + c and its factors
       (β, s_0, .., h_0, ..): the coefficient β of U_rc*, the scale of each
       leg's product and the Haar value of each leg's monomial.  It is built
       from single-leg tables and memoised per key;
-    - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness_adjoints`
-      those of the row that `find_negative_witness` combines: the column of
-      F⁻¹ with the largest norm;
+    - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness` is what
+      `find_negative_witness` combines: (√F as a complex matrix, tr F, the
+      adjoints of the row given by the column of F⁻¹ with the largest norm),
+      computed on first use;
     - `support` lists the term keys of U's entries in the order in which
       Σ mat[row, col] U_(col),(row) first meets them, row by row, and
       `expansion` is the matrix E with E[s, row * d + col] the coefficient
       of support[s] in U_(col),(row), so that sum is E @ vec(mat).
     """
 
-    __slots__ = ("dim", "legs", "adjoints", "witness_adjoints", "sqrtF", "inv_sqrtF", "trF",
-                 "support", "expansion", "_tables", "_chains", "_layouts")
+    __slots__ = ("dim", "legs", "support", "expansion", "_data", "_tables", "_chains", "_layouts")
 
     def __init__(self, U):
-        d = U.dim
-        self.dim = d
-        self.legs = 2 if isinstance(U, ProductCorep) else 1
-        (self.adjoints, self.witness_adjoints, self.sqrtF, self.inv_sqrtF, self.trF,
-         self.support, self.expansion) = _block_data(U)
+        data = _block_data(U)
+        self.dim = U.dim
+        self.legs = data.plan.legs
+        self.support, self.expansion = data.plan.support, data.expansion
+        self._data = data
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
         self._layouts: dict = {}
+
+    # what `forward` does not read is filled on first use
+
+    @property
+    def adjoints(self) -> tuple:
+        return self._data.filled().adjoints
+
+    @property
+    def sqrtF(self) -> np.ndarray:
+        return self._data.filled().f.sqrtF
+
+    @property
+    def inv_sqrtF(self) -> np.ndarray:
+        return self._data.filled().f.inv_sqrtF
+
+    @property
+    def trF(self) -> float:
+        return self._data.filled().f.trF
+
+    @property
+    def witness(self):
+        """(√F as a complex matrix, tr F, the adjoints of the witness row)."""
+        return self._data.filled().witness()
 
     def chain(self, t):
         """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
@@ -285,67 +327,56 @@ class CatalogMap:
         TA · (G_L ⊙ G_R),   G_L[j, t] = h(p_j·m_t),   G_R[j, t] = h(s_j·n_t),
 
     where TA puts β_j in its block entry and folds in the block's
-    F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from `PairingTables.leg`
-    evaluated over the distinct slot and key monomials of each leg only.
-    `transpose` sends each position of flat to that of its transposed
-    entry in the same block.  `stacks` groups the blocks by size: (catalog
-    positions, index array into flat) per size, of shape (blocks, d, d),
-    or (blocks,) for 1×1 blocks.  `witnesses[i]` holds (√F, tr F, witness
-    adjoints) of block i, as on its `BlockMap`, so a witness is built
-    without compiling one.  `theta(leg)` is the transposition map on the
-    support, built on first use.
+    F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from one-leg tables of
+    `PairingTables.leg` over the distinct slot and key monomials of each
+    leg only.  `transpose` sends each position of flat to that of its
+    transposed entry in the same block.  `stacks` groups the blocks by
+    size: (catalog positions, index array into flat) per size, of shape
+    (blocks, d, d), or (blocks,) for 1×1 blocks.  `witness(i)` is the
+    `BlockMap.witness` of block i, so a witness is built without compiling
+    one.  `theta(leg)` is the transposition map on the support, built on
+    first use.
+
+    Everything index-like above (offsets, index, slots, which table entries
+    can be non-zero, transpose, stacks, re-expansion positions and θ's
+    source positions) is the catalog's `_CatalogPlan`, shared by every q
+    whose blocks have the same term keys; the constructor only fills in
+    the numbers of its q.
     """
 
-    __slots__ = ("coreps", "params", "offsets", "index", "matrix", "reexpansion", "transpose",
-                 "stacks", "witnesses", "_slot_legs", "_slot_matrix", "_tables", "_thetas")
+    __slots__ = ("coreps", "params", "plan", "offsets", "index", "matrix", "reexpansion",
+                 "transpose", "stacks", "_blocks", "_slot_matrix", "_tables", "_thetas")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
-        size = sum(U.dim * U.dim for U in self.coreps)
+        blocks = [_block_data(U).filled() for U in self.coreps]
+        plan = _catalog_plan(self.coreps, blocks)
+        self.plan = plan
+        self.offsets, self.index, self.stacks, self.transpose = (
+            plan.offsets, plan.index, plan.stacks, plan.transpose)
+        self._blocks = tuple(blocks)
+        size = plan.size
         transfer = np.zeros((size, size), dtype=complex)
-        offsets, slots, index, lifts, witnesses = [], [], {}, [], []
-        offset = 0
-        for U in self.coreps:
-            adjoints, witness_adjoints, sqrtF, inv_sqrtF, trF, support, expansion = _block_data(U)
-            d = U.dim
-            end = offset + d * d
-            # vec x̂ = T @ vec H for x̂ = F^(-1/2)·Hᵀ·F^(1/2), and vec of the lift = Λ @ vec x̂
-            transfer[offset:end, offset:end] = np.einsum(
-                "ic,rk->ikrc", inv_sqrtF, sqrtF).reshape(d * d, d * d)
-            lift = trF * np.einsum("ia,bk->ikab", sqrtF, sqrtF).reshape(d * d, d * d)
-            slots.extend((offset + rc, beta, p, s)
-                         for rc, terms in enumerate(adjoints)
-                         for (p, s), beta in terms)
-            rows = [index.setdefault(key, len(index)) for key in support]
-            lifts.append((rows, offset, end, expansion @ lift))
-            witnesses.append((sqrtF, trF, witness_adjoints))
-            offsets.append(offset)
-            offset = end
-        self.offsets = tuple(offsets)
-        self.witnesses = tuple(witnesses)
-        self.index = index
-        placed = np.zeros((size, len(slots)), dtype=complex)
-        for j, (entry, beta, _, _) in enumerate(slots):
-            placed[entry, j] = beta
+        for offset, block in zip(plan.offsets, blocks):
+            end = offset + len(block.adjoints)
+            transfer[offset:end, offset:end] = block.f.transfer
+        placed = np.zeros((size, plan.slot_at.size), dtype=complex)
+        placed.put(plan.slot_at, [beta for block in blocks for terms in block.adjoints for _, beta in terms])
         self._slot_matrix = transfer @ placed
-        self._slot_legs = tuple(_distinct([slot[side] for slot in slots]) for side in (2, 3))
         self._tables = pairing_tables(self.params[0]) if self.params else None
-        self.matrix = self._pairing(tuple(index))
-        self.reexpansion = np.zeros((len(index), size), dtype=complex)
-        for rows, offset, end, part in lifts:
-            self.reexpansion[rows, offset:end] += part
-        by_size: dict = {}
-        for i, U in enumerate(self.coreps):
-            by_size.setdefault(U.dim, []).append(i)
-        stacks = []
-        for d, positions in by_size.items():
-            take = np.array([offsets[i] + np.arange(d * d).reshape(d, d) for i in positions])
-            stacks.append((tuple(positions), take.reshape(-1) if d == 1 else take))
-        self.stacks = tuple(stacks)
-        self.transpose = np.array(
-            [offset + c * U.dim + r for offset, U in zip(offsets, self.coreps)
-             for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
+        legs = np.array([self._tables.leg(p, m) for p, m in plan.pairs], dtype=complex)
+        gathered = []
+        for at, which in plan.tables:
+            table = np.zeros((plan.slot_at.size, len(plan.index)), dtype=complex)
+            table.put(at, legs[which])
+            gathered.append(table)
+        self.matrix = self._pairing(gathered)
+        self.reexpansion = np.zeros((len(plan.index), size), dtype=complex)
+        if blocks:
+            # each entry gets one block's part, added to zero as the blockwise += adds it
+            parts = np.concatenate([block.lifted.reshape(-1) for block in blocks])
+            self.reexpansion.reshape(-1)[plan.lift_at] += parts
         self._thetas: dict = {}
 
     def gather(self, x: MultiElement):
@@ -401,28 +432,17 @@ class CatalogMap:
         and c* powers of the key's leg monomial.  src holds 2i and 2i + 1
         at 2j and 2j + 1, the real and imaginary parts of the coefficients,
         and scale holds the factor at both.  None when some image lies
-        outside the support.
+        outside the support.  src comes from the plan; the scale is
+        evaluated once per distinct leg monomial.
         """
         if leg not in self._thetas:
-            self._thetas[leg] = self._theta_map(leg)
+            at = self.plan.thetas[leg]
+            if at is not None:
+                src, monos, which = at
+                q = self.params[0].q
+                at = src, np.array([_theta_scale(m, q) for m in monos])[which]
+            self._thetas[leg] = at
         return self._thetas[leg]
-
-    def _theta_map(self, leg):
-        index = self.index
-        if not index:
-            return None
-        q = self.params[0].q
-        images = {m: _theta_monomial(m, q) for m in {key[leg] for key in index}}
-        src = [0] * (2 * len(index))
-        scale = [0.0] * (2 * len(index))
-        for i, key in enumerate(index):
-            factor, mono = images[key[leg]]
-            j = index.get((mono, key[1]) if leg == 0 else (key[0], mono))
-            if j is None:
-                return None
-            src[2 * j], src[2 * j + 1] = 2 * i, 2 * i + 1
-            scale[2 * j] = scale[2 * j + 1] = factor
-        return np.array(src, dtype=np.intp), np.array(scale)
 
     def transform(self, v: np.ndarray, outside=()):
         """(flat, residual) from x's coefficients v over the support and its other terms."""
@@ -430,24 +450,31 @@ class CatalogMap:
         missed = 0.0
         if outside:
             coeffs = np.array([c for _, c in outside])
-            flat = flat + self._pairing(tuple(t for t, _ in outside)) @ coeffs
+            gathered = []
+            for side, (monos, rows) in enumerate(self.plan.slot_legs):
+                key_monos, cols = _distinct([t[side] for t, _ in outside])
+                table = np.array([[self._tables.leg(p, m) for m in key_monos] for p in monos],
+                                 dtype=complex).reshape(len(monos), len(key_monos))
+                gathered.append(table[np.ix_(rows, cols)])
+            flat = flat + self._pairing(gathered) @ coeffs
             missed = float(np.max(np.abs(coeffs)))
         gaps = np.abs(v - self.reexpansion @ flat)
         return flat, max(float(gaps.max(initial=0.0)), missed)
+
+    def witness(self, i: int):
+        """`BlockMap.witness` of block i."""
+        return self._blocks[i].witness()
 
     def block(self, flat: np.ndarray, i: int) -> np.ndarray:
         """x̂(U_i) from flat."""
         d = self.coreps[i].dim
         return flat[self.offsets[i]:self.offsets[i] + d * d].reshape(d, d)
 
-    def _pairing(self, keys) -> np.ndarray:
-        """TA · (G_L ⊙ G_R) over the given keys."""
-        product = np.ones((self._slot_matrix.shape[1], len(keys)), dtype=complex)
-        for side, (monos, rows) in enumerate(self._slot_legs):
-            key_monos, cols = _distinct([t[side] for t in keys])
-            table = np.array([[self._tables.leg(p, m) for m in key_monos] for p in monos],
-                             dtype=complex).reshape(len(monos), len(key_monos))
-            product *= table[np.ix_(rows, cols)]
+    def _pairing(self, gathered) -> np.ndarray:
+        """TA · (G_L ⊙ G_R) from each leg's one-leg table gathered over the slots and keys."""
+        product = np.ones(gathered[0].shape, dtype=complex)
+        for table in gathered:
+            product *= table
         return self._slot_matrix @ product
 
 
@@ -462,6 +489,272 @@ def catalog_map(catalog) -> CatalogMap:
     if found is None:
         found = remember(_CATALOG_MAPS, key, CatalogMap(catalog), CATALOG_MAPS_SIZE)
     return found
+
+
+# -- shape plans and numeric fills -----------------------------------------------------
+
+# block plans kept at once, keyed by their entries' term keys; each memo is emptied once full
+BLOCK_PLANS_SIZE = 32
+_BLOCK_PLANS: dict = {}
+# block fills kept at once (a catalog's four blocks at two q), keyed by the bits they read
+BLOCK_DATA_SIZE = 8
+_BLOCK_DATA: dict = {}
+# F-derived data kept at once, keyed by the bits of F (F_u ⊗ [1] = F_u, and [1] at every q)
+F_DATA_SIZE = 16
+_F_DATA: dict = {}
+# catalog plans kept at once, keyed by labels, entry key layouts and pruned adjoint keys
+CATALOG_PLANS_SIZE = 8
+_CATALOG_PLANS: dict = {}
+
+
+class _BlockPlan:
+    """The q-independent shape of a block whose entries have the given term keys.
+
+    Term j of the entries, in row-major entry order, has its coefficient at
+    E[expansion_at[0][j], expansion_at[1][j]], its adjoint key at
+    `adjoint_keys[j]`, and its adjoint scaled by q^e for each leg's power e
+    in powers[power_at[j]]; `entry_ends` splits the terms by entry.
+    """
+
+    __slots__ = ("legs", "support", "expansion_at", "adjoint_keys", "powers", "power_at", "entry_ends")
+
+    def __init__(self, layout, legs):
+        d = math.isqrt(len(layout))
+        self.legs = legs
+        index: dict = {}
+        for row in range(d):
+            for col in range(d):
+                for key in layout[col * d + row]:
+                    index.setdefault(key, len(index))
+        self.support = tuple(index)
+        terms = [(rc, key) for rc, keys in enumerate(layout) for key in keys]
+        self.expansion_at = (np.array([index[key] for _, key in terms], dtype=np.intp),
+                             np.array([(rc % d) * d + rc // d for rc, _ in terms], dtype=np.intp))
+        monos = [(key,) if legs == 1 else key for _, key in terms]
+        images = [tuple(map(_adjoint_image, leg_monos)) for leg_monos in monos]
+        self.adjoint_keys = tuple(image[0] if legs == 1 else image for image in images)
+        self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
+        self.power_at = tuple(power_at.tolist())
+        self.entry_ends = tuple(itertools.accumulate(len(keys) for keys in layout))
+
+
+class _FData:
+    """The data of a block that depend on its F alone.
+
+    `transfer` gives vec x̂ = transfer @ vec H for x̂ = F^(-1/2)·Hᵀ·F^(1/2),
+    and `lift` the vec of (tr F)·√F·x̂·√F as lift @ vec x̂.
+    """
+
+    __slots__ = ("F", "sqrtF", "inv_sqrtF", "trF", "transfer", "lift", "_witness")
+
+    def __init__(self, F: np.ndarray):
+        d = F.shape[0]
+        self.F = F
+        self.sqrtF, self.inv_sqrtF = _sqrt_pair(F)
+        self.trF = float(F.trace().real)
+        self.transfer = np.einsum("ic,rk->ikrc", self.inv_sqrtF, self.sqrtF).reshape(d * d, d * d)
+        self.lift = self.trF * np.einsum("ia,bk->ikab", self.sqrtF, self.sqrtF).reshape(d * d, d * d)
+        for arr in (self.sqrtF, self.inv_sqrtF, self.transfer, self.lift):
+            arr.setflags(write=False)
+        self._witness = None
+
+    def witness(self):
+        """(witness row, √F as a complex matrix), computed on first use.
+
+        The row is the column of F⁻¹ with the largest norm.  The complex √F
+        gives the bits a matrix product gives after casting a real √F.
+        """
+        if self._witness is None:
+            finv = np.linalg.inv(self.F)
+            self._witness = (int((np.abs(finv) ** 2).sum(axis=0).argmax()), self.sqrtF.astype(complex))
+        return self._witness
+
+
+class _BlockData:
+    """The compiled data of one block, filled in two stages.
+
+    `plan` and `expansion` (E) are filled when the data are made, which is
+    all that `forward` reads.  `filled()` fills the rest on first use: the
+    adjoints, F's data `f`, the lifted expansion E·lift (which re-expands
+    vec x̂ over the support) and `layout`, which is (entry key layout, the
+    adjoint keys where a term was pruned, else None).
+    """
+
+    __slots__ = ("plan", "expansion", "layout", "adjoints", "f", "lifted", "_source", "_witness")
+
+    def __init__(self, plan, expansion, source):
+        self.plan, self.expansion = plan, expansion
+        self._source = source  # (U, layout, values, scales, F key) for the second stage
+        self._witness = None
+
+    def filled(self) -> "_BlockData":
+        if self._source is not None:
+            U, layout, values, scales, f_key = self._source
+            plan, tol = self.plan, U.params.tol
+            betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
+            try:
+                kept = all(tol < abs(beta) < math.inf for beta in betas)
+            except OverflowError:  # a finite β whose modulus overflows
+                kept = False
+            if kept:
+                self.adjoints = tuple(tuple(zip(plan.adjoint_keys[start:end], betas[start:end]))
+                                      for start, end in zip((0,) + plan.entry_ends, plan.entry_ends))
+                self.layout = (layout, None)
+            else:
+                # the adjoint's constructor drops a β at or below tol, and refuses one
+                # whose modulus is not finite
+                self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
+                self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
+            f = _F_DATA.get(f_key)
+            if f is None:
+                f = remember(_F_DATA, f_key, _FData(U.F), F_DATA_SIZE)
+            self.f = f
+            self.lifted = self.expansion @ f.lift
+            self.lifted.setflags(write=False)
+            self._source = None
+        return self
+
+    def witness(self):
+        """(√F as a complex matrix, tr F, the adjoints of the witness row): see `BlockMap.witness`."""
+        if self._witness is None:
+            row, sqrtF = self.f.witness()
+            d = sqrtF.shape[0]
+            self._witness = (sqrtF, self.f.trF, self.adjoints[row * d:(row + 1) * d])
+        return self._witness
+
+
+def _block_data(U) -> _BlockData:
+    """The compiled data of U (see `BlockMap`): its shape's plan filled with U's numbers.
+
+    The fill reads the plan, tol, the adjoint scales q^e (1 for every term
+    of the shipped blocks), the coefficients and F, and nothing else of U,
+    so it is memoised by those bits; triv*triv, for one, is filled once
+    for every q.
+    """
+    legs = 2 if isinstance(U, ProductCorep) else 1
+    layout = tuple(tuple(e.terms) for row in U.entries for e in row)
+    plan = _BLOCK_PLANS.get((layout, legs))
+    if plan is None:
+        plan = remember(_BLOCK_PLANS, (layout, legs), _BlockPlan(layout, legs), BLOCK_PLANS_SIZE)
+    q = U.params.q
+    # as the adjoint computes them: scale = 1.0·q^e₀·q^e₁.., then β = 0j + conj(c)·scale
+    scales = []
+    for powers in plan.powers:
+        scale = 1.0
+        for power in powers:
+            scale *= q ** power
+        scales.append(scale)
+    values = [c for row in U.entries for e in row for c in e.terms.values()]
+    coeffs = np.array(values, dtype=complex)
+    F = U.F
+    f_key = (F.dtype.str, F.shape, F.tobytes())
+    key = (plan, U.params.tol, tuple(scales), coeffs.tobytes(), f_key)
+    found = _BLOCK_DATA.get(key)
+    if found is None:
+        expansion = np.zeros((len(plan.support), U.dim * U.dim), dtype=complex)
+        expansion[plan.expansion_at] = coeffs
+        expansion.setflags(write=False)
+        found = remember(_BLOCK_DATA, key, _BlockData(plan, expansion, (U, layout, values, scales, f_key)),
+                         BLOCK_DATA_SIZE)
+    return found
+
+
+class _CatalogPlan:
+    """The q-independent shape of a `CatalogMap` (see there for the names).
+
+    Slot j's β sits at flat position `slot_at[j]` of the (flat × slots)
+    matrix that TA multiplies, and `slot_legs[side]` holds the distinct
+    slot monomials of that leg with each slot's position among them.  The
+    one-leg tables gathered over slots × support keys are zero apart from
+    `tables[side]` = (flat positions, which), where the value is
+    h(p·m) of `pairs[which]`: only pairs whose product has a monomial with
+    a Haar value are listed (`haar.leg_support`).  `lift_at` places each
+    block's lifted expansion, flattened in catalog order, in the
+    re-expansion matrix, and `thetas[leg]` is (src, the distinct leg
+    monomials, the position of each part's monomial among them) of θ on
+    that leg, or None.
+    """
+
+    __slots__ = ("offsets", "size", "index", "slot_at", "slot_legs", "pairs", "tables",
+                 "lift_at", "stacks", "transpose", "thetas")
+
+    def __init__(self, coreps, blocks):
+        offsets, lift_at, slot_entries, slot_keys = [], [], [], []
+        index: dict = {}
+        offset = 0
+        for U, block in zip(coreps, blocks):
+            offsets.append(offset)
+            rows = [index.setdefault(key, len(index)) for key in block.plan.support]
+            lift_at.append((rows, offset, len(block.adjoints)))
+            for rc, terms in enumerate(block.adjoints):
+                for key, _ in terms:
+                    slot_entries.append(offset + rc)
+                    slot_keys.append(key)
+            offset += U.dim * U.dim
+        self.offsets, self.size, self.index = tuple(offsets), offset, index
+        self.lift_at = np.array([row * offset + start + k for rows, start, width in lift_at
+                                 for row in rows for k in range(width)], dtype=np.intp)
+        slots = len(slot_entries)
+        self.slot_at = np.array(slot_entries, dtype=np.intp) * slots + np.arange(slots)
+        self.slot_legs = tuple(_distinct([key[side] for key in slot_keys]) for side in (0, 1))
+        q = coreps[0].params.q if coreps else 1.0
+        pairs: dict = {}
+        tables = []
+        for side, (monos, rows) in enumerate(self.slot_legs):
+            key_monos, cols = _distinct([key[side] for key in index])
+            # (slot monomial, key monomial) positions whose one-leg value may be non-zero
+            nonzero = {(i, k): pairs.setdefault((p, m), len(pairs))
+                       for i, p in enumerate(monos) for k, m in enumerate(key_monos) if leg_support(p, m, q)}
+            at, which = [], []
+            for j, i in enumerate(rows.tolist()):
+                for t, k in enumerate(cols.tolist()):
+                    if (i, k) in nonzero:
+                        at.append(j * len(index) + t)
+                        which.append(nonzero[i, k])
+            tables.append((np.array(at, dtype=np.intp), np.array(which, dtype=np.intp)))
+        self.pairs = tuple(pairs)
+        self.tables = tuple(tables)
+        by_size: dict = {}
+        for i, U in enumerate(coreps):
+            by_size.setdefault(U.dim, []).append(i)
+        stacks = []
+        for d, positions in by_size.items():
+            take = np.array([offsets[i] + np.arange(d * d).reshape(d, d) for i in positions])
+            stacks.append((tuple(positions), take.reshape(-1) if d == 1 else take))
+        self.stacks = tuple(stacks)
+        self.transpose = np.array(
+            [offset + c * U.dim + r for offset, U in zip(offsets, coreps)
+             for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
+        self.thetas = tuple(_theta_plan(index, leg) for leg in (0, 1))
+
+
+def _catalog_plan(coreps, blocks) -> _CatalogPlan:
+    key = tuple((U.label, block.layout) for U, block in zip(coreps, blocks))
+    plan = _CATALOG_PLANS.get(key)
+    if plan is None:
+        plan = remember(_CATALOG_PLANS, key, _CatalogPlan(coreps, blocks), CATALOG_PLANS_SIZE)
+    return plan
+
+
+def _theta_plan(index, leg):
+    """(src, distinct leg monomials, which) of θ on `leg` over the support, or None.
+
+    See `CatalogMap.theta` and `_CatalogPlan`.
+    """
+    if not index:
+        return None
+    monos, at = _distinct([key[leg] for key in index])
+    images = [_theta_image(mono) for mono in monos]
+    src = np.zeros(2 * len(index), dtype=np.intp)
+    which = np.zeros(2 * len(index), dtype=np.intp)
+    for i, key in enumerate(index):
+        image = images[at[i]]
+        j = index.get((image, key[1]) if leg == 0 else (key[0], image))
+        if j is None:
+            return None
+        src[2 * j], src[2 * j + 1] = 2 * i, 2 * i + 1
+        which[2 * j] = which[2 * j + 1] = at[i]
+    return src, monos, which
 
 
 # -- single-factor transform -----------------------------------------------------
@@ -535,28 +828,6 @@ def _expand(mat: np.ndarray, U) -> dict:
     return dict(zip(compiled.support, compiled.expansion @ mat.reshape(-1)))
 
 
-def _block_data(U):
-    """(adjoints, witness_adjoints, √F, F^(-1/2), tr F, support, expansion) of U: see `BlockMap`."""
-    d = U.dim
-    adjoints = tuple(
-        tuple(U.entries[r][c].adjoint().terms.items()) for r in range(d) for c in range(d)
-    )
-    finv = np.linalg.inv(U.F)
-    witness_row = int(np.argmax(np.sum(np.abs(finv) ** 2, axis=0)))
-    sqrtF, inv_sqrtF = _sqrt_pair(U.F)
-    index: dict = {}
-    coefficients = [
-        (index.setdefault(key, len(index)), row * d + col, c)
-        for row in range(d) for col in range(d)
-        for key, c in U.entries[col][row].terms.items()
-    ]
-    expansion = np.zeros((len(index), d * d), dtype=complex)
-    for s, rc, c in coefficients:
-        expansion[s, rc] = c
-    return (adjoints, adjoints[witness_row * d:(witness_row + 1) * d], sqrtF, inv_sqrtF,
-            float(np.trace(U.F).real), tuple(index), expansion)
-
-
 def _distinct(items):
     """(the distinct items in order of first appearance, the position of each item among them)."""
     seen: dict = {}
@@ -579,11 +850,11 @@ def _reexpansion_gap(x, coreps, blocks) -> float:
 
 def _sqrt_pair(F: np.ndarray):
     """(√F, F^(-1/2)) for a positive matrix; diagonal inputs stay exact."""
-    if np.max(np.abs(F - np.diag(np.diagonal(F)))) == 0.0:
+    if not np.any(F - np.diag(np.diagonal(F))):
         root = np.sqrt(np.diagonal(F).astype(float))
         return np.diag(root), np.diag(1.0 / root)
     eigvals, vecs = np.linalg.eigh(F)
-    if np.min(eigvals) <= 0:
+    if eigvals.min() <= 0:
         raise ValueError("intertwiner matrix is not positive definite")
     root = np.sqrt(eigvals)
     return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T

@@ -167,6 +167,16 @@ class PairingTables:
         return values[block]
 
 
+def leg_support(p: Monomial, m: Monomial, q: float) -> bool:
+    """Whether h(p·m) may be non-zero: some monomial of the normal form p·m has a Haar value.
+
+    Which monomials p·m has does not depend on q, and h vanishes on a
+    monomial with an a-power or with unequal c and c* powers at every q,
+    so the answer holds at every q.
+    """
+    return any(w.k == 0 and w.m == w.n for w, _ in _mono_mul(p, m, q))
+
+
 @lru_cache(maxsize=PAIRING_TABLES_SIZE)
 def pairing_tables(params: AlgebraParams) -> PairingTables:
     """The memoised pairing tables of one algebra, shared by every caller."""

@@ -44,8 +44,9 @@ class MultiElement:
     """Linear combination of tuples of monomials: an element of a tensor power.
 
     Every key must be a plain tuple of `legs` Monomials. Coefficients with
-    modulus at most ``params.tol`` are pruned on construction; a non-finite
-    coefficient raises ValueError.
+    modulus at most ``params.tol`` are pruned on construction; a coefficient
+    whose modulus is not finite (non-finite, or overflowing as for
+    1.5e308 + 1.5e308j) raises ValueError.
     """
 
     __slots__ = ("params", "legs", "terms")
@@ -68,7 +69,7 @@ class MultiElement:
         """A MultiElement over keys the caller built as tuples of `legs` monomials.
 
         The keys are not checked again; coefficients are pruned at tol and
-        rejected when non-finite, as by the constructor.
+        rejected when their modulus is not finite, as by the constructor.
         """
         out = cls.__new__(cls)
         out.params = params
@@ -190,15 +191,18 @@ class MultiElement:
 
 
 def _pruned(terms: Mapping[tuple, complex], tol: float) -> dict:
-    """The terms with modulus above tol; ValueError on a non-finite coefficient."""
+    """The terms with modulus above tol; ValueError on a coefficient whose modulus is not finite."""
     pruned = {}
     for tup, coeff in terms.items():
         z = complex(coeff)
-        size = abs(z)
+        try:
+            size = abs(z)
+        except OverflowError:  # a finite z whose modulus overflows
+            size = math.inf
         if tol < size < math.inf:
             pruned[tup] = z
         elif not size <= tol:
-            raise ValueError(f"coefficient of {tup!r} is not finite: {z!r}")
+            raise ValueError(f"the modulus of the coefficient of {tup!r} is not finite: {z!r}")
     return pruned
 
 
@@ -388,8 +392,15 @@ def product_coinverse(x: MultiElement) -> MultiElement:
 
 def _theta_monomial(mono: Monomial, q: float):
     """θ = (adjoint ∘ κ) on a basis monomial as (real scale, monomial)."""
-    scale = (-1.0) ** (mono.m + mono.n) * q ** (mono.n - mono.m)
-    return scale, _mono(mono.sector, mono.k, mono.n, mono.m)
+    return _theta_scale(mono, q), _theta_image(mono)
+
+
+def _theta_scale(mono: Monomial, q: float) -> float:
+    return (-1.0) ** (mono.m + mono.n) * q ** (mono.n - mono.m)
+
+
+def _theta_image(mono: Monomial) -> Monomial:
+    return _mono(mono.sector, mono.k, mono.n, mono.m)
 
 
 def theta(x: Element) -> Element:

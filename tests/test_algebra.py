@@ -66,8 +66,9 @@ def test_monomial_is_a_validated_tuple_value():
         Monomial._make((PLAIN, 0, -1, 0))
 
 
+# the last is finite, but its modulus overflows
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan")),
-                                 complex(float("-inf"), 1.0)])
+                                 complex(float("-inf"), 1.0), complex(1.5e308, 1.5e308)])
 def test_element_rejects_non_finite_coefficients(params, bad):
     a = Element.generator(params, "a")
     with pytest.raises(ValueError):

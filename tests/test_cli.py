@@ -260,6 +260,24 @@ def test_non_finite_inputs_exit_2(tmp_path):
     assert main(["check-pd", "--input", str(el_path)]) == 2
 
 
+def test_a_coefficient_whose_modulus_overflows_exits_2(tmp_path, capsys):
+    # the file's one coefficient is finite, but abs() of it raises OverflowError
+    path = Path(__file__).parent / "data" / "overflow_element.json"
+    for command in ("check-pd", "ppt", "haar"):
+        assert main([command, "--input", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+    # |00><11| has coefficient 1/q in the transform, which takes this entry past the largest modulus
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = complex(8e307, 8e307)
+    rho[3, 0] = rho[0, 3].conjugate()
+    rho_path = tmp_path / "rho.json"
+    dump_json({"dims": [2, 2], "entries": [[z.real, z.imag] for z in rho.reshape(-1)]}, rho_path)
+    for command in ("transform", "ppt"):
+        assert main([command, "--input", str(rho_path)]) == 2, command
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def _singlet_entries():
     return densityop_to_dict(singlet_state())["entries"]
 

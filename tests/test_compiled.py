@@ -207,6 +207,13 @@ def _cache_sizes(params):
         "gram index": (len(gram._gram_index), haar_module.GRAM_INDEX_SIZE),
         "gram matrices": (len(gram._grams), haar_module.GRAM_MATRICES_SIZE),
         "catalog maps": (len(fourier._CATALOG_MAPS), fourier.CATALOG_MAPS_SIZE),
+        "mono_mul programs": (algebra._mono_mul_program.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
+        "intertwiner layouts": (corep._intertwiner_layout.cache_info().currsize,
+                                corep.INTERTWINER_LAYOUTS_SIZE),
+        "block plans": (len(fourier._BLOCK_PLANS), fourier.BLOCK_PLANS_SIZE),
+        "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
+        "block fills": (len(fourier._BLOCK_DATA), fourier.BLOCK_DATA_SIZE),
+        "F fills": (len(fourier._F_DATA), fourier.F_DATA_SIZE),
     }
 
 
@@ -236,7 +243,7 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     rng = np.random.default_rng(11)
     probe = [random_element(rng, AlgebraParams(q=0.5), max_degree=3, n_terms=6) for _ in range(2)]
     misses_before = algebra._mono_mul.cache_info().misses
-    coproduct_keys = set()
+    coproduct_keys, fill_keys = set(), set()
     for q in np.linspace(0.2, 1.0, 200):
         params = AlgebraParams(q=float(q))
         catalog = product_catalog(params)
@@ -253,9 +260,11 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
         assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
         assert _most_layouts(compiled_blocks) <= fourier.BLOCK_LAYOUTS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
-    # the sweep outgrew every bound, so the bounds were exercised, not just respected
+        fill_keys.update(fourier._BLOCK_DATA)
+    # the sweep outgrew every q-keyed bound, so the bounds were exercised, not just respected
     assert algebra._mono_mul.cache_info().misses - misses_before > algebra.MONO_MUL_CACHE_SIZE
     assert len(coproduct_keys) > hopf.COPRODUCT_CACHE_SIZE
+    assert len(fill_keys) > fourier.BLOCK_DATA_SIZE
     assert 200 > haar_module.PAIRING_TABLES_SIZE
     assert 200 > corep.COREPS_SIZE
     assert 200 > fourier.CATALOG_MAPS_SIZE

@@ -63,6 +63,14 @@ def test_non_finite_operators_are_rejected(U, bad):
         forward(mat, U)
 
 
+def test_forward_refuses_a_coefficient_whose_modulus_overflows(U):
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[1, 2] = complex(1.5e308, 1.5e308)
+    rho = DensityOp((2, 2), mat)  # every entry is finite
+    with pytest.raises(ValueError, match="not finite"):
+        forward(rho, U)
+
+
 def test_forward_singlet(params, U):
     x = forward(singlet_state(), U)
     expect = MultiElement(params, 2, {

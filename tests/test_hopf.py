@@ -261,11 +261,15 @@ def test_multielement_product_associativity(params, rng):
         assert ((x * y) * z).distance(x * (y * z)) < 1e-8
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 1.0)])
+# the last is finite, but its modulus overflows
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(float("nan"), 1.0),
+                                 complex(1.5e308, 1.5e308)])
 def test_multielement_rejects_non_finite_coefficients(params, bad):
     unit = (Monomial(), Monomial())
     with pytest.raises(ValueError):
         MultiElement(params, 2, {unit: bad})
+    with pytest.raises(ValueError):
+        MultiElement._trusted(params, 2, {unit: bad})
     with pytest.raises(ValueError):
         MultiElement.unit(params, 2) * bad
 
