@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, Element
 from .haar import haar
-from .hopf import MultiElement, coinverse_squared
+from .hopf import MultiElement, coinverse_squared, tensor
 
 _NULLSPACE_RTOL = 1e-10
 
@@ -185,33 +185,18 @@ def _intertwiner_layout(dim: int, count: int):
 
 
 def product_corep(u: Corep, v: Corep) -> ProductCorep:
-    """Entry-wise tensor product with U_(ik),(jl) = u_ij ⊗ v_kl and F = F_u ⊗ F_v.
-
-    The entries equal `hopf.tensor(u_ij, v_kl)` bit for bit, pruning included.
-    """
+    """Entry-wise tensor product with U_(ik),(jl) = u_ij ⊗ v_kl and F = F_u ⊗ F_v."""
     if u.params != v.params:
         raise ValueError("factors carry different algebra parameters")
-    params = u.params
     n, m = u.dim, v.dim
-    # tensor(u_ij, v_kl) in one trusted construction: its coefficients ((1+0j)·a)·b summed onto 0j,
-    # in its key order, pruned as its constructor prunes
-    lefts = [[[(a, (1.0 + 0.0j) * ca) for a, ca in e.terms.items()] for e in row] for row in u.entries]
-    rights = [[tuple(e.terms.items()) for e in row] for row in v.entries]
-    entries = []
-    for i in range(n):
-        for k in range(m):
-            row = []
-            for left in lefts[i]:
-                for right in rights[k]:
-                    terms = {}
-                    for a, ca in left:
-                        for b, cb in right:
-                            terms[a, b] = 0j + ca * cb
-                    row.append(MultiElement._trusted(params, 2, terms))
-            entries.append(tuple(row))
-    # np.kron's own broadcast product, without its generic set-up
+    entries = tuple(
+        tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
+        for i in range(n)
+        for k in range(m)
+    )
+    # np.kron(u.F, v.F) as one broadcast product, without np.kron's set-up (about 20 µs a call)
     F = (u.F[:, None, :, None] * v.F[None, :, None, :]).reshape(n * m, n * m)
-    return ProductCorep(f"{u.label}*{v.label}", u, v, n * m, tuple(entries), _freeze(F), u.params)
+    return ProductCorep(f"{u.label}*{v.label}", u, v, n * m, entries, _freeze(F), u.params)
 
 
 def unitarity_residual(u) -> float:

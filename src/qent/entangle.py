@@ -143,7 +143,7 @@ def _block_report(compiled, flat, residual, params, with_witness=True) -> PDRepo
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
     if with_witness and failing is not None:
-        witness = _witness(params, compiled.block(herm, failing), *compiled.witness(failing))
+        witness = _witness(params, compiled.block(herm, failing), *compiled.witnesses[failing])
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
@@ -153,7 +153,7 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     The block's most negative eigenvector is pulled back through the
     deformed orthogonality relations: with b a combination of adjoints of
     one row of matrix coefficients (compiled once per block, see
-    `BlockMap.witness` and `CatalogMap.witness`), the pairing
+    `BlockMap.witness` and `CatalogMap.witnesses`), the pairing
     collapses to a positive multiple of ⟨v|A|v⟩ for the block coefficient
     matrix A, so the negative eigenvector certifies failure.  `block`, when given, is the inverse
     transform x̂(U), so a caller that already has it does not compute it

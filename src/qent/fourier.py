@@ -41,10 +41,10 @@ where pruning drops a key gets its own plan.  The fill computes the
 numbers of one q with numpy and the same arithmetic, in the same order,
 as the symbolic products it replaces, so the results are the same bits:
 the adjoint coefficients β = 0j + conj(c)·q^e, F^(±1/2), tr F, the witness
-row, the one-leg Haar table and the θ scales.  A fill reads nothing of a
-corep but its shape, tol, coefficients and F, and is memoised by their
-bits, so the fund*fund that `qent ppt` builds for `forward` and the one in
-its catalog share one fill.
+row, the one-leg Haar table and the θ scales.  A block's fill reads nothing
+of its corep but its shape, tol, coefficients and F, and is memoised by
+their bits, so the fund*fund that `qent ppt` builds for `forward` and the
+one in its catalog share one fill.
 """
 
 from __future__ import annotations
@@ -192,48 +192,26 @@ class BlockMap:
       from single-leg tables and memoised per key;
     - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness` is what
       `find_negative_witness` combines: (√F as a complex matrix, tr F, the
-      adjoints of the row given by the column of F⁻¹ with the largest norm),
-      computed on first use;
+      adjoints of the row given by the column of F⁻¹ with the largest norm);
     - `support` lists the term keys of U's entries in the order in which
       Σ mat[row, col] U_(col),(row) first meets them, row by row, and
       `expansion` is the matrix E with E[s, row * d + col] the coefficient
       of support[s] in U_(col),(row), so that sum is E @ vec(mat).
     """
 
-    __slots__ = ("dim", "legs", "support", "expansion", "_data", "_tables", "_chains", "_layouts")
+    __slots__ = ("dim", "legs", "adjoints", "witness", "sqrtF", "inv_sqrtF", "trF",
+                 "support", "expansion", "_tables", "_chains", "_layouts")
 
     def __init__(self, U):
         data = _block_data(U)
         self.dim = U.dim
         self.legs = data.plan.legs
         self.support, self.expansion = data.plan.support, data.expansion
-        self._data = data
+        self.adjoints, self.witness = data.adjoints, data.witness
+        self.sqrtF, self.inv_sqrtF, self.trF = data.sqrtF, data.inv_sqrtF, data.trF
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
         self._layouts: dict = {}
-
-    # what `forward` does not read is filled on first use
-
-    @property
-    def adjoints(self) -> tuple:
-        return self._data.filled().adjoints
-
-    @property
-    def sqrtF(self) -> np.ndarray:
-        return self._data.filled().f.sqrtF
-
-    @property
-    def inv_sqrtF(self) -> np.ndarray:
-        return self._data.filled().f.inv_sqrtF
-
-    @property
-    def trF(self) -> float:
-        return self._data.filled().f.trF
-
-    @property
-    def witness(self):
-        """(√F as a complex matrix, tr F, the adjoints of the witness row)."""
-        return self._data.filled().witness()
 
     def chain(self, t):
         """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
@@ -332,7 +310,7 @@ class CatalogMap:
     leg only.  `transpose` sends each position of flat to that of its
     transposed entry in the same block.  `stacks` groups the blocks by
     size: (catalog positions, index array into flat) per size, of shape
-    (blocks, d, d), or (blocks,) for 1×1 blocks.  `witness(i)` is the
+    (blocks, d, d), or (blocks,) for 1×1 blocks.  `witnesses[i]` is the
     `BlockMap.witness` of block i, so a witness is built without compiling
     one.  `theta(leg)` is the transposition map on the support, built on
     first use.
@@ -345,22 +323,22 @@ class CatalogMap:
     """
 
     __slots__ = ("coreps", "params", "plan", "offsets", "index", "matrix", "reexpansion",
-                 "transpose", "stacks", "_blocks", "_slot_matrix", "_tables", "_thetas")
+                 "transpose", "stacks", "witnesses", "_slot_matrix", "_tables", "_thetas")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
-        blocks = [_block_data(U).filled() for U in self.coreps]
+        blocks = [_block_data(U) for U in self.coreps]
         plan = _catalog_plan(self.coreps, blocks)
         self.plan = plan
         self.offsets, self.index, self.stacks, self.transpose = (
             plan.offsets, plan.index, plan.stacks, plan.transpose)
-        self._blocks = tuple(blocks)
+        self.witnesses = tuple(block.witness for block in blocks)
         size = plan.size
         transfer = np.zeros((size, size), dtype=complex)
         for offset, block in zip(plan.offsets, blocks):
             end = offset + len(block.adjoints)
-            transfer[offset:end, offset:end] = block.f.transfer
+            transfer[offset:end, offset:end] = block.transfer
         placed = np.zeros((size, plan.slot_at.size), dtype=complex)
         placed.put(plan.slot_at, [beta for block in blocks for terms in block.adjoints for _, beta in terms])
         self._slot_matrix = transfer @ placed
@@ -461,10 +439,6 @@ class CatalogMap:
         gaps = np.abs(v - self.reexpansion @ flat)
         return flat, max(float(gaps.max(initial=0.0)), missed)
 
-    def witness(self, i: int):
-        """`BlockMap.witness` of block i."""
-        return self._blocks[i].witness()
-
     def block(self, flat: np.ndarray, i: int) -> np.ndarray:
         """x̂(U_i) from flat."""
         d = self.coreps[i].dim
@@ -496,12 +470,10 @@ def catalog_map(catalog) -> CatalogMap:
 # block plans kept at once, keyed by their entries' term keys; each memo is emptied once full
 BLOCK_PLANS_SIZE = 32
 _BLOCK_PLANS: dict = {}
-# block fills kept at once (a catalog's four blocks at two q), keyed by the bits they read
-BLOCK_DATA_SIZE = 8
+# block fills kept at once, keyed by the bits they read; a fresh-q `qent ppt` adds three, so
+# the memo is emptied about once in ten requests
+BLOCK_DATA_SIZE = 32
 _BLOCK_DATA: dict = {}
-# F-derived data kept at once, keyed by the bits of F (F_u ⊗ [1] = F_u, and [1] at every q)
-F_DATA_SIZE = 16
-_F_DATA: dict = {}
 # catalog plans kept at once, keyed by labels, entry key layouts and pruned adjoint keys
 CATALOG_PLANS_SIZE = 8
 _CATALOG_PLANS: dict = {}
@@ -538,89 +510,50 @@ class _BlockPlan:
         self.entry_ends = tuple(itertools.accumulate(len(keys) for keys in layout))
 
 
-class _FData:
-    """The data of a block that depend on its F alone.
-
-    `transfer` gives vec x̂ = transfer @ vec H for x̂ = F^(-1/2)·Hᵀ·F^(1/2),
-    and `lift` the vec of (tr F)·√F·x̂·√F as lift @ vec x̂.
-    """
-
-    __slots__ = ("F", "sqrtF", "inv_sqrtF", "trF", "transfer", "lift", "_witness")
-
-    def __init__(self, F: np.ndarray):
-        d = F.shape[0]
-        self.F = F
-        self.sqrtF, self.inv_sqrtF = _sqrt_pair(F)
-        self.trF = float(F.trace().real)
-        self.transfer = np.einsum("ic,rk->ikrc", self.inv_sqrtF, self.sqrtF).reshape(d * d, d * d)
-        self.lift = self.trF * np.einsum("ia,bk->ikab", self.sqrtF, self.sqrtF).reshape(d * d, d * d)
-        for arr in (self.sqrtF, self.inv_sqrtF, self.transfer, self.lift):
-            arr.setflags(write=False)
-        self._witness = None
-
-    def witness(self):
-        """(witness row, √F as a complex matrix), computed on first use.
-
-        The row is the column of F⁻¹ with the largest norm.  The complex √F
-        gives the bits a matrix product gives after casting a real √F.
-        """
-        if self._witness is None:
-            finv = np.linalg.inv(self.F)
-            self._witness = (int((np.abs(finv) ** 2).sum(axis=0).argmax()), self.sqrtF.astype(complex))
-        return self._witness
-
-
 class _BlockData:
-    """The compiled data of one block, filled in two stages.
+    """The compiled data of one block: its plan filled with the numbers of its corep.
 
-    `plan` and `expansion` (E) are filled when the data are made, which is
-    all that `forward` reads.  `filled()` fills the rest on first use: the
-    adjoints, F's data `f`, the lifted expansion E·lift (which re-expands
-    vec x̂ over the support) and `layout`, which is (entry key layout, the
-    adjoint keys where a term was pruned, else None).
+    `expansion` is E and `adjoints`, `witness`, √F, F^(-1/2) and tr F are
+    as on `BlockMap`.  `transfer` gives vec x̂ = transfer @ vec H for
+    x̂ = F^(-1/2)·Hᵀ·F^(1/2), and `lifted` = E·lift re-expands vec x̂ over
+    the support, with lift @ vec x̂ the vec of (tr F)·√F·x̂·√F.  `layout` is
+    (entry key layout, the adjoint keys where a term was pruned, else None).
     """
 
-    __slots__ = ("plan", "expansion", "layout", "adjoints", "f", "lifted", "_source", "_witness")
+    __slots__ = ("plan", "layout", "expansion", "adjoints", "witness", "sqrtF", "inv_sqrtF", "trF",
+                 "transfer", "lifted")
 
-    def __init__(self, plan, expansion, source):
-        self.plan, self.expansion = plan, expansion
-        self._source = source  # (U, layout, values, scales, F key) for the second stage
-        self._witness = None
-
-    def filled(self) -> "_BlockData":
-        if self._source is not None:
-            U, layout, values, scales, f_key = self._source
-            plan, tol = self.plan, U.params.tol
-            betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
-            try:
-                kept = all(tol < abs(beta) < math.inf for beta in betas)
-            except OverflowError:  # a finite β whose modulus overflows
-                kept = False
-            if kept:
-                self.adjoints = tuple(tuple(zip(plan.adjoint_keys[start:end], betas[start:end]))
-                                      for start, end in zip((0,) + plan.entry_ends, plan.entry_ends))
-                self.layout = (layout, None)
-            else:
-                # the adjoint's constructor drops a β at or below tol, and refuses one
-                # whose modulus is not finite
-                self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
-                self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
-            f = _F_DATA.get(f_key)
-            if f is None:
-                f = remember(_F_DATA, f_key, _FData(U.F), F_DATA_SIZE)
-            self.f = f
-            self.lifted = self.expansion @ f.lift
-            self.lifted.setflags(write=False)
-            self._source = None
-        return self
-
-    def witness(self):
-        """(√F as a complex matrix, tr F, the adjoints of the witness row): see `BlockMap.witness`."""
-        if self._witness is None:
-            row, sqrtF = self.f.witness()
-            d = sqrtF.shape[0]
-            self._witness = (sqrtF, self.f.trF, self.adjoints[row * d:(row + 1) * d])
-        return self._witness
+    def __init__(self, U, plan, layout, values, scales):
+        d = U.dim
+        self.plan = plan
+        tol = U.params.tol
+        betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
+        try:
+            kept = all(tol < abs(beta) < math.inf for beta in betas)
+        except OverflowError:  # a finite β whose modulus overflows
+            kept = False
+        if kept:
+            self.adjoints = tuple(tuple(zip(plan.adjoint_keys[start:end], betas[start:end]))
+                                  for start, end in zip((0,) + plan.entry_ends, plan.entry_ends))
+            self.layout = (layout, None)
+        else:
+            # the adjoint's constructor drops a β at or below tol, and refuses one
+            # whose modulus is not finite
+            self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
+            self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
+        finv = np.linalg.inv(U.F)
+        row = int((np.abs(finv) ** 2).sum(axis=0).argmax())
+        self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
+        self.trF = float(U.F.trace().real)
+        # the complex √F gives the bits a matrix product gives after casting a real √F
+        self.witness = (self.sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
+        self.expansion = np.zeros((len(plan.support), d * d), dtype=complex)
+        self.expansion[plan.expansion_at] = values
+        self.transfer = np.einsum("ic,rk->ikrc", self.inv_sqrtF, self.sqrtF).reshape(d * d, d * d)
+        lift = self.trF * np.einsum("ia,bk->ikab", self.sqrtF, self.sqrtF).reshape(d * d, d * d)
+        self.lifted = self.expansion @ lift
+        for arr in (self.sqrtF, self.inv_sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
+            arr.setflags(write=False)
 
 
 def _block_data(U) -> _BlockData:
@@ -645,17 +578,12 @@ def _block_data(U) -> _BlockData:
             scale *= q ** power
         scales.append(scale)
     values = [c for row in U.entries for e in row for c in e.terms.values()]
-    coeffs = np.array(values, dtype=complex)
     F = U.F
-    f_key = (F.dtype.str, F.shape, F.tobytes())
-    key = (plan, U.params.tol, tuple(scales), coeffs.tobytes(), f_key)
+    key = (plan, U.params.tol, tuple(scales), np.array(values, dtype=complex).tobytes(),
+           F.dtype.str, F.shape, F.tobytes())
     found = _BLOCK_DATA.get(key)
     if found is None:
-        expansion = np.zeros((len(plan.support), U.dim * U.dim), dtype=complex)
-        expansion[plan.expansion_at] = coeffs
-        expansion.setflags(write=False)
-        found = remember(_BLOCK_DATA, key, _BlockData(plan, expansion, (U, layout, values, scales, f_key)),
-                         BLOCK_DATA_SIZE)
+        found = remember(_BLOCK_DATA, key, _BlockData(U, plan, layout, values, scales), BLOCK_DATA_SIZE)
     return found
 
 
@@ -697,14 +625,13 @@ class _CatalogPlan:
         slots = len(slot_entries)
         self.slot_at = np.array(slot_entries, dtype=np.intp) * slots + np.arange(slots)
         self.slot_legs = tuple(_distinct([key[side] for key in slot_keys]) for side in (0, 1))
-        q = coreps[0].params.q if coreps else 1.0
         pairs: dict = {}
         tables = []
         for side, (monos, rows) in enumerate(self.slot_legs):
             key_monos, cols = _distinct([key[side] for key in index])
             # (slot monomial, key monomial) positions whose one-leg value may be non-zero
             nonzero = {(i, k): pairs.setdefault((p, m), len(pairs))
-                       for i, p in enumerate(monos) for k, m in enumerate(key_monos) if leg_support(p, m, q)}
+                       for i, p in enumerate(monos) for k, m in enumerate(key_monos) if leg_support(p, m)}
             at, which = [], []
             for j, i in enumerate(rows.tolist()):
                 for t, k in enumerate(cols.tolist()):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, remember
+from .algebra import AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, _mono_mul_program, remember
 from .hopf import (
     MultiElement,
     _coinverse_monomial,
@@ -167,14 +167,16 @@ class PairingTables:
         return values[block]
 
 
-def leg_support(p: Monomial, m: Monomial, q: float) -> bool:
-    """Whether h(p·m) may be non-zero: some monomial of the normal form p·m has a Haar value.
+def leg_support(p: Monomial, m: Monomial) -> bool:
+    """Whether h(p·m) may be non-zero at some q.
 
-    Which monomials p·m has does not depend on q, and h vanishes on a
-    monomial with an a-power or with unequal c and c* powers at every q,
-    so the answer holds at every q.
+    It may when the normal form of p·m has a monomial with a Haar value.
+
+    Which monomials p·m has is fixed by its q-free rewriting program, and
+    h vanishes at every q on a monomial with an a-power or with unequal c
+    and c* powers.
     """
-    return any(w.k == 0 and w.m == w.n for w, _ in _mono_mul(p, m, q))
+    return any(w.k == 0 and w.m == w.n for w in _mono_mul_program(p, m)[1])
 
 
 @lru_cache(maxsize=PAIRING_TABLES_SIZE)

@@ -207,26 +207,34 @@ def _pruned(terms: Mapping[tuple, complex], tol: float) -> dict:
 
 
 def tensor(*factors) -> MultiElement:
-    """Tensor product of Elements / MultiElements, with legs concatenated."""
+    """Tensor product of Elements / MultiElements, with legs concatenated.
+
+    Each coefficient is the fold ((1+0j)·c_1)·c_2·… of the factors'
+    coefficients, added onto 0j.  Every factor's keys are distinct, and so
+    are their concatenations, so each is added once.  Two Elements, as in
+    every entry of a product corep, take a path that runs the same
+    arithmetic in one comprehension.
+    """
     if not factors:
         raise ValueError("tensor() needs at least one factor")
     params = factors[0].params
+    for f in factors[1:]:
+        if f.params is not params and f.params != params:
+            raise ValueError("tensor factors carry different algebra parameters")
+    if len(factors) == 2 and isinstance(factors[0], Element) and isinstance(factors[1], Element):
+        left, right = factors[0].terms.items(), factors[1].terms.items()
+        return MultiElement._trusted(params, 2, {(a, b): 0j + (1.0 + 0.0j) * ca * cb
+                                                 for a, ca in left for b, cb in right})
     terms = [((), 1.0 + 0.0j)]
     legs = 0
     for f in factors:
-        if f.params != params:
-            raise ValueError("tensor factors carry different algebra parameters")
         if isinstance(f, Element):
-            items = [((mono,), coeff) for mono, coeff in f.terms.items()]
+            terms = [(tup + (mono,), c * c2) for tup, c in terms for mono, c2 in f.terms.items()]
             legs += 1
         else:
-            items = list(f.terms.items())
+            terms = [(tup + t2, c * c2) for tup, c in terms for t2, c2 in f.terms.items()]
             legs += f.legs
-        terms = [(tup + t2, c * c2) for tup, c in terms for t2, c2 in items]
-    out: dict = {}
-    for key, coeff in terms:
-        out[key] = out.get(key, 0j) + coeff
-    return MultiElement._trusted(params, legs, out)
+    return MultiElement._trusted(params, legs, {key: 0j + coeff for key, coeff in terms})
 
 
 def _require_legs(x: MultiElement, legs: int):

@@ -213,7 +213,6 @@ def _cache_sizes(params):
         "block plans": (len(fourier._BLOCK_PLANS), fourier.BLOCK_PLANS_SIZE),
         "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
         "block fills": (len(fourier._BLOCK_DATA), fourier.BLOCK_DATA_SIZE),
-        "F fills": (len(fourier._F_DATA), fourier.F_DATA_SIZE),
     }
 
 

@@ -3,10 +3,10 @@
 A compiled map is a q-independent plan filled with the numbers of one q.
 These tests hold the fills to the symbolic products bit for bit: a map
 compiled through plans left warm by another q equals one compiled cold, the
-compiled adjoints are the symbolic adjoints, product coreps are the entry-wise
-`tensor` products, `_mono_mul` is the written-out rewriting loop, and
-`compute_F`'s system is the written-out row loop.  Floats are compared as
-their exact bits, so signed zeros count.
+compiled adjoints are the symbolic adjoints, `tensor` is the written-out fold
+over its factors, a product corep's F is `np.kron`, `_mono_mul` is the
+written-out rewriting loop, and `compute_F`'s system is the written-out row
+loop.  Floats are compared as their exact bits, so signed zeros count.
 """
 
 import dataclasses
@@ -43,7 +43,7 @@ TOLS = (1e-9, 0.3)
 CATALOGS = (None, ("fund*fund",), ("fund*triv", "triv*triv"))
 DATA = Path(__file__).parent / "data"
 # the memos a cold compile starts without
-MEMOS = ("_BLOCK_PLANS", "_CATALOG_PLANS", "_BLOCK_DATA", "_F_DATA", "_CATALOG_MAPS")
+MEMOS = ("_BLOCK_PLANS", "_CATALOG_PLANS", "_BLOCK_DATA", "_CATALOG_MAPS")
 
 
 def _bits(value):
@@ -83,7 +83,7 @@ def _catalog(params, pairs):
 def _map_bits(compiled):
     return _bits([
         compiled.index, compiled.offsets, compiled.matrix, compiled.reexpansion, compiled.transpose,
-        compiled.stacks, [compiled.witness(i) for i in range(len(compiled.coreps))],
+        compiled.stacks, compiled.witnesses,
         compiled.theta(0), compiled.theta(1),
     ])
 
@@ -106,7 +106,8 @@ def test_warm_plans_compile_a_fresh_q_as_a_cold_compile(pairs, tol):
         warm_up = fourier.CatalogMap(_catalog(AlgebraParams(q=0.5, tol=tol), pairs))
         warm = fourier.CatalogMap(_catalog(params, pairs))
         assert _map_bits(warm) == cold, q
-        same_shape = all(a.layout == b.layout for a, b in zip(warm_up._blocks, warm._blocks))
+        same_shape = all(fourier._block_data(a).layout == fourier._block_data(b).layout
+                         for a, b in zip(warm_up.coreps, warm.coreps))
         assert (warm.plan is warm_up.plan) == same_shape
         pruned += not same_shape
     # tol 0.3 prunes a key of fund*fund at q = 0.2, which then gets its own plan
@@ -133,9 +134,8 @@ def test_compiled_blocks_hold_the_symbolic_adjoints(q, tol):
     # the adjoint of a*·c is scaled by 1/q, past the largest float here, which the constructor refuses
     huge = Element(params, {Monomial(STAR, 1, 1, 0): 1.5e308})
     if q < 1.0:
-        compiled = fourier.BlockMap(corep.Corep("huge", 1, ((huge,),), np.eye(1), params))
         with pytest.raises(ValueError, match="not finite"):
-            compiled.adjoints
+            fourier.BlockMap(corep.Corep("huge", 1, ((huge,),), np.eye(1), params))
 
 
 def test_a_second_corep_of_a_pair_reuses_the_first_fill():
@@ -148,18 +148,44 @@ def test_a_second_corep_of_a_pair_reuses_the_first_fill():
     assert fourier._block_data(triv[0]) is fourier._block_data(triv[1])
 
 
+def _written_out_tensor(*factors):
+    """tensor() as a fold over the factors, each coefficient summed onto 0j in a dict."""
+    terms = [((), 1.0 + 0.0j)]
+    legs = 0
+    for f in factors:
+        if isinstance(f, Element):
+            items = [((mono,), coeff) for mono, coeff in f.terms.items()]
+            legs += 1
+        else:
+            items = list(f.terms.items())
+            legs += f.legs
+        terms = [(tup + t2, c * c2) for tup, c in terms for t2, c2 in items]
+    out: dict = {}
+    for key, coeff in terms:
+        out[key] = out.get(key, 0j) + coeff
+    return MultiElement(factors[0].params, legs, out)
+
+
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("q", QS)
-def test_product_entries_are_tensor_products_bit_for_bit(q, tol):
-    params = AlgebraParams(q=q, tol=tol)
-    for u, v in itertools.product(_singles(q, tol).values(), repeat=2):
-        U = corep.product_corep(u, v)
-        expect = [[tensor(u.entries[i][j], v.entries[k][l]) for j in range(u.dim) for l in range(v.dim)]
-                  for i in range(u.dim) for k in range(v.dim)]
-        assert _bits([[e.terms for e in row] for row in U.entries]) == _bits(
-            [[e.terms for e in row] for row in expect]), U.label
-        assert all(e.legs == 2 and e.params == params for row in U.entries for e in row)
-        assert _bits(U.F) == _bits(np.kron(u.F, v.F))
+def test_tensor_is_the_written_out_fold_bit_for_bit(q, tol):
+    singles = _singles(q, tol)
+    fund = singles["fund"].entries
+    elements = [e for u in singles.values() for row in u.entries for e in row]
+    sums = [fund[0][0] + fund[1][1] * (0.5 - 2j), fund[0][1] - fund[1][0]]
+    for a, b in itertools.product(elements + sums, repeat=2):
+        assert _bits(tensor(a, b).terms) == _bits(_written_out_tensor(a, b).terms), (a, b)
+    two = tensor(sums[0], sums[1])
+    for factors in ((two, sums[0]), (sums[1], two), (sums[0], two, fund[0][1])):
+        got = tensor(*factors)
+        assert got.legs == _written_out_tensor(*factors).legs
+        assert _bits(got.terms) == _bits(_written_out_tensor(*factors).terms)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_product_F_is_the_kronecker_product_bit_for_bit(q):
+    for u, v in itertools.product(standard_catalog(AlgebraParams(q=q)).values(), repeat=2):
+        assert _bits(corep.product_corep(u, v).F) == _bits(np.kron(u.F, v.F)), (u.label, v.label)
 
 
 def _written_out_times_gen(mono, gen, q):
