@@ -10,15 +10,17 @@ one leg of a separable element preserves positive definiteness, giving a
 transform-side partial-transposition test that mirrors the matrix-side PPT
 criterion.
 
-Every step of the two-leg test is linear in x's coefficients, so
+Every step of the test is linear in x's coefficients, so
 `is_positive_definite` takes every block and the support residual from one
-product with the catalog's compiled map (`fourier.catalog_map`).  The
-transposition map on one leg moves and rescales coefficients over the
-catalog's support, so `ppt_check` applies the map's θ index and scale to
-x's gathered coefficients and builds no θx.  Both then share one block
-test: one pass over the blocks gives their hermitian parts and the
+product with the catalog's compiled map (`fourier.catalog_map`), for a
+two-leg x over product coreps and a one-leg x over single-factor coreps
+alike.  The transposition map on one leg moves and rescales coefficients
+over the catalog's support, so `ppt_check` applies the map's θ index and
+scale to x's gathered coefficients and builds no θx.  Both then share one
+block test: one pass over the blocks gives their hermitian parts and the
 largest asymmetry, the blocks of each size are tested in one stacked
-eigen-solve, and a witness is built from the failing block only.
+eigen-solve, and a witness is built from a product catalog's failing block
+only.  `tensor_pd` reads its factors' blocks from the same map.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corep import ProductCorep, standard_catalog
-from .fourier import (
-    DensityOp,
-    block_map,
-    catalog_map,
-    inverse,
-    inverse_single,
-    support_residual_single,
-)
+from .fourier import DensityOp, _require_kind, block_map, catalog_map, inverse
 from .haar import pairing_tables
 from .hopf import MultiElement, _require_theta_leg, partial_theta, tensor
 
@@ -80,8 +75,7 @@ def pd_witness_value(x: MultiElement, b: MultiElement) -> complex:
     with the Gram matrices of the memoised one-leg factor G from
     `PairingTables.gram`.
     """
-    _require_two_legs(x)
-    _require_two_legs(b)
+    _require_kind(2, x, b)
     if x.params != b.params:
         raise ValueError("operands carry different algebra parameters")
     gram = pairing_tables(x.params).gram
@@ -97,23 +91,24 @@ def pd_witness_value(x: MultiElement, b: MultiElement) -> complex:
     return complex(total)
 
 
-def is_positive_definite(x: MultiElement, catalog, *, with_witness: bool = True) -> PDReport:
-    """Block-wise positive-definiteness test over a catalog of product coreps.
+def is_positive_definite(x, catalog) -> PDReport:
+    """Block-wise positive-definiteness test over a catalog of coreps.
 
-    Every block of the inverse transform must be positive semidefinite and
-    the catalog must span x (support residual within tolerance); otherwise
-    the verdict is NOT_POSITIVE_DEFINITE or UNDECIDED_SUPPORT respectively.
-    A failing block yields a concrete witness b with a negative pairing.
+    x is a two-leg element over product coreps, or a one-leg Element over
+    single-factor coreps.  Every block of the inverse transform must be
+    positive semidefinite and the catalog must span x (support residual
+    within tolerance); otherwise the verdict is NOT_POSITIVE_DEFINITE or
+    UNDECIDED_SUPPORT respectively.  A failing block of a product catalog
+    yields a concrete witness b with a negative pairing.
 
     The blocks and the residual come from the catalog's compiled map in one
     product; the blocks of each size are tested in one stacked eigen-solve.
     """
-    _require_two_legs(x)
     compiled = catalog_map(tuple(catalog))
-    return _block_report(compiled, *compiled.apply(x), x.params, with_witness)
+    return _block_report(compiled, *compiled.apply(x), x.params)
 
 
-def _block_report(compiled, flat, residual, params, with_witness=True) -> PDReport:
+def _block_report(compiled, flat, residual, params) -> PDReport:
     """The report of `is_positive_definite` from the blocks of the catalog map's `flat`."""
     tol = params.tol
     adjoint = flat[compiled.transpose].conj()
@@ -142,7 +137,7 @@ def _block_report(compiled, flat, residual, params, with_witness=True) -> PDRepo
     if failing is None and not nonhermitian:
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
-    if with_witness and failing is not None:
+    if failing is not None and compiled.legs == 2:
         witness = _witness(params, compiled.block(herm, failing), *compiled.witnesses[failing])
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
@@ -160,8 +155,7 @@ def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> Mu
     again.
     """
     # the witness is built with the trusted constructor from U's adjoints, keyed as x is
-    if not isinstance(U, ProductCorep):
-        raise ValueError("find_negative_witness expects a product corep")
+    _require_kind(2, x, U)
     if block is None:
         block = inverse(x, U)
     herm = (block + block.conj().T) / 2.0
@@ -191,26 +185,8 @@ def _witness(params, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
 
 
 def is_positive_definite_single(x, coreps) -> PDReport:
-    """Single-factor version of the block-wise positive-definiteness test."""
-    return _single_report(x, tuple(coreps))[0]
-
-
-def _single_report(x, coreps):
-    """(report of `is_positive_definite_single`, the inverse blocks it tested)."""
-    tol = x.params.tol
-    blocks = [inverse_single(x, u) for u in coreps]
-    per_block = {}
-    ok = True
-    for u, block in zip(coreps, blocks):
-        asym = float(np.max(np.abs(block - block.conj().T)))
-        min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
-        per_block[u.label] = min_eig
-        if asym > tol or min_eig < -EIG_TOL:
-            ok = False
-    residual = support_residual_single(x, coreps, blocks=blocks)
-    if residual > tol:
-        return PDReport(UNDECIDED_SUPPORT, per_block, residual), blocks
-    return PDReport(POSITIVE_DEFINITE if ok else NOT_POSITIVE_DEFINITE, per_block, residual), blocks
+    """`is_positive_definite` for a one-leg x over single-factor coreps."""
+    return is_positive_definite(x, coreps)
 
 
 def separable_build(terms, coreps=None) -> MultiElement:
@@ -287,26 +263,29 @@ def tensor_pd(a, b, coreps=None):
     product-block minima.  With F = F_u ⊗ F_v, the block of a ⊗ b over
     u ⊗ v is the Kronecker product of the blocks of a over u and of b over
     v, so positivity of the factors forces positivity of the product, and
-    the product minima are taken from those Kronecker products.
+    the product minima are taken from those Kronecker products of the
+    blocks the single-factor catalog map gives.
     """
-    params = a.params
     if coreps is None:
-        coreps = tuple(standard_catalog(params).values())
-    coreps = tuple(coreps)
-    report_a, blocks_a = _single_report(a, coreps)
-    report_b, blocks_b = _single_report(b, coreps)
-    for name, report in (("left", report_a), ("right", report_b)):
+        coreps = standard_catalog(a.params).values()
+    compiled = catalog_map(tuple(coreps))
+    reports, blocks = [], []
+    for x in (a, b):
+        flat, residual = compiled.apply(x)
+        reports.append(_block_report(compiled, flat, residual, x.params))
+        blocks.append([compiled.block(flat, i) for i in range(len(compiled.coreps))])
+    for name, report in zip(("left", "right"), reports):
         if report.verdict != POSITIVE_DEFINITE:
             raise ValueError(f"{name} factor is not positive definite ({report.verdict})")
     product_minima = {}
-    for u, block_a in zip(coreps, blocks_a):
-        for v, block_b in zip(coreps, blocks_b):
+    for u, block_a in zip(compiled.coreps, blocks[0]):
+        for v, block_b in zip(compiled.coreps, blocks[1]):
             block = np.kron(block_a, block_b)
             min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
             product_minima[f"{u.label}*{v.label}"] = min_eig
     certificate = {
-        "left": report_a.per_block,
-        "right": report_b.per_block,
+        "left": reports[0].per_block,
+        "right": reports[1].per_block,
         "product": product_minima,
     }
     return tensor(a, b), certificate
@@ -323,9 +302,3 @@ def decide_separability_2x2(rho: DensityOp) -> str:
     if not rho.is_state(1e-8):
         raise ValueError("input is not a state (hermitian, unit trace, PSD)")
     return SEPARABLE if ppt_matrix(rho).psd else ENTANGLED
-
-
-def _require_two_legs(x):
-    if not isinstance(x, MultiElement) or x.legs != 2:
-        got = x.legs if isinstance(x, MultiElement) else type(x).__name__
-        raise ValueError(f"expected a two-leg element, got {got}")

@@ -11,23 +11,23 @@ against an irreducible block U is
 
 and the original operator is recovered as (tr F) √F x̂(U) √F.  The same maps
 with a single-factor corepresentation act between matrices and one-leg
-Elements.
+Elements; every entry point refuses any other pairing (`_require_kind`).
 
 Both directions are linear, so each block, product or single-factor, is
 compiled on first use into a `BlockMap`: the Haar pairings h(U_rc* · t) of
 each term key t are memoised term by term from single-leg tables, and the
 forward direction is one matrix over the block's support.  `inverse` and
-`support_residual` work block by block through it.
+`reconstruct` work block by block through it.
 
-A whole catalog of product blocks is compiled on first use into one
+A whole catalog of blocks of one kind is compiled on first use into one
 `CatalogMap`: a single matrix from x's coefficients over the catalog's
 support to every block x̂(U) at once, built leg by leg from the same
 single-leg tables, and the matrix that re-expands the lifted blocks, so
 the support residual is one more product.  The transposition map on one
-leg only moves and rescales coefficients over that support, so the map
-also keeps it as an index and a scale per leg, and a partial transpose is
-tested without building θx.  The positivity test in `qent.entangle` runs
-on it.
+leg of a product catalog only moves and rescales coefficients over that
+support, so the map also keeps it as an index and a scale per leg, and a
+partial transpose is tested without building θx.  The positivity test in
+`qent.entangle` runs on it.
 
 Compiling splits into a plan and a fill.  Over the shipped blocks the term
 keys of every entry, adjoint, support key and θ image are the same at
@@ -114,8 +114,7 @@ class DensityOp:
 def forward(rho, U: ProductCorep) -> MultiElement:
     """ρ̂ = Σ ρ_(ik),(jl) U_(jl),(ik); linear in ρ."""
     # the keys of a product corep's entries are two-leg tuples, as the trusted constructor needs
-    if not isinstance(U, ProductCorep):
-        raise ValueError("forward() expects a product corep; use forward_single for one factor")
+    _require_kind(2, U)
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
     d = U.dim
     if mat.shape != (d, d):
@@ -126,9 +125,8 @@ def forward(rho, U: ProductCorep) -> MultiElement:
 
 
 def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
-    """The inverse transform of x against the irreducible block U."""
-    if not isinstance(x, MultiElement) or x.legs != 2:
-        raise ValueError("inverse() expects a two-leg element")
+    """The inverse transform of a two-leg x against the irreducible product block U."""
+    _require_kind(2, x, U)
     if x.params != U.params:
         raise ValueError("element and corepresentation parameters differ")
     block = block_map(U)
@@ -145,23 +143,16 @@ def normalization_check(x: MultiElement) -> complex:
     return product_counit(x)
 
 
-def support_residual(x: MultiElement, catalog, *, blocks=None) -> float:
+def support_residual(x, catalog) -> float:
     """Distance between x and its re-expansion from the catalog's blocks.
 
     Zero means every matrix-coefficient component of x lives in one of the
     catalog's corepresentation blocks; a positive value reports the largest
-    missed coefficient.  `blocks`, when given, holds the inverse transforms
-    x̂(U) in catalog order, so a caller that already has them does not
-    compute them again.
-
-    Each lifted block is re-expanded through its block's expansion matrix
-    and the parts are summed key by key.  Unlike `forward`, the parts are not
-    pruned at tol, so coefficients at or below tol count towards the gap.
+    missed coefficient.  It is the catalog map's, for either kind of x;
+    unlike `forward`, the re-expanded parts are not pruned at tol, so
+    coefficients at or below tol count towards the gap.
     """
-    catalog = tuple(catalog)
-    if blocks is None:
-        blocks = [inverse(x, U) for U in catalog]
-    return _reexpansion_gap(x, catalog, blocks)
+    return catalog_map(tuple(catalog)).apply(x)[1]
 
 
 def lift_block(block: np.ndarray, U) -> np.ndarray:
@@ -174,8 +165,6 @@ def lift_block(block: np.ndarray, U) -> np.ndarray:
 
 # per-monomial chains kept per block; the memo is emptied once it is full
 BLOCK_CHAINS_SIZE = 512
-# gathered chains kept per block, one per ordered tuple of term keys
-BLOCK_LAYOUTS_SIZE = 64
 
 
 class BlockMap:
@@ -200,7 +189,7 @@ class BlockMap:
     """
 
     __slots__ = ("dim", "legs", "adjoints", "witness", "sqrtF", "inv_sqrtF", "trF",
-                 "support", "expansion", "_tables", "_chains", "_layouts")
+                 "support", "expansion", "_tables", "_chains")
 
     def __init__(self, U):
         data = _block_data(U)
@@ -211,28 +200,21 @@ class BlockMap:
         self.sqrtF, self.inv_sqrtF, self.trF = data.sqrtF, data.inv_sqrtF, data.trF
         self._tables = pairing_tables(U.params)
         self._chains: dict = {}
-        self._layouts: dict = {}
 
     def chain(self, t):
         """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
         found = self._chains.get(t)
         if found is None:
             leg_terms = self._tables.leg_terms
+            monos = t if self.legs == 2 else (t,)
             bins, factors = [], []
-            if self.legs == 1:
-                for rc, terms in enumerate(self.adjoints):
-                    for p, beta in terms:
-                        for s, h in leg_terms(p, t):
-                            bins.append(rc)
-                            factors.append((beta, s, h))
-            else:
-                m0, m1 = t
-                for rc, terms in enumerate(self.adjoints):
-                    for (p0, p1), beta in terms:
-                        for s0, h0 in leg_terms(p0, m0):
-                            for s1, h1 in leg_terms(p1, m1):
-                                bins.append(rc)
-                                factors.append((beta, s0, s1, h0, h1))
+            for rc, terms in enumerate(self.adjoints):
+                for key, beta in terms:
+                    # the last leg varies fastest, as in the symbolic product
+                    slots = key if self.legs == 2 else (key,)
+                    for legs in itertools.product(*map(leg_terms, slots, monos)):
+                        bins.append(rc)
+                        factors.append((beta, *(s for s, _ in legs), *(h for _, h in legs)))
             found = (np.array(bins, dtype=np.intp),
                      np.array(factors, dtype=complex).reshape(-1, 1 + 2 * self.legs).T.copy())
             remember(self._chains, t, found, BLOCK_CHAINS_SIZE)
@@ -247,28 +229,18 @@ class BlockMap:
         each U_rc* is one term and no two terms of U_rc*·x share a
         monomial, as for transforms of operators (and their partial
         transposes) over the shipped catalog.
-
-        The chains of x's keys, concatenated, are memoised per ordered tuple
-        of keys, since a stream of operators over one block repeats the
-        same few term layouts.
         """
         d = self.dim
         H = np.zeros(d * d, dtype=complex)
         if x.terms:
-            keys = tuple(x.terms)
-            layout = self._layouts.get(keys)
-            if layout is None:
-                chains = [self.chain(t) for t in keys]
-                layout = (np.concatenate([c[0] for c in chains]),
-                          np.concatenate([c[1] for c in chains], axis=1),
-                          np.array([len(c[0]) for c in chains], dtype=np.intp))
-                remember(self._layouts, keys, layout, BLOCK_LAYOUTS_SIZE)
-            bins, factors, counts = layout
-            coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(keys)), counts)
+            chains = [self.chain(t) for t in x.terms]
+            coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(chains)),
+                               [len(chain[0]) for chain in chains])
+            factors = np.concatenate([chain[1] for chain in chains], axis=1)
             values = factors[0] * coeffs
             for factor in factors[1:]:
                 values = values * factor
-            np.add.at(H, bins, values)
+            np.add.at(H, np.concatenate([chain[0] for chain in chains]), values)
         return H.reshape(d, d)
 
 
@@ -284,12 +256,12 @@ def block_map(U) -> BlockMap:
 # -- compiled catalog maps ----------------------------------------------------------
 
 # catalogs whose maps are kept at once; the memo is emptied once it is full
-CATALOG_MAPS_SIZE = 1
+CATALOG_MAPS_SIZE = 2
 _CATALOG_MAPS: dict = {}
 
 
 class CatalogMap:
-    """The inverse transforms over a catalog of product coreps, and their re-expansion.
+    """The inverse transforms over a catalog of coreps of one kind, and their re-expansion.
 
     The blocks lie end to end in one vector: block i is
     flat[offsets[i]:offsets[i] + d²], the rows of x̂(U_i) in turn.  `index`
@@ -307,13 +279,16 @@ class CatalogMap:
     where TA puts β_j in its block entry and folds in the block's
     F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from one-leg tables of
     `PairingTables.leg` over the distinct slot and key monomials of each
-    leg only.  `transpose` sends each position of flat to that of its
-    transposed entry in the same block.  `stacks` groups the blocks by
+    leg only.  A catalog of single-factor coreps (`legs` 1) has one leg
+    and one table, G_L; its keys are read as 1-tuples.  `transpose`
+    sends each position of flat to that of its transposed entry in the
+    same block.  `stacks` groups the blocks by
     size: (catalog positions, index array into flat) per size, of shape
     (blocks, d, d), or (blocks,) for 1×1 blocks.  `witnesses[i]` is the
     `BlockMap.witness` of block i, so a witness is built without compiling
-    one.  `theta(leg)` is the transposition map on the support, built on
-    first use.
+    one; only a product catalog has a witness.  `theta(leg)` is the
+    transposition map on the support of a product catalog, built on first
+    use.
 
     Everything index-like above (offsets, index, slots, which table entries
     can be non-zero, transpose, stacks, re-expansion positions and θ's
@@ -322,11 +297,13 @@ class CatalogMap:
     the numbers of its q.
     """
 
-    __slots__ = ("coreps", "params", "plan", "offsets", "index", "matrix", "reexpansion",
+    __slots__ = ("coreps", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
                  "transpose", "stacks", "witnesses", "_slot_matrix", "_tables", "_thetas")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
+        # None for an empty catalog, which serves either kind of element
+        self.legs = _require_kind(None, *self.coreps)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
         blocks = [_block_data(U) for U in self.coreps]
         plan = _catalog_plan(self.coreps, blocks)
@@ -343,13 +320,13 @@ class CatalogMap:
         placed.put(plan.slot_at, [beta for block in blocks for terms in block.adjoints for _, beta in terms])
         self._slot_matrix = transfer @ placed
         self._tables = pairing_tables(self.params[0]) if self.params else None
-        legs = np.array([self._tables.leg(p, m) for p, m in plan.pairs], dtype=complex)
+        values = np.array([self._tables.leg(p, m) for p, m in plan.pairs], dtype=complex)
         gathered = []
         for at, which in plan.tables:
             table = np.zeros((plan.slot_at.size, len(plan.index)), dtype=complex)
-            table.put(at, legs[which])
+            table.put(at, values[which])
             gathered.append(table)
-        self.matrix = self._pairing(gathered)
+        self.matrix = self._pairing(gathered, len(plan.index))
         self.reexpansion = np.zeros((len(plan.index), size), dtype=complex)
         if blocks:
             # each entry gets one block's part, added to zero as the blockwise += adds it
@@ -357,8 +334,9 @@ class CatalogMap:
             self.reexpansion.reshape(-1)[plan.lift_at] += parts
         self._thetas: dict = {}
 
-    def gather(self, x: MultiElement):
+    def gather(self, x):
         """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
+        _require_kind(self.legs, x)
         # params lists the catalog's distinct parameters, so x matches all of them or none
         if self.params and self.params != (x.params,):
             raise ValueError("element and corepresentation parameters differ")
@@ -373,8 +351,8 @@ class CatalogMap:
                 v[s] = coeff
         return v, outside
 
-    def apply(self, x: MultiElement):
-        """(flat, residual) for a two-leg x; the residual is that of `support_residual`."""
+    def apply(self, x):
+        """(flat, residual) for x; the residual is that of `support_residual`."""
         return self.transform(*self.gather(x))
 
     def apply_theta(self, x: MultiElement, leg: int):
@@ -428,13 +406,14 @@ class CatalogMap:
         missed = 0.0
         if outside:
             coeffs = np.array([c for _, c in outside])
+            keys = _leg_keys([t for t, _ in outside], self.legs)
             gathered = []
             for side, (monos, rows) in enumerate(self.plan.slot_legs):
-                key_monos, cols = _distinct([t[side] for t, _ in outside])
+                key_monos, cols = _distinct([key[side] for key in keys])
                 table = np.array([[self._tables.leg(p, m) for m in key_monos] for p in monos],
                                  dtype=complex).reshape(len(monos), len(key_monos))
                 gathered.append(table[np.ix_(rows, cols)])
-            flat = flat + self._pairing(gathered) @ coeffs
+            flat = flat + self._pairing(gathered, len(keys)) @ coeffs
             missed = float(np.max(np.abs(coeffs)))
         gaps = np.abs(v - self.reexpansion @ flat)
         return flat, max(float(gaps.max(initial=0.0)), missed)
@@ -444,16 +423,16 @@ class CatalogMap:
         d = self.coreps[i].dim
         return flat[self.offsets[i]:self.offsets[i] + d * d].reshape(d, d)
 
-    def _pairing(self, gathered) -> np.ndarray:
-        """TA · (G_L ⊙ G_R) from each leg's one-leg table gathered over the slots and keys."""
-        product = np.ones(gathered[0].shape, dtype=complex)
+    def _pairing(self, gathered, columns) -> np.ndarray:
+        """TA · (G_L ⊙ G_R) from each leg's one-leg table gathered over the slots and `columns` keys."""
+        product = np.ones((self.plan.slot_at.size, columns), dtype=complex)
         for table in gathered:
             product *= table
         return self._slot_matrix @ product
 
 
 def catalog_map(catalog) -> CatalogMap:
-    """The compiled maps of a catalog of product coreps, built on its first use.
+    """The compiled maps of a catalog of coreps of one kind, built on its first use.
 
     The memo is keyed by the identities of the catalog's coreps; each map
     holds its coreps, so their ids cannot be reused while it is kept.
@@ -600,7 +579,7 @@ class _CatalogPlan:
     block's lifted expansion, flattened in catalog order, in the
     re-expansion matrix, and `thetas[leg]` is (src, the distinct leg
     monomials, the position of each part's monomial among them) of θ on
-    that leg, or None.
+    that leg, or None.  A one-leg catalog has one side and no θ.
     """
 
     __slots__ = ("offsets", "size", "index", "slot_at", "slot_legs", "pairs", "tables",
@@ -620,15 +599,17 @@ class _CatalogPlan:
                     slot_keys.append(key)
             offset += U.dim * U.dim
         self.offsets, self.size, self.index = tuple(offsets), offset, index
+        legs = blocks[0].plan.legs if blocks else 0
+        slot_keys, keys = _leg_keys(slot_keys, legs), _leg_keys(index, legs)
         self.lift_at = np.array([row * offset + start + k for rows, start, width in lift_at
                                  for row in rows for k in range(width)], dtype=np.intp)
         slots = len(slot_entries)
         self.slot_at = np.array(slot_entries, dtype=np.intp) * slots + np.arange(slots)
-        self.slot_legs = tuple(_distinct([key[side] for key in slot_keys]) for side in (0, 1))
+        self.slot_legs = tuple(_distinct([key[side] for key in slot_keys]) for side in range(legs))
         pairs: dict = {}
         tables = []
         for side, (monos, rows) in enumerate(self.slot_legs):
-            key_monos, cols = _distinct([key[side] for key in index])
+            key_monos, cols = _distinct([key[side] for key in keys])
             # (slot monomial, key monomial) positions whose one-leg value may be non-zero
             nonzero = {(i, k): pairs.setdefault((p, m), len(pairs))
                        for i, p in enumerate(monos) for k, m in enumerate(key_monos) if leg_support(p, m)}
@@ -652,7 +633,7 @@ class _CatalogPlan:
         self.transpose = np.array(
             [offset + c * U.dim + r for offset, U in zip(offsets, coreps)
              for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
-        self.thetas = tuple(_theta_plan(index, leg) for leg in (0, 1))
+        self.thetas = tuple(_theta_plan(index, leg) for leg in (0, 1)) if legs == 2 else ()
 
 
 def _catalog_plan(coreps, blocks) -> _CatalogPlan:
@@ -688,6 +669,7 @@ def _theta_plan(index, leg):
 
 def forward_single(mat, u: Corep) -> Element:
     """Σ ρ_ij u_ji for a single-factor operator ρ."""
+    _require_kind(1, u)
     arr = np.asarray(mat, dtype=complex)
     d = u.dim
     if arr.shape != (d, d):
@@ -697,8 +679,7 @@ def forward_single(mat, u: Corep) -> Element:
 
 def inverse_single(x: Element, u: Corep) -> np.ndarray:
     """The inverse transform of a one-leg element x against the single-factor block u."""
-    if not isinstance(x, Element):
-        raise ValueError("inverse_single() expects a one-leg Element")
+    _require_kind(1, x, u)
     if x.params != u.params:
         raise ValueError("element and corepresentation parameters differ")
     block = block_map(u)
@@ -709,12 +690,9 @@ def reconstruct_single(x: Element, u: Corep) -> np.ndarray:
     return lift_block(inverse_single(x, u), u)
 
 
-def support_residual_single(x: Element, coreps, *, blocks=None) -> float:
+def support_residual_single(x: Element, coreps) -> float:
     """`support_residual` for a one-leg x over single-factor coreps."""
-    coreps = tuple(coreps)
-    if blocks is None:
-        blocks = [inverse_single(x, u) for u in coreps]
-    return _reexpansion_gap(x, coreps, blocks)
+    return support_residual(x, coreps)
 
 
 # -- reference states ------------------------------------------------------------
@@ -762,17 +740,35 @@ def _distinct(items):
     return tuple(seen), np.array(positions, dtype=np.intp)
 
 
-def _reexpansion_gap(x, coreps, blocks) -> float:
-    """Largest coefficient gap between x and the sum of its lifted blocks re-expanded over U."""
-    total: dict = {}
-    for U, block in zip(coreps, blocks):
-        compiled = block_map(U)
-        parts = compiled.expansion @ lift_block(block, U).reshape(-1)
-        for key, coeff in zip(compiled.support, parts.tolist()):
-            total[key] = total.get(key, 0j) + coeff
-    gaps = [abs(coeff - total.pop(key, 0j)) for key, coeff in x.terms.items()]
-    gaps.extend(abs(coeff) for coeff in total.values())
-    return max(gaps, default=0.0)
+_KINDS = {1: "a one-leg Element or a single-factor corep", 2: "a two-leg element or a product corep"}
+
+
+def _require_kind(legs, *items):
+    """The legs of the items' kind: 1 for one-leg Elements and single-factor coreps, 2 for
+    two-leg MultiElements and product coreps.
+
+    `legs` is the kind the caller expects, or None to take the first item's
+    (None when there is none); ValueError names the first item of another kind.
+    """
+    for item in items:
+        if isinstance(item, (ProductCorep, Corep)):
+            found = 2 if isinstance(item, ProductCorep) else 1
+            name = f"the {'product' if found == 2 else 'single-factor'} corep {item.label}"
+        elif isinstance(item, MultiElement):
+            found, name = (2 if item.legs == 2 else None), f"a {item.legs}-leg element"
+        else:
+            found = 1 if isinstance(item, Element) else None
+            name = "a one-leg Element" if found else f"a {type(item).__name__}"
+        if legs is None:
+            legs = found
+        if found is None or found != legs:
+            raise ValueError(f"expected {_KINDS.get(legs, ' or '.join(_KINDS.values()))}, got {name}")
+    return legs
+
+
+def _leg_keys(keys, legs):
+    """The term keys as tuples of leg monomials: a one-leg key, a monomial, as a 1-tuple."""
+    return list(keys) if legs == 2 else [(key,) for key in keys]
 
 
 def _sqrt_pair(F: np.ndarray):

@@ -315,22 +315,16 @@ def product_coproduct(x: MultiElement) -> MultiElement:
 
 # -- counit ------------------------------------------------------------------
 
-def _counit_monomial(mono: Monomial) -> float:
-    return 1.0 if (mono.m == 0 and mono.n == 0) else 0.0
+def counit(x) -> complex:
+    """ε: the unital homomorphism with ε(a) = ε(a*) = 1 and ε(c) = ε(c*) = 0.
 
-
-def counit(x: Element) -> complex:
-    """ε: the unital homomorphism with ε(a) = ε(a*) = 1 and ε(c) = ε(c*) = 0."""
-    return sum(
-        (coeff for mono, coeff in x.terms.items() if mono.m == 0 and mono.n == 0),
-        0j,
-    )
-
-
-def multi_counit(x: MultiElement) -> complex:
+    It takes an Element or a MultiElement, on which it acts leg-wise; the
+    terms with a c or c* on no leg are added onto 0j in term order.
+    """
+    multi = isinstance(x, MultiElement)
     total = 0j
-    for tup, coeff in x.terms.items():
-        if all(mono.m == 0 and mono.n == 0 for mono in tup):
+    for key, coeff in x.terms.items():
+        if all(mono.m == 0 and mono.n == 0 for mono in (key if multi else (key,))):
             total += coeff
     return total
 
@@ -338,7 +332,7 @@ def multi_counit(x: MultiElement) -> complex:
 def product_counit(x: MultiElement) -> complex:
     """ε of the direct square, applied leg-wise."""
     _require_legs(x, 2)
-    return multi_counit(x)
+    return counit(x)
 
 
 # -- coinverse ---------------------------------------------------------------
@@ -365,18 +359,14 @@ def coinverse(x: Element) -> Element:
 def coinverse_squared(x):
     """κ² as a homomorphism; acts diagonally on monomials, leg-wise on tensors."""
     q = x.params.q
-    if isinstance(x, Element):
-        out = {}
-        for mono, coeff in x.terms.items():
-            out[mono] = out.get(mono, 0j) + coeff * q ** (2 * (mono.n - mono.m))
-        return Element(x.params, out)
+    multi = isinstance(x, MultiElement)
     out = {}
-    for tup, coeff in x.terms.items():
-        scale = 1.0
-        for mono in tup:
+    for key, coeff in x.terms.items():
+        scale = 1.0  # 1.0·q^e is q^e exactly, so one leg keeps the bits of coeff·q^e
+        for mono in (key if multi else (key,)):
             scale *= q ** (2 * (mono.n - mono.m))
-        out[tup] = out.get(tup, 0j) + coeff * scale
-    return MultiElement(x.params, x.legs, out)
+        out[key] = out.get(key, 0j) + coeff * scale
+    return MultiElement(x.params, x.legs, out) if multi else Element(x.params, out)
 
 
 def product_coinverse(x: MultiElement) -> MultiElement:

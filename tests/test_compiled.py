@@ -5,10 +5,12 @@
 tables. The symbolic definitions they replace are written out here as
 oracles: H[r, c] = h(U_rc* · x) from the normal-ordered product, the support
 residual from the forward transform of each reconstructed block, and the
-pairing from `haar.convolve_check`. The loops that the compiled forms
-replaced (gathering chains on every call, summing ρ_rc·U_cr entry by entry,
-the Gram matrices term by term) are written out too, and the compiled forms
-must equal them bit for bit.
+pairing from `haar.convolve_check`. The catalog map's positivity test, for
+product and single-factor catalogs, is held to the same test run block by
+block (`_per_block_report`). The loops that the compiled forms replaced
+(gathering chains per call, summing ρ_rc·U_cr entry by entry, the Gram
+matrices term by term) are written out too, and the compiled forms must
+equal them bit for bit.
 """
 
 import sys
@@ -159,7 +161,6 @@ def test_single_factor_blocks_match_the_symbolic_pairing(q, data):
     for subset in (coreps, coreps[:1], coreps[1:]):
         got = support_residual_single(x, subset)
         assert abs(got - symbolic_support_residual_single(x, subset)) <= 1e-10 * _scale(x)
-    assert support_residual_single(x, coreps, blocks=blocks) == support_residual_single(x, coreps)
 
 
 @pytest.mark.parametrize("q", (0.5, 1.0))
@@ -203,7 +204,6 @@ def _cache_sizes(params):
         "trivial coreps": (corep.trivial_corep.cache_info().currsize, corep.COREPS_SIZE),
         "fundamental coreps": (corep.fundamental_corep.cache_info().currsize, corep.COREPS_SIZE),
         "single block memo": (len(single._chains), fourier.BLOCK_CHAINS_SIZE),
-        "single block layouts": (len(single._layouts), fourier.BLOCK_LAYOUTS_SIZE),
         "gram index": (len(gram._gram_index), haar_module.GRAM_INDEX_SIZE),
         "gram matrices": (len(gram._grams), haar_module.GRAM_MATRICES_SIZE),
         "catalog maps": (len(fourier._CATALOG_MAPS), fourier.CATALOG_MAPS_SIZE),
@@ -234,10 +234,6 @@ def _most_chains(blocks):
     return max((len(b._chains) for b in blocks), default=0)
 
 
-def _most_layouts(blocks):
-    return max((len(b._layouts) for b in blocks), default=0)
-
-
 def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     rng = np.random.default_rng(11)
     probe = [random_element(rng, AlgebraParams(q=0.5), max_degree=3, n_terms=6) for _ in range(2)]
@@ -257,7 +253,6 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
         for name, (size, bound) in _cache_sizes(params).items():
             assert size <= bound, (name, q)
         assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
-        assert _most_layouts(compiled_blocks) <= fourier.BLOCK_LAYOUTS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
         fill_keys.update(fourier._BLOCK_DATA)
     # the sweep outgrew every q-keyed bound, so the bounds were exercised, not just respected
@@ -285,7 +280,6 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
         size, bound = sizes[name]
         assert size < bound, name
     assert compiled_blocks and _most_chains(compiled_blocks) < fourier.BLOCK_CHAINS_SIZE
-    assert _most_layouts(compiled_blocks) < fourier.BLOCK_LAYOUTS_SIZE
     assert len(tables._leg) < haar_module.PAIRING_MEMO_SIZE
     assert len(tables._convolution) < haar_module.PAIRING_MEMO_SIZE
     for name in ("gram index", "gram matrices"):
@@ -295,13 +289,9 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
 
 def test_compiled_maps_belong_to_their_block():
     params = AlgebraParams(q=0.5)
-    catalog = product_catalog(params)
-    U = catalog[3]
-    x = forward(random_psd(np.random.default_rng(3), 4), U)
+    U = product_catalog(params)[3]
     assert fourier.block_map(U) is fourier.block_map(U)
     assert fourier.block_map(product_catalog(params)[3]) is not fourier.block_map(U)
-    blocks = [inverse(x, V) for V in catalog]
-    assert support_residual(x, catalog, blocks=blocks) == support_residual(x, catalog)
 
 
 def test_verify_solves_the_fundamental_intertwiner_once(monkeypatch):
@@ -355,6 +345,7 @@ def _same_bits(a, b):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_layout_hits_and_misses_give_the_gathered_matrix(q, data):
+    """Every term layout of x (its order, a subset, other coefficients) gives the gathered matrix."""
     x = data.draw(two_leg_elements(q))
     items = list(x.terms.items())
     order = data.draw(st.permutations(range(len(items))))
@@ -369,14 +360,7 @@ def test_layout_hits_and_misses_give_the_gathered_matrix(q, data):
     for U in product_catalog(x.params):
         block = fourier.block_map(U)
         for y in variants:
-            expect = _gathered_haar_matrix(block, y)
-            block._layouts.clear()
-            miss = inverse(y, U)
-            assert tuple(y.terms) in block._layouts
-            hit = inverse(y, U)
-            assert _same_bits(miss, hit)
-            assert _same_bits(block.haar_matrix(y), expect)
-            # the same layout with other coefficients reuses the memo
+            assert _same_bits(block.haar_matrix(y), _gathered_haar_matrix(block, y))
             other = MultiElement(x.params, 2, {k: c * rescale for k, c in y.terms.items()})
             assert _same_bits(block.haar_matrix(other), _gathered_haar_matrix(block, other))
 
@@ -557,12 +541,20 @@ def test_ppt_check_raises_what_the_partial_transpose_check_raises():
 
 
 def _per_block_report(x, catalog):
-    """The positivity test block by block, through `inverse` and `support_residual`."""
-    blocks = [inverse(x, U) for U in catalog]
+    """The positivity test block by block: `inverse` (or `inverse_single`), then each lifted block re-expanded over its U."""
+    invert = inverse_single if isinstance(x, Element) else inverse
+    blocks = [invert(x, U) for U in catalog]
     minima = {U.label: float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min())
               for U, b in zip(catalog, blocks)}
     hermitian = all(np.max(np.abs(b - b.conj().T)) <= x.params.tol for b in blocks)
-    residual = support_residual(x, catalog, blocks=blocks)
+    total: dict = {}
+    for U, block in zip(catalog, blocks):
+        compiled = fourier.block_map(U)
+        parts = compiled.expansion @ fourier.lift_block(block, U).reshape(-1)
+        for key, coeff in zip(compiled.support, parts.tolist()):
+            total[key] = total.get(key, 0j) + coeff
+    gaps = [abs(coeff - total.pop(key, 0j)) for key, coeff in x.terms.items()]
+    residual = max(gaps + [abs(coeff) for coeff in total.values()], default=0.0)
     if residual > x.params.tol:
         verdict = entangle.UNDECIDED_SUPPORT
     elif hermitian and min(minima.values(), default=0.0) >= -entangle.EIG_TOL:
@@ -617,6 +609,46 @@ def test_the_catalog_map_matches_the_per_block_path(q, data):
         assert abs(report.support_residual - residual) <= 1e-12 * (_scale(x) + residual)
         assert (report.witness is not None) == (
             verdict == entangle.NOT_POSITIVE_DEFINITE and min(minima.values()) < -entangle.EIG_TOL)
+
+
+@st.composite
+def pd_test_single_elements(draw, q):
+    """The transform of a PSD, hermitian or general 2x2 matrix plus a multiple of 1, maybe with up to three terms of degree <= 2."""
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("psd", "hermitian", "general")))
+    if kind == "psd":
+        mat = random_psd(rng, 2)
+    else:
+        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if kind == "hermitian":
+            mat = mat + mat.conj().T
+    terms = dict(forward_single(mat, fundamental_corep(params)).terms)
+    extra = [(Monomial(), draw(_coeffs))] + draw(st.lists(st.tuples(monomials(), _coeffs), max_size=3))
+    for mono, coeff in extra[:draw(st.integers(0, len(extra)))]:
+        terms[mono] = terms.get(mono, 0j) + coeff
+    return Element(params, terms)
+
+
+SINGLE_CATALOGS = (("triv", "fund"), ("fund", "triv"), ("fund",), ("triv",))
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_single_factor_catalog_map_matches_the_per_block_path(q, data):
+    x = data.draw(pd_test_single_elements(q))
+    singles = standard_catalog(x.params)
+    for labels in SINGLE_CATALOGS:
+        catalog = [singles[label] for label in labels]
+        report = is_positive_definite(x, catalog)
+        verdict, minima, residual = _per_block_report(x, catalog)
+        assert report.verdict == verdict, labels
+        assert list(report.per_block) == list(minima) and report.witness is None
+        for label, value in minima.items():
+            assert abs(report.per_block[label] - value) <= 1e-12 * (1.0 + abs(value)), label
+        assert abs(report.support_residual - residual) <= 1e-12 * (_scale(x) + residual)
+        assert is_positive_definite_single(x, catalog) == report
 
 
 @pytest.mark.parametrize("q", QS)
@@ -741,6 +773,48 @@ def test_forward_refuses_a_single_factor_corep():
         forward(np.eye(1), standard_catalog(params)["triv"])
 
 
+def test_forward_single_refuses_a_product_corep():
+    params = AlgebraParams(q=0.5)
+    with pytest.raises(ValueError, match="single-factor corep, got the product corep fund\\*fund"):
+        forward_single(np.eye(4), product_catalog(params)[3])
+
+
+def test_a_catalog_of_both_kinds_is_refused():
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params) + [fundamental_corep(params)]
+    x = forward(fourier.singlet_state(), catalog[3])
+    for check in (is_positive_definite, support_residual, ppt_check):
+        with pytest.raises(ValueError, match="product corep, got the single-factor corep fund"):
+            check(x, catalog)
+
+
+def test_inverse_refuses_a_single_factor_corep():
+    params = AlgebraParams(q=0.5)
+    x = forward(fourier.singlet_state(), product_catalog(params)[3])
+    with pytest.raises(ValueError, match="product corep, got the single-factor corep fund"):
+        inverse(x, fundamental_corep(params))
+    with pytest.raises(ValueError, match="two-leg element or a product corep, got a one-leg Element"):
+        inverse(forward_single(np.eye(2), fundamental_corep(params)), product_catalog(params)[3])
+
+
+def test_single_factor_checks_refuse_product_coreps_and_two_leg_elements():
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params)
+    a = forward_single(np.eye(2), fundamental_corep(params))
+    x = forward(fourier.singlet_state(), catalog[3])
+    with pytest.raises(ValueError, match="single-factor corep, got the product corep fund\\*fund"):
+        inverse_single(a, catalog[3])
+    with pytest.raises(ValueError, match="single-factor corep, got a 2-leg element"):
+        inverse_single(x, fundamental_corep(params))
+    for check in (is_positive_definite_single, is_positive_definite, support_residual_single):
+        with pytest.raises(ValueError, match="product corep, got a one-leg Element"):
+            check(a, catalog)
+        with pytest.raises(ValueError, match="single-factor corep, got a 2-leg element"):
+            check(x, tuple(standard_catalog(params).values()))
+    with pytest.raises(ValueError, match="got a 1-leg element"):
+        is_positive_definite(MultiElement(params, 1, {(Monomial(),): 1.0}), ())
+
+
 def test_find_negative_witness_refuses_a_single_factor_corep():
     params = AlgebraParams(q=0.5)
     x = hopf.partial_theta(forward(fourier.singlet_state(), product_catalog(params)[3]))
@@ -794,19 +868,3 @@ def test_gram_index_and_matrices_stay_bounded(monkeypatch):
         kept.update(tables._grams)
     # the run outgrew both bounds, so both were exercised
     assert len(indexed) > 12 and len(kept) > 5
-
-
-def test_layout_memo_stays_bounded():
-    params = AlgebraParams(q=0.5)
-    U = product_catalog(params, ("fund*fund",))[0]
-    block = fourier.block_map(U)
-    items = list(forward(random_psd(np.random.default_rng(37), 4), U).terms.items())
-    rng = np.random.default_rng(41)
-    seen = set()
-    for _ in range(3 * fourier.BLOCK_LAYOUTS_SIZE):
-        y = MultiElement(params, 2, dict(items[i] for i in rng.permutation(len(items))[:8]))
-        expect = _gathered_haar_matrix(block, y)
-        assert _same_bits(block.haar_matrix(y), expect)
-        assert len(block._layouts) <= fourier.BLOCK_LAYOUTS_SIZE
-        seen.add(tuple(y.terms))
-    assert len(seen) > fourier.BLOCK_LAYOUTS_SIZE
