@@ -20,6 +20,7 @@ independent of the order in which rules are applied.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
@@ -157,12 +158,25 @@ def _times_gen_rules(mono: Monomial, gen: str):
 MONO_MUL_CACHE_SIZE = 4096
 
 
-def remember(cache: dict, key, value, maxsize: int):
-    """Store key -> value in a memo dict, emptying it first once it holds maxsize entries."""
-    if len(cache) >= maxsize:
-        cache.clear()
-    cache[key] = value
-    return value
+class LRU(OrderedDict):
+    """A memo of at most `maxsize` entries that evicts the least recently used one at a time."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key, default=None):
+        value = OrderedDict.get(self, key, default)
+        if value is not default:
+            self.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return value
 
 
 @lru_cache(maxsize=MONO_MUL_CACHE_SIZE)

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .algebra import AlgebraParams, Element
-from .corep import DEFAULT_PAIRS, product_catalog, standard_catalog
+from .corep import DEFAULT_PAIRS, product_catalog
 from .entangle import (
     ENTANGLED,
     NOT_POSITIVE_DEFINITE,
@@ -125,7 +125,6 @@ def cmd_transform(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed density-operator file: {exc}")
 
-    singles = standard_catalog(params)
     by_dim = {1: "triv", 2: "fund"}
     try:
         pair = args.pair or f"{by_dim[rho.dims[0]]}*{by_dim[rho.dims[1]]}"

@@ -23,15 +23,15 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import AlgebraParams, Element
-from .haar import haar
+from .haar import PairingTables, haar
 from .hopf import MultiElement, coinverse_squared, tensor
 
 _NULLSPACE_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corep:
-    """A unitary corepresentation with its positive intertwiner."""
+    """A unitary corepresentation with its positive intertwiner; equal only to itself."""
 
     label: str
     dim: int
@@ -43,9 +43,9 @@ class Corep:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductCorep:
-    """Corepresentation u ⊗ v of the direct square, with composite indices (ik),(jl)."""
+    """Corepresentation u ⊗ v of the direct square, with composite indices (ik),(jl); equal only to itself."""
 
     label: str
     left: Corep
@@ -63,28 +63,64 @@ class ProductCorep:
         return self.entries[row][col]
 
 
-# AlgebraParams whose trivial and fundamental coreps are kept at once
-COREPS_SIZE = 8
+# AlgebraParams whose engines are kept at once; a q-sweep builds one per q
+ENGINES_SIZE = 4
+SINGLE_LABELS = ("triv", "fund")
 
 
-@lru_cache(maxsize=COREPS_SIZE)
+class Engine:
+    """The shipped coreps of one AlgebraParams, their pairing tables and catalog maps.
+
+    `corep(label)` builds "triv", "fund" (so `compute_F` runs once) or a
+    pair such as "fund*triv" (with `product_corep`) on first use and keeps
+    it in `coreps`, and each corep keeps its compiled data (`fourier.block_map`).
+    `maps` holds the `fourier.CatalogMap` of each catalog of these coreps
+    by labels; no label repeats, so there are at most 64 + 4 catalogs.
+    """
+
+    __slots__ = ("params", "tables", "maps", "coreps")
+
+    def __init__(self, params: AlgebraParams):
+        self.params, self.tables = params, PairingTables(params)
+        self.maps, self.coreps = {}, {}
+
+    def corep(self, label: str):
+        U = self.coreps.get(label)
+        if U is None:
+            params = self.params
+            if label == "triv":
+                U = Corep("triv", 1, ((Element.unit(params),),), _freeze(np.array([[1.0]])), params)
+            elif label == "fund":
+                a, astar, c, cstar = (Element.generator(params, g) for g in ("a", "a*", "c", "c*"))
+                rq = math.sqrt(params.q)
+                entries = ((a, rq * c), ((-1.0 / rq) * cstar, astar))
+                U = Corep("fund", 2, entries, _freeze(compute_F(entries, params)), params)
+            else:
+                left, right = label.split("*")
+                U = product_corep(self.corep(left), self.corep(right))
+            self.coreps[label] = U
+        return U
+
+
+@lru_cache(maxsize=ENGINES_SIZE)
+def engine(params: AlgebraParams) -> Engine:
+    """The engine of one AlgebraParams, shared by every caller and kept in an LRU keyed by value."""
+    return Engine(params)
+
+
 def trivial_corep(params: AlgebraParams) -> Corep:
     """The one-dimensional trivial corepresentation, one shared instance per params."""
-    entries = ((Element.unit(params),),)
-    return Corep("triv", 1, entries, _freeze(np.array([[1.0]])), params)
+    return engine(params).corep("triv")
 
 
-@lru_cache(maxsize=COREPS_SIZE)
 def fundamental_corep(params: AlgebraParams) -> Corep:
     """The fundamental corepresentation [[a, √q c], [-c*/√q, a*]]; one shared instance per params."""
-    a, astar, c, cstar = (Element.generator(params, g) for g in ("a", "a*", "c", "c*"))
-    rq = math.sqrt(params.q)
-    entries = (
-        (a, rq * c),
-        ((-1.0 / rq) * cstar, astar),
-    )
-    F = compute_F(entries, params)
-    return Corep("fund", 2, entries, _freeze(F), params)
+    return engine(params).corep("fund")
+
+
+def pairing_tables(params: AlgebraParams) -> PairingTables:
+    """The single-leg Haar pairings of one algebra, kept by its engine and shared by every caller."""
+    return engine(params).tables
 
 
 def compute_F(entries, params: AlgebraParams) -> np.ndarray:
@@ -255,27 +291,33 @@ def orthogonality_check(u, w) -> float:
 
 
 def standard_catalog(params: AlgebraParams) -> dict:
-    """The shipped single-factor coreps, keyed by label."""
-    triv = trivial_corep(params)
-    fund = fundamental_corep(params)
-    return {triv.label: triv, fund.label: fund}
+    """The shipped single-factor coreps, keyed by label; the params' engine's instances."""
+    owner = engine(params)
+    return {label: owner.corep(label) for label in SINGLE_LABELS}
 
 
 DEFAULT_PAIRS = ("triv*triv", "triv*fund", "fund*triv", "fund*fund")
 
 
 def product_catalog(params: AlgebraParams, pairs=DEFAULT_PAIRS) -> list:
-    """Product corepresentations for the requested "left*right" pair labels."""
-    singles = standard_catalog(params)
+    """The params' engine's product coreps for the "left*right" pair labels, each named once."""
+    owner = engine(params)
     catalog = []
     for pair in pairs:
-        try:
-            left, right = pair.split("*")
-            catalog.append(product_corep(singles[left], singles[right]))
-        except (ValueError, KeyError):
-            known = ", ".join(sorted(singles))
-            raise ValueError(f"unknown corepresentation pair {pair!r} (labels: {known})") from None
+        left, star, right = pair.partition("*")
+        if not star or left not in SINGLE_LABELS or right not in SINGLE_LABELS:
+            raise ValueError(f"unknown corepresentation pair {pair!r} (labels: fund, triv)")
+        catalog.append(owner.corep(pair))
+    _require_distinct(U.label for U in catalog)
     return catalog
+
+
+def _require_distinct(labels):
+    """Refuse a catalog that names a block twice, whose report would count that block twice."""
+    labels = list(labels)
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"the catalog names the block {label} twice")
 
 
 def _sum(elements):

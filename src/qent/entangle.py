@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corep import ProductCorep, standard_catalog
+from .corep import ProductCorep, pairing_tables, standard_catalog
 from .fourier import DensityOp, _require_kind, block_map, catalog_map, inverse
-from .haar import pairing_tables
 from .hopf import MultiElement, _require_theta_leg, partial_theta, tensor
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"

@@ -14,10 +14,10 @@ with a single-factor corepresentation act between matrices and one-leg
 Elements; every entry point refuses any other pairing (`_require_kind`).
 
 Both directions are linear, so each block, product or single-factor, is
-compiled on first use into a `BlockMap`: the Haar pairings h(U_rc* · t) of
-each term key t are memoised term by term from single-leg tables, and the
-forward direction is one matrix over the block's support.  `inverse` and
-`reconstruct` work block by block through it.
+compiled once into a `BlockMap` kept on its corep: the forward direction is
+one matrix over the block's support, and for the per-block `inverse` and
+`reconstruct` the Haar pairings h(U_rc* · t) of each term key t are
+memoised term by term from single-leg tables.
 
 A whole catalog of blocks of one kind is compiled on first use into one
 `CatalogMap`: a single matrix from x's coefficients over the catalog's
@@ -31,20 +31,13 @@ partial transpose is tested without building θx.  The positivity test in
 
 Compiling splits into a plan and a fill.  Over the shipped blocks the term
 keys of every entry, adjoint, support key and θ image are the same at
-every q; only the coefficients, F and the one-leg Haar values depend on q.
-So everything index-like (the support, slot positions, the leg
-monomials and which of their pairings can be non-zero, transpose and
-stack indices, re-expansion positions, θ's source positions) is a plan,
-built once per shape from the term keys of the entries and kept in a
-bounded memo: `_BlockPlan` per block, `_CatalogPlan` per catalog, so a q
-where pruning drops a key gets its own plan.  The fill computes the
-numbers of one q with numpy and the same arithmetic, in the same order,
-as the symbolic products it replaces, so the results are the same bits:
-the adjoint coefficients β = 0j + conj(c)·q^e, F^(±1/2), tr F, the witness
-row, the one-leg Haar table and the θ scales.  A block's fill reads nothing
-of its corep but its shape, tol, coefficients and F, and is memoised by
-their bits, so the fund*fund that `qent ppt` builds for `forward` and the
-one in its catalog share one fill.
+every q, so everything index-like is a q-free plan kept per shape in a
+bounded memo: `_BlockPlan` per block, `_CatalogPlan` per catalog (a q
+where pruning drops a key gets its own).  The fill computes one q's
+numbers with numpy in the arithmetic and order of the symbolic products
+it replaces, so the results are the same bits.  The engine of a q
+(`corep.engine`) builds each shipped corep once and keeps the map of each
+catalog of them, so a `qent ppt` request fills each block once.
 """
 
 from __future__ import annotations
@@ -54,9 +47,9 @@ import math
 
 import numpy as np
 
-from .algebra import Element, _adjoint_image, _adjoint_power, remember
-from .corep import Corep, ProductCorep
-from .haar import leg_support, pairing_tables
+from .algebra import LRU, Element, _adjoint_image, _adjoint_power
+from .corep import Corep, ProductCorep, _require_distinct, engine, pairing_tables
+from .haar import leg_support
 from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
 
 
@@ -163,16 +156,15 @@ def lift_block(block: np.ndarray, U) -> np.ndarray:
 
 # -- compiled block maps -----------------------------------------------------------
 
-# per-monomial chains kept per block; the memo is emptied once it is full
+# per-monomial chains kept per block
 BLOCK_CHAINS_SIZE = 512
 
 
 class BlockMap:
-    """The linear maps of one corep block U, compiled on first use.
+    """The compiled data and maps of one corep block U: its shape's plan filled with U's numbers.
 
     U is a product corep (terms keyed by two-leg tuples of monomials) or a
-    single-factor corep (terms keyed by monomials).  Its data come from
-    `_block_data(U)`: the plan of its shape filled at its q.
+    single-factor corep (terms keyed by monomials).
 
     - `chain(t)` lists, for a term key t, every non-zero term of the Haar
       values h(U_rc* · t) as its entry index r * d + c and its factors
@@ -185,21 +177,59 @@ class BlockMap:
     - `support` lists the term keys of U's entries in the order in which
       Σ mat[row, col] U_(col),(row) first meets them, row by row, and
       `expansion` is the matrix E with E[s, row * d + col] the coefficient
-      of support[s] in U_(col),(row), so that sum is E @ vec(mat).
+      of support[s] in U_(col),(row), so that sum is E @ vec(mat);
+    - `transfer` @ vec H is vec x̂ = vec F^(-1/2)·Hᵀ·F^(1/2), and `lifted` =
+      E·lift, with lift @ vec x̂ the vec of (tr F)·√F·x̂·√F; `layout` is (entry
+      key layout, the adjoint keys where a term was pruned, else None).
     """
 
-    __slots__ = ("dim", "legs", "adjoints", "witness", "sqrtF", "inv_sqrtF", "trF",
-                 "support", "expansion", "_tables", "_chains")
+    __slots__ = ("dim", "legs", "plan", "layout", "support", "expansion", "adjoints", "witness",
+                 "sqrtF", "inv_sqrtF", "trF", "transfer", "lifted", "_tables", "_chains")
 
     def __init__(self, U):
-        data = _block_data(U)
-        self.dim = U.dim
-        self.legs = data.plan.legs
-        self.support, self.expansion = data.plan.support, data.expansion
-        self.adjoints, self.witness = data.adjoints, data.witness
-        self.sqrtF, self.inv_sqrtF, self.trF = data.sqrtF, data.inv_sqrtF, data.trF
+        d = self.dim = U.dim
+        legs = self.legs = 2 if isinstance(U, ProductCorep) else 1
+        layout = tuple(tuple(e.terms) for row in U.entries for e in row)
+        plan = _BLOCK_PLANS.get((layout, legs)) or _BLOCK_PLANS.put((layout, legs), _BlockPlan(layout, legs))
+        self.plan, self.support = plan, plan.support
+        q, tol = U.params.q, U.params.tol
+        # as the adjoint computes them: scale = 1.0·q^e₀·q^e₁.., then β = 0j + conj(c)·scale
+        scales = []
+        for powers in plan.powers:
+            scale = 1.0
+            for power in powers:
+                scale *= q ** power
+            scales.append(scale)
+        values = [c for row in U.entries for e in row for c in e.terms.values()]
+        betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
+        try:
+            kept = all(tol < abs(beta) < math.inf for beta in betas)
+        except OverflowError:  # a finite β whose modulus overflows
+            kept = False
+        if kept:
+            self.adjoints = tuple(tuple(zip(plan.adjoint_keys[start:end], betas[start:end]))
+                                  for start, end in zip((0,) + plan.entry_ends, plan.entry_ends))
+            self.layout = (layout, None)
+        else:
+            # the adjoint's constructor drops a β at or below tol, and refuses one
+            # whose modulus is not finite
+            self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
+            self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
+        finv = np.linalg.inv(U.F)
+        row = int((np.abs(finv) ** 2).sum(axis=0).argmax())
+        self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
+        self.trF = float(U.F.trace().real)
+        # the complex √F gives the bits a matrix product gives after casting a real √F
+        self.witness = (self.sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
+        self.expansion = np.zeros((len(plan.support), d * d), dtype=complex)
+        self.expansion[plan.expansion_at] = values
+        self.transfer = np.einsum("ic,rk->ikrc", self.inv_sqrtF, self.sqrtF).reshape(d * d, d * d)
+        lift = self.trF * np.einsum("ia,bk->ikab", self.sqrtF, self.sqrtF).reshape(d * d, d * d)
+        self.lifted = self.expansion @ lift
+        for arr in (self.sqrtF, self.inv_sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
+            arr.setflags(write=False)
         self._tables = pairing_tables(U.params)
-        self._chains: dict = {}
+        self._chains = LRU(BLOCK_CHAINS_SIZE)
 
     def chain(self, t):
         """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
@@ -217,7 +247,7 @@ class BlockMap:
                         factors.append((beta, *(s for s, _ in legs), *(h for _, h in legs)))
             found = (np.array(bins, dtype=np.intp),
                      np.array(factors, dtype=complex).reshape(-1, 1 + 2 * self.legs).T.copy())
-            remember(self._chains, t, found, BLOCK_CHAINS_SIZE)
+            self._chains.put(t, found)
         return found
 
     def haar_matrix(self, x) -> np.ndarray:
@@ -245,7 +275,7 @@ class BlockMap:
 
 
 def block_map(U) -> BlockMap:
-    """The compiled maps of a corep U, built on its first use and kept on U itself."""
+    """The compiled data and maps of a corep U, built on its first use and kept on U itself."""
     block = U.__dict__.get("_block_map")
     if block is None:
         block = BlockMap(U)
@@ -254,11 +284,6 @@ def block_map(U) -> BlockMap:
 
 
 # -- compiled catalog maps ----------------------------------------------------------
-
-# catalogs whose maps are kept at once; the memo is emptied once it is full
-CATALOG_MAPS_SIZE = 2
-_CATALOG_MAPS: dict = {}
-
 
 class CatalogMap:
     """The inverse transforms over a catalog of coreps of one kind, and their re-expansion.
@@ -285,10 +310,9 @@ class CatalogMap:
     same block.  `stacks` groups the blocks by
     size: (catalog positions, index array into flat) per size, of shape
     (blocks, d, d), or (blocks,) for 1×1 blocks.  `witnesses[i]` is the
-    `BlockMap.witness` of block i, so a witness is built without compiling
-    one; only a product catalog has a witness.  `theta(leg)` is the
-    transposition map on the support of a product catalog, built on first
-    use.
+    `BlockMap.witness` of block i; only a product catalog has a witness.
+    `theta(leg)` is the transposition map on the support of a product
+    catalog, built on first use.
 
     Everything index-like above (offsets, index, slots, which table entries
     can be non-zero, transpose, stacks, re-expansion positions and θ's
@@ -304,10 +328,11 @@ class CatalogMap:
         self.coreps = tuple(catalog)
         # None for an empty catalog, which serves either kind of element
         self.legs = _require_kind(None, *self.coreps)
+        _require_distinct(U.label for U in self.coreps)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
-        blocks = [_block_data(U) for U in self.coreps]
-        plan = _catalog_plan(self.coreps, blocks)
-        self.plan = plan
+        blocks = [block_map(U) for U in self.coreps]
+        key = tuple((U.label, block.layout) for U, block in zip(self.coreps, blocks))
+        self.plan = plan = _CATALOG_PLANS.get(key) or _CATALOG_PLANS.put(key, _CatalogPlan(self.coreps, blocks))
         self.offsets, self.index, self.stacks, self.transpose = (
             plan.offsets, plan.index, plan.stacks, plan.transpose)
         self.witnesses = tuple(block.witness for block in blocks)
@@ -432,30 +457,36 @@ class CatalogMap:
 
 
 def catalog_map(catalog) -> CatalogMap:
-    """The compiled maps of a catalog of coreps of one kind, built on its first use.
+    """The compiled maps of a catalog of coreps of one kind.
 
-    The memo is keyed by the identities of the catalog's coreps; each map
-    holds its coreps, so their ids cannot be reused while it is kept.
+    A catalog of an engine's coreps (`corep.engine`), such as any part of
+    `product_catalog` or `standard_catalog`, is compiled once and kept by
+    that engine.  Any other, such as one holding a `dataclasses.replace`
+    variant or a direct `product_corep` result, compiles on every call.
     """
-    key = tuple(map(id, catalog))
-    found = _CATALOG_MAPS.get(key)
-    if found is None:
-        found = remember(_CATALOG_MAPS, key, CatalogMap(catalog), CATALOG_MAPS_SIZE)
+    catalog = tuple(catalog)
+    try:
+        owner = engine(catalog[0].params)
+        key = tuple([U.label for U in catalog])
+    except (IndexError, AttributeError):
+        return CatalogMap(catalog)  # empty, or refused for an item that is not a corep
+    found = owner.maps.get(key)
+    # coreps are equal only to themselves, so this asks whether they are the map's own
+    if found is None or found.coreps != catalog:
+        found = CatalogMap(catalog)
+        if all(owner.coreps.get(U.label) is U for U in catalog):
+            owner.maps[key] = found
     return found
 
 
 # -- shape plans and numeric fills -----------------------------------------------------
 
-# block plans kept at once, keyed by their entries' term keys; each memo is emptied once full
+# block plans kept at once, keyed by their entries' term keys
 BLOCK_PLANS_SIZE = 32
-_BLOCK_PLANS: dict = {}
-# block fills kept at once, keyed by the bits they read; a fresh-q `qent ppt` adds three, so
-# the memo is emptied about once in ten requests
-BLOCK_DATA_SIZE = 32
-_BLOCK_DATA: dict = {}
+_BLOCK_PLANS = LRU(BLOCK_PLANS_SIZE)
 # catalog plans kept at once, keyed by labels, entry key layouts and pruned adjoint keys
 CATALOG_PLANS_SIZE = 8
-_CATALOG_PLANS: dict = {}
+_CATALOG_PLANS = LRU(CATALOG_PLANS_SIZE)
 
 
 class _BlockPlan:
@@ -487,83 +518,6 @@ class _BlockPlan:
         self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
         self.power_at = tuple(power_at.tolist())
         self.entry_ends = tuple(itertools.accumulate(len(keys) for keys in layout))
-
-
-class _BlockData:
-    """The compiled data of one block: its plan filled with the numbers of its corep.
-
-    `expansion` is E and `adjoints`, `witness`, √F, F^(-1/2) and tr F are
-    as on `BlockMap`.  `transfer` gives vec x̂ = transfer @ vec H for
-    x̂ = F^(-1/2)·Hᵀ·F^(1/2), and `lifted` = E·lift re-expands vec x̂ over
-    the support, with lift @ vec x̂ the vec of (tr F)·√F·x̂·√F.  `layout` is
-    (entry key layout, the adjoint keys where a term was pruned, else None).
-    """
-
-    __slots__ = ("plan", "layout", "expansion", "adjoints", "witness", "sqrtF", "inv_sqrtF", "trF",
-                 "transfer", "lifted")
-
-    def __init__(self, U, plan, layout, values, scales):
-        d = U.dim
-        self.plan = plan
-        tol = U.params.tol
-        betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
-        try:
-            kept = all(tol < abs(beta) < math.inf for beta in betas)
-        except OverflowError:  # a finite β whose modulus overflows
-            kept = False
-        if kept:
-            self.adjoints = tuple(tuple(zip(plan.adjoint_keys[start:end], betas[start:end]))
-                                  for start, end in zip((0,) + plan.entry_ends, plan.entry_ends))
-            self.layout = (layout, None)
-        else:
-            # the adjoint's constructor drops a β at or below tol, and refuses one
-            # whose modulus is not finite
-            self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
-            self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
-        finv = np.linalg.inv(U.F)
-        row = int((np.abs(finv) ** 2).sum(axis=0).argmax())
-        self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
-        self.trF = float(U.F.trace().real)
-        # the complex √F gives the bits a matrix product gives after casting a real √F
-        self.witness = (self.sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
-        self.expansion = np.zeros((len(plan.support), d * d), dtype=complex)
-        self.expansion[plan.expansion_at] = values
-        self.transfer = np.einsum("ic,rk->ikrc", self.inv_sqrtF, self.sqrtF).reshape(d * d, d * d)
-        lift = self.trF * np.einsum("ia,bk->ikab", self.sqrtF, self.sqrtF).reshape(d * d, d * d)
-        self.lifted = self.expansion @ lift
-        for arr in (self.sqrtF, self.inv_sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
-            arr.setflags(write=False)
-
-
-def _block_data(U) -> _BlockData:
-    """The compiled data of U (see `BlockMap`): its shape's plan filled with U's numbers.
-
-    The fill reads the plan, tol, the adjoint scales q^e (1 for every term
-    of the shipped blocks), the coefficients and F, and nothing else of U,
-    so it is memoised by those bits; triv*triv, for one, is filled once
-    for every q.
-    """
-    legs = 2 if isinstance(U, ProductCorep) else 1
-    layout = tuple(tuple(e.terms) for row in U.entries for e in row)
-    plan = _BLOCK_PLANS.get((layout, legs))
-    if plan is None:
-        plan = remember(_BLOCK_PLANS, (layout, legs), _BlockPlan(layout, legs), BLOCK_PLANS_SIZE)
-    q = U.params.q
-    # as the adjoint computes them: scale = 1.0·q^e₀·q^e₁.., then β = 0j + conj(c)·scale
-    scales = []
-    for powers in plan.powers:
-        scale = 1.0
-        for power in powers:
-            scale *= q ** power
-        scales.append(scale)
-    values = [c for row in U.entries for e in row for c in e.terms.values()]
-    F = U.F
-    key = (plan, U.params.tol, tuple(scales), np.array(values, dtype=complex).tobytes(),
-           F.dtype.str, F.shape, F.tobytes())
-    found = _BLOCK_DATA.get(key)
-    if found is None:
-        found = remember(_BLOCK_DATA, key, _BlockData(U, plan, layout, values, scales), BLOCK_DATA_SIZE)
-    return found
 
 
 class _CatalogPlan:
@@ -634,14 +588,6 @@ class _CatalogPlan:
             [offset + c * U.dim + r for offset, U in zip(offsets, coreps)
              for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
         self.thetas = tuple(_theta_plan(index, leg) for leg in (0, 1)) if legs == 2 else ()
-
-
-def _catalog_plan(coreps, blocks) -> _CatalogPlan:
-    key = tuple((U.label, block.layout) for U, block in zip(coreps, blocks))
-    plan = _CATALOG_PLANS.get(key)
-    if plan is None:
-        plan = remember(_CATALOG_PLANS, key, _CatalogPlan(coreps, blocks), CATALOG_PLANS_SIZE)
-    return plan
 
 
 def _theta_plan(index, leg):

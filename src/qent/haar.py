@@ -11,16 +11,16 @@ the q = 1 value being the classical limit of the same expression.  The
 closed form is validated in the test suite against an independent linear
 solver for the invariance equations.  On multi-leg elements h acts as the
 product of the per-leg values, which is what lets every two-leg pairing be
-assembled from the single-leg values h(p·m) held in `pairing_tables`.
+assembled from the single-leg values h(p·m) held in `corep.pairing_tables`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 
 import numpy as np
 
-from .algebra import AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, _mono_mul_program, remember
+from .algebra import LRU, AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, _mono_mul_program
 from .hopf import (
     MultiElement,
     _coinverse_monomial,
@@ -67,14 +67,11 @@ def haar(x) -> complex:
     raise TypeError(f"haar() expects an Element or MultiElement, got {type(x)!r}")
 
 
-# entries per memo of one PairingTables; a memo is emptied once it is full
+# entries per memo of one PairingTables
 PAIRING_MEMO_SIZE = 4096
-# AlgebraParams whose tables are kept at once
-PAIRING_TABLES_SIZE = 8
-# witness monomials indexed by the Gram matrices; index and matrices are emptied
-# together when a call would overflow it, so one call's monomials always fit
+# witness monomials indexed by the Gram matrices; one call's monomials always fit
 GRAM_INDEX_SIZE = 64
-# Gram matrices kept per table, one per leg monomial m; the memo is emptied once it is full
+# Gram matrices kept per table, one per leg monomial m
 GRAM_MATRICES_SIZE = 64
 
 
@@ -97,10 +94,10 @@ class PairingTables:
 
     def __init__(self, params: AlgebraParams):
         self.params = params
-        self._leg: dict = {}
-        self._convolution: dict = {}
-        self._gram_index: dict = {}
-        self._grams: dict = {}
+        self._leg = LRU(PAIRING_MEMO_SIZE)
+        self._convolution = LRU(PAIRING_MEMO_SIZE)
+        self._gram_index = OrderedDict()
+        self._grams = LRU(GRAM_MATRICES_SIZE)
 
     def leg_terms(self, p: Monomial, m: Monomial) -> tuple:
         key = (p, m)
@@ -112,7 +109,7 @@ class PairingTables:
                 for mono, scale in _mono_mul(p, m, params.q)
                 if (value := haar_monomial(mono, params))
             )
-            remember(self._leg, key, terms, PAIRING_MEMO_SIZE)
+            self._leg.put(key, terms)
         return terms
 
     def leg(self, p: Monomial, m: Monomial) -> complex:
@@ -129,24 +126,32 @@ class PairingTables:
                 kappa_scale, a1_kappa = _coinverse_monomial(a1, q)
                 value += (coeff * kappa_scale * adj_scale
                           * self.leg(a1_kappa, p2_adj) * self.leg(p, a2))
-            remember(self._convolution, key, value, PAIRING_MEMO_SIZE)
+            self._convolution.put(key, value)
         return value
 
     def gram(self, m: Monomial, monos) -> np.ndarray:
         """The matrix [[G(m; p, p2) for p2 in monos] for p in monos].
 
-        It is sliced from one matrix per m over an index of every monomial
-        asked for so far, whose entries are filled from `convolution` the
+        It is sliced from one matrix per m over an index of the monomials
+        asked for lately, whose entries are filled from `convolution` the
         first time they are asked for.  Witnesses of one algebra share few
-        monomials, so the index stays small and the slices are cheap.
+        monomials, so the index stays small and the slices are cheap.  In
+        a full index a new monomial takes the position of the least
+        recently asked-for one of earlier calls, which every matrix refills.
         """
         index = self._gram_index
-        new = {p for p in monos if p not in index}
-        if len(index) + len(new) > GRAM_INDEX_SIZE:
-            index.clear()
-            self._grams.clear()
-        for p in monos:
-            index.setdefault(p, len(index))
+        asked = dict.fromkeys(monos)
+        for p in asked:
+            if p in index:
+                index.move_to_end(p)
+        for p in asked:
+            if p not in index:
+                position = len(index)
+                if position >= GRAM_INDEX_SIZE and next(iter(index)) not in asked:
+                    position = index.popitem(last=False)[1]
+                    for _, known in self._grams.values():
+                        known[position:position + 1] = known[:, position:position + 1] = False
+                index[p] = position
         rows = np.fromiter((index[p] for p in monos), np.intp, len(monos))
         size = len(index)
         found = self._grams.get(m)
@@ -156,7 +161,7 @@ class PairingTables:
             if found is not None:
                 old = found[0].shape[0]
                 values[:old, :old], known[:old, :old] = found
-            found = remember(self._grams, m, (values, known), GRAM_MATRICES_SIZE)
+            found = self._grams.put(m, (values, known))
         values, known = found
         block = (rows[:, None], rows)
         missing = ~known[block]
@@ -177,12 +182,6 @@ def leg_support(p: Monomial, m: Monomial) -> bool:
     and c* powers.
     """
     return any(w.k == 0 and w.m == w.n for w in _mono_mul_program(p, m)[1])
-
-
-@lru_cache(maxsize=PAIRING_TABLES_SIZE)
-def pairing_tables(params: AlgebraParams) -> PairingTables:
-    """The memoised pairing tables of one algebra, shared by every caller."""
-    return PairingTables(params)
 
 
 def translated_haar_left(a, b) -> complex:

@@ -26,6 +26,7 @@ from .algebra import (
     STAR,
     AlgebraParams,
     Element,
+    LRU,
     Monomial,
     MONO_A,
     MONO_ASTAR,
@@ -36,7 +37,6 @@ from .algebra import (
     _mono,
     _mono_adjoint,
     _mono_mul,
-    remember,
 )
 
 
@@ -252,9 +252,9 @@ _DELTA_TABLE = {
     MONO_CSTAR: (((MONO_ASTAR, MONO_CSTAR), 1.0), ((MONO_CSTAR, MONO_A), 1.0)),
 }
 
-# Δ of each basis monomial, keyed by (q, tol, monomial); emptied once full.
+# Δ of each basis monomial, keyed by (q, tol, monomial)
 COPRODUCT_CACHE_SIZE = 1024
-_COPRODUCT_CACHE: dict = {}
+_COPRODUCT_CACHE = LRU(COPRODUCT_CACHE_SIZE)
 
 
 def _coproduct_monomial(params: AlgebraParams, mono: Monomial) -> MultiElement:
@@ -274,7 +274,7 @@ def _coproduct_monomial(params: AlgebraParams, mono: Monomial) -> MultiElement:
         factor = MultiElement(params, 2, dict(_DELTA_TABLE[gen]))
         for _ in range(count):
             out = out * factor
-    return remember(_COPRODUCT_CACHE, key, out, COPRODUCT_CACHE_SIZE)
+    return _COPRODUCT_CACHE.put(key, out)
 
 
 def coproduct(x: Element) -> MultiElement:

@@ -361,3 +361,19 @@ def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypat
     assert at_03["per_block"] != at_09["per_block"]
     assert main(["verify", "--suite", "corep", "--q", "0.4"]) == 0
     assert "q=0.4" in capsys.readouterr().out
+
+
+def test_a_catalog_that_names_a_pair_twice_exits_2(tmp_path, capsys):
+    # before the refusal, I/4 over a catalog with fund*fund twice was UNDECIDED_SUPPORT (exit 3)
+    data = Path(__file__).parent / "data"
+    rho_path = tmp_path / "mixed.json"
+    dump_json(densityop_to_dict(DensityOp((2, 2), np.eye(4) / 4.0)), rho_path)
+    el_path = tmp_path / "el.json"
+    dump_json(multielement_to_dict(product_catalog(AlgebraParams(), ("fund*fund",))[0].entries[0][0]),
+              el_path)
+    for catalog in ("triv*triv,triv*fund,fund*triv,fund*fund,fund*fund", "fund*fund,fund*fund"):
+        for argv in (["ppt", "--input", str(rho_path)], ["ppt", "--input", str(data / "werner_0.2.json")],
+                     ["check-pd", "--input", str(el_path)]):
+            assert main(argv + ["--catalog", catalog]) == 2, argv
+            err = capsys.readouterr().err
+            assert "fund*fund twice" in err and "Traceback" not in err

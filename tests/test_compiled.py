@@ -14,12 +14,14 @@ equal them bit for bit.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qent.algebra import PLAIN, STAR, AlgebraParams, Element, Monomial, remember
+from qent.algebra import LRU, PLAIN, STAR, AlgebraParams, Element, Monomial
+from qent.cli import main as cli_main
 from qent.corep import fundamental_corep, product_catalog, standard_catalog
 from qent.entangle import (
     find_negative_witness,
@@ -49,6 +51,7 @@ algebra, hopf, haar_module, corep, fourier, entangle = (
 )
 
 QS = (0.2, 0.5, 1.0)
+DATA = Path(__file__).parent / "data"
 # a small tol keeps the symbolic path's pruning of products (at tol) far
 # below the comparison bound
 TOL = 1e-13
@@ -193,26 +196,30 @@ def test_pd_pairing_matches_the_convolution(q, seed):
             assert abs(got - expect) <= 1e-10 * (1.0 + abs(expect))
 
 
+# a catalog names each block once: 4 + 12 + 24 + 24 catalogs of the four product
+# pairs and 2 + 2 of the two single-factor coreps
+ENGINE_CATALOGS = 64 + 4
+
+
 def _cache_sizes(params):
-    tables = haar_module.pairing_tables
+    owner = corep.engine(params)
     single = fourier.block_map(fundamental_corep(params))
-    gram = tables(params)
+    tables = owner.tables
     return {
         "mono_mul": (algebra._mono_mul.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "coproduct": (len(hopf._COPRODUCT_CACHE), hopf.COPRODUCT_CACHE_SIZE),
-        "pairing tables": (tables.cache_info().currsize, haar_module.PAIRING_TABLES_SIZE),
-        "trivial coreps": (corep.trivial_corep.cache_info().currsize, corep.COREPS_SIZE),
-        "fundamental coreps": (corep.fundamental_corep.cache_info().currsize, corep.COREPS_SIZE),
+        "engines": (corep.engine.cache_info().currsize, corep.ENGINES_SIZE),
+        "engine catalog maps": (len(owner.maps), ENGINE_CATALOGS),
+        "pairing h(p·m) memo": (len(tables._leg), haar_module.PAIRING_MEMO_SIZE),
+        "pairing G memo": (len(tables._convolution), haar_module.PAIRING_MEMO_SIZE),
         "single block memo": (len(single._chains), fourier.BLOCK_CHAINS_SIZE),
-        "gram index": (len(gram._gram_index), haar_module.GRAM_INDEX_SIZE),
-        "gram matrices": (len(gram._grams), haar_module.GRAM_MATRICES_SIZE),
-        "catalog maps": (len(fourier._CATALOG_MAPS), fourier.CATALOG_MAPS_SIZE),
+        "gram index": (len(tables._gram_index), haar_module.GRAM_INDEX_SIZE),
+        "gram matrices": (len(tables._grams), haar_module.GRAM_MATRICES_SIZE),
         "mono_mul programs": (algebra._mono_mul_program.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "intertwiner layouts": (corep._intertwiner_layout.cache_info().currsize,
                                 corep.INTERTWINER_LAYOUTS_SIZE),
         "block plans": (len(fourier._BLOCK_PLANS), fourier.BLOCK_PLANS_SIZE),
         "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
-        "block fills": (len(fourier._BLOCK_DATA), fourier.BLOCK_DATA_SIZE),
     }
 
 
@@ -238,7 +245,8 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     rng = np.random.default_rng(11)
     probe = [random_element(rng, AlgebraParams(q=0.5), max_degree=3, n_terms=6) for _ in range(2)]
     misses_before = algebra._mono_mul.cache_info().misses
-    coproduct_keys, fill_keys = set(), set()
+    engines_before = corep.engine.cache_info().misses
+    coproduct_keys = set()
     for q in np.linspace(0.2, 1.0, 200):
         params = AlgebraParams(q=float(q))
         catalog = product_catalog(params)
@@ -254,14 +262,10 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
             assert size <= bound, (name, q)
         assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
-        fill_keys.update(fourier._BLOCK_DATA)
     # the sweep outgrew every q-keyed bound, so the bounds were exercised, not just respected
     assert algebra._mono_mul.cache_info().misses - misses_before > algebra.MONO_MUL_CACHE_SIZE
     assert len(coproduct_keys) > hopf.COPRODUCT_CACHE_SIZE
-    assert len(fill_keys) > fourier.BLOCK_DATA_SIZE
-    assert 200 > haar_module.PAIRING_TABLES_SIZE
-    assert 200 > corep.COREPS_SIZE
-    assert 200 > fourier.CATALOG_MAPS_SIZE
+    assert corep.engine.cache_info().misses - engines_before > corep.ENGINES_SIZE
 
 
 def test_one_q_working_set_fits_the_bounds(compiled_blocks):
@@ -274,15 +278,12 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
     # nothing was evicted while one q was in use
     info = algebra._mono_mul.cache_info()
     assert info.misses == info.currsize < algebra.MONO_MUL_CACHE_SIZE
-    tables = haar_module.pairing_tables(params)
     sizes = _cache_sizes(params)
-    for name in ("coproduct", "single block memo"):
+    for name in ("coproduct", "single block memo", "pairing h(p·m) memo", "pairing G memo"):
         size, bound = sizes[name]
         assert size < bound, name
     assert compiled_blocks and _most_chains(compiled_blocks) < fourier.BLOCK_CHAINS_SIZE
-    assert len(tables._leg) < haar_module.PAIRING_MEMO_SIZE
-    assert len(tables._convolution) < haar_module.PAIRING_MEMO_SIZE
-    for name in ("gram index", "gram matrices"):
+    for name in ("gram index", "gram matrices", "engine catalog maps"):
         size, bound = sizes[name]
         assert 0 < size < bound, name
 
@@ -291,7 +292,13 @@ def test_compiled_maps_belong_to_their_block():
     params = AlgebraParams(q=0.5)
     U = product_catalog(params)[3]
     assert fourier.block_map(U) is fourier.block_map(U)
-    assert fourier.block_map(product_catalog(params)[3]) is not fourier.block_map(U)
+    # the engine builds one fund*fund per params, so every catalog shares its map
+    assert fourier.block_map(product_catalog(params, ("fund*fund",))[0]) is fourier.block_map(U)
+    fund = fundamental_corep(params)
+    apart = corep.product_corep(fund, fund)
+    assert fourier.block_map(apart) is not fourier.block_map(U)
+    # coreps are equal only to themselves, so the one built apart is not the engine's
+    assert apart != U and U == product_catalog(params)[3]
 
 
 def test_verify_solves_the_fundamental_intertwiner_once(monkeypatch):
@@ -303,7 +310,7 @@ def test_verify_solves_the_fundamental_intertwiner_once(monkeypatch):
         return original(entries, params)
 
     monkeypatch.setattr(corep, "compute_F", counting)
-    corep.fundamental_corep.cache_clear()
+    corep.engine.cache_clear()
     params = AlgebraParams(q=0.3)
     for seed in (1, 2):
         assert all(c.passed for c in run_suite("all", params, seed))
@@ -313,12 +320,86 @@ def test_verify_solves_the_fundamental_intertwiner_once(monkeypatch):
     assert standard_catalog(params)["triv"] is corep.trivial_corep(params)
 
 
-def test_remember_empties_a_full_memo():
-    memo = {}
-    for key in range(5):
-        remember(memo, key, key * key, 3)
-        assert len(memo) <= 3
-    assert memo == {3: 9, 4: 16}
+def test_a_full_memo_evicts_its_least_recently_used_entry():
+    memo = LRU(3)
+    for key in range(3):
+        memo.put(key, key * key)
+    assert memo.get(0) == 0  # 0 is now the most recently used
+    memo.put(3, 9)
+    assert list(memo.items()) == [(2, 4), (0, 0), (3, 9)]
+    memo.put(2, -4)  # storing again marks 2 as used
+    memo.put(4, 16)
+    assert list(memo.items()) == [(3, 9), (2, -4), (4, 16)]
+    assert memo.get(1) is None and memo.get(1, "missing") == "missing"
+    assert list(memo) == [3, 2, 4]
+
+
+def test_a_catalog_that_names_a_block_twice_is_refused():
+    params = AlgebraParams(q=0.5)
+    with pytest.raises(ValueError, match="fund\\*fund twice"):
+        product_catalog(params, corep.DEFAULT_PAIRS + ("fund*fund",))
+    catalog = product_catalog(params)
+    fund = fundamental_corep(params)
+    x = forward(fourier.werner_state(0.2), catalog[3])
+    # once more, the same corep or one built apart: either would count its block twice
+    for again in (catalog[3], corep.product_corep(fund, fund)):
+        doubled = catalog + [again]
+        for check in (is_positive_definite, ppt_check, support_residual):
+            with pytest.raises(ValueError, match="fund\\*fund twice"):
+                check(x, doubled)
+    singles = list(standard_catalog(params).values())
+    with pytest.raises(ValueError, match="fund twice"):
+        is_positive_definite(Element.unit(params), singles + singles[1:])
+
+
+def test_a_fresh_q_ppt_request_builds_and_fills_each_block_once(monkeypatch, capsys):
+    built, filled = [], []
+    original_product, original_fill = corep.product_corep, fourier.BlockMap.__init__
+
+    def counting_product(u, v):
+        built.append(f"{u.label}*{v.label}")
+        return original_product(u, v)
+
+    def counting_fill(self, U):
+        filled.append(U.label)
+        original_fill(self, U)
+
+    monkeypatch.setattr(corep, "product_corep", counting_product)
+    monkeypatch.setattr(fourier.BlockMap, "__init__", counting_fill)
+    requests = 24
+    for i in range(requests):
+        path = DATA / ("werner_0.2.json", "werner_0.6.json")[i % 2]
+        # a q no other test uses, so every request starts without an engine
+        q = 0.2113 + 0.0317 * i
+        assert cli_main(["ppt", "--input", str(path), "--q", repr(q), "--format", "json"]) == i % 2
+    capsys.readouterr()
+    # the catalog's fund*fund is the one `forward` ran on: 4 builds and 4 fills per request
+    assert sorted(built) == sorted(filled) == sorted(corep.DEFAULT_PAIRS * requests)
+
+
+def test_cycling_catalogs_compiles_each_map_once(monkeypatch):
+    compiled = []
+    original = fourier.CatalogMap.__init__
+
+    def counting(self, catalog):
+        compiled.append(tuple(U.label for U in catalog))
+        original(self, catalog)
+
+    monkeypatch.setattr(fourier.CatalogMap, "__init__", counting)
+    params = AlgebraParams(q=0.5123)
+    catalog = product_catalog(params)
+    x = forward(fourier.werner_state(0.2), catalog[3])
+    for _ in range(10):
+        for part in (catalog, catalog[3:], catalog[:2]):
+            support_residual(x, part)
+    assert compiled == [tuple(corep.DEFAULT_PAIRS), ("fund*fund",), ("triv*triv", "triv*fund")]
+    # a catalog of a corep the engine did not build is compiled on every call and not kept
+    fund = fundamental_corep(params)
+    apart = [corep.product_corep(fund, fund)]
+    for _ in range(2):
+        support_residual(x, apart)
+    assert compiled[3:] == [("fund*fund",)] * 2
+    assert corep.engine(params).maps[("fund*fund",)].coreps == (catalog[3],)
 
 
 def _gathered_haar_matrix(block, x):
@@ -438,6 +519,7 @@ def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch, compile
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
     x = forward(fourier.singlet_state(), catalog[3])
+    fourier.catalog_map(catalog)  # compiles the catalog's own blocks
     compiled_blocks.clear()
     for leg in (0, 1):
         applied.clear()
@@ -868,3 +950,18 @@ def test_gram_index_and_matrices_stay_bounded(monkeypatch):
         kept.update(tables._grams)
     # the run outgrew both bounds, so both were exercised
     assert len(indexed) > 12 and len(kept) > 5
+
+
+def test_a_reused_gram_position_is_filled_afresh(monkeypatch):
+    monkeypatch.setattr(haar_module, "GRAM_INDEX_SIZE", 3)
+    tables = haar_module.PairingTables(AlgebraParams(q=0.4))
+    m, other = Monomial(PLAIN, 0, 1, 1), Monomial(PLAIN, 0, 1, 0)
+    first = [Monomial(PLAIN, 0, 0, 0), Monomial(PLAIN, 0, 1, 1), Monomial(STAR, 1, 0, 0)]
+    late = Monomial(PLAIN, 0, 2, 2)
+    tables.gram(m, first)
+    # the least recently asked-for monomial gives its position to `late`, and m's
+    # kept matrix must not answer for `late` with the value it holds for the first
+    tables.gram(other, first[1:] + [late])
+    assert first[0] not in tables._gram_index and len(tables._gram_index) == 3
+    assert np.array_equal(tables.gram(m, [late, first[2]]),
+                          _term_by_term_gram(tables, m, [late, first[2]]))

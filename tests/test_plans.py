@@ -42,8 +42,8 @@ QS = (0.2, 0.37, 0.64, 1.0)
 TOLS = (1e-9, 0.3)
 CATALOGS = (None, ("fund*fund",), ("fund*triv", "triv*triv"))
 DATA = Path(__file__).parent / "data"
-# the memos a cold compile starts without
-MEMOS = ("_BLOCK_PLANS", "_CATALOG_PLANS", "_BLOCK_DATA", "_CATALOG_MAPS")
+# the memos a cold compile starts without; `_catalog` builds fresh coreps, which hold no fill
+MEMOS = ("_BLOCK_PLANS", "_CATALOG_PLANS")
 
 
 def _bits(value):
@@ -91,6 +91,7 @@ def _map_bits(compiled):
 def _clear_memos():
     for name in MEMOS:
         getattr(fourier, name).clear()
+    corep.engine.cache_clear()
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -106,7 +107,7 @@ def test_warm_plans_compile_a_fresh_q_as_a_cold_compile(pairs, tol):
         warm_up = fourier.CatalogMap(_catalog(AlgebraParams(q=0.5, tol=tol), pairs))
         warm = fourier.CatalogMap(_catalog(params, pairs))
         assert _map_bits(warm) == cold, q
-        same_shape = all(fourier._block_data(a).layout == fourier._block_data(b).layout
+        same_shape = all(fourier.block_map(a).layout == fourier.block_map(b).layout
                          for a, b in zip(warm_up.coreps, warm.coreps))
         assert (warm.plan is warm_up.plan) == same_shape
         pruned += not same_shape
@@ -141,11 +142,14 @@ def test_compiled_blocks_hold_the_symbolic_adjoints(q, tol):
 def test_a_second_corep_of_a_pair_reuses_the_first_fill():
     params = AlgebraParams(q=0.4321)
     first, second = (product_catalog(params, ("fund*fund",))[0] for _ in range(2))
-    assert first is not second
-    assert fourier._block_data(first) is fourier._block_data(second)
-    # triv*triv reads the same bits at every q
-    triv = [product_catalog(AlgebraParams(q=q), ("triv*triv",))[0] for q in (0.3, 0.7)]
-    assert fourier._block_data(triv[0]) is fourier._block_data(triv[1])
+    # the engine builds each pair once per params, and the corep keeps its fill
+    assert first is second is product_catalog(params)[3]
+    assert fourier.block_map(first) is fourier.block_map(second)
+    # a corep built apart from the engine is filled apart, with the same bits
+    fund = fundamental_corep(params)
+    apart = corep.product_corep(fund, fund)
+    assert fourier.block_map(apart) is not fourier.block_map(first)
+    assert _map_bits(fourier.CatalogMap([apart])) == _map_bits(fourier.catalog_map([first]))
 
 
 def _written_out_tensor(*factors):
@@ -279,7 +283,7 @@ def test_a_fresh_q_ppt_request_builds_no_adjoint_and_solves_F_once(monkeypatch, 
 
     monkeypatch.setattr(MultiElement, "adjoint", counting_adjoint)
     monkeypatch.setattr(corep, "compute_F", counting_solve)
-    corep.fundamental_corep.cache_clear()
+    corep.engine.cache_clear()
     for q, path, code in ((0.3579, "werner_0.6.json", 1), (0.7531, "werner_0.2.json", 0)):
         adjoints.clear()
         solved.clear()
