@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from .algebra import AlgebraParams, Element
-from .corep import DEFAULT_PAIRS, product_catalog
+from .corep import DEFAULT_PAIRS, engine, product_catalog
 from .entangle import (
     ENTANGLED,
     NOT_POSITIVE_DEFINITE,
@@ -87,7 +87,7 @@ def _default_q() -> float:
 def _params(args) -> AlgebraParams:
     q = args.q if args.q is not None else _default_q()
     try:
-        return AlgebraParams(q=q, tol=args.tol)
+        return engine(AlgebraParams(q=q, tol=args.tol)).params  # the engine refuses q < corep.Q_MIN
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -107,9 +107,26 @@ def _load(path):
         raise CliError(f"cannot read {path}: {exc}")
 
 
+_JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                 bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _json_text(value, pad="\n") -> str:
+    """`json.dumps(value, indent=2)` byte for byte, for data with str keys, without json's Python encoder."""
+    kind = type(value)
+    if kind in (dict, list, tuple) and value:
+        inner = pad + "  "
+        items = ([_JSON_SCALARS[str](k) + ": " + _json_text(v, inner) for k, v in value.items()] if kind is dict
+                 else [_json_text(v, inner) for v in value])
+        return "[{"[kind is dict] + inner + ("," + inner).join(items) + pad + "]}"[kind is dict]
+    if kind is float and value - value == 0.0:  # finite; json spells out nan and the infinities
+        return float.__repr__(value)
+    return _JSON_SCALARS[kind](value) if kind in _JSON_SCALARS else json.dumps(value)
+
+
 def _emit(args, payload: dict, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)
@@ -300,7 +317,7 @@ def cmd_demo_singlet(args) -> int:
     params = _params(args)
     report = singlet_demo_report(params)
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
         return EXIT_OK
     q = params.q
     print(f"singlet walk-through at q = {q}")

@@ -9,13 +9,16 @@ invertible solution of
     (id ⊗ κ²) u = F u F⁻¹     with    tr F = tr F⁻¹ > 0.
 
 The shipped catalog holds the trivial (spin-0) and the fundamental
-(spin-1/2) corepresentations; product corepresentations of the direct
-square are built as entry-wise tensor products with F given by the
-Kronecker product of the factors.
+(spin-1/2) corepresentations, with fund's F in closed form, diag(1/q, q)
+(Woronowicz, Publ. RIMS 23, 1987); product corepresentations of the
+direct square are entry-wise tensor products, built from a q-free plan,
+with F given by the Kronecker product of the factors.  `compute_F` and
+`product_corep` solve and multiply symbolically, as the oracles of both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -66,23 +69,28 @@ class ProductCorep:
 # AlgebraParams whose engines are kept at once; a q-sweep builds one per q
 ENGINES_SIZE = 4
 SINGLE_LABELS = ("triv", "fund")
+# the smallest q of an engine: below it the oracle's F (`compute_F`) fails, or the eigen-decomposition
+# of a product of two of them is not positive (at scattered q up to about 1.3e-8)
+Q_MIN = 1e-7
 
 
 class Engine:
     """The shipped coreps of one AlgebraParams, their pairing tables and catalog maps.
 
-    `corep(label)` builds "triv", "fund" (so `compute_F` runs once) or a
-    pair such as "fund*triv" (with `product_corep`) on first use and keeps
-    it in `coreps`, and each corep keeps its compiled data (`fourier.block_map`).
-    `maps` holds the `fourier.CatalogMap` of each catalog of these coreps
-    by labels; no label repeats, so there are at most 64 + 4 catalogs.
+    `corep(label)` builds "triv", "fund" or a pair such as "fund*triv" (by
+    `_product_plan`) on first use and keeps it in `coreps`, and each corep
+    keeps its compiled data (`fourier.block_map`).  `maps` holds the
+    `fourier.CatalogMap` of each catalog of these coreps by labels; no label
+    repeats, so at most 64 + 4 catalogs.  A q below `Q_MIN` is refused.
     """
 
-    __slots__ = ("params", "tables", "maps", "coreps")
+    __slots__ = ("params", "tables", "maps", "coreps", "_solved_F")
 
     def __init__(self, params: AlgebraParams):
+        if params.q < Q_MIN:
+            raise ValueError(f"q = {params.q!r} is below the supported range [{Q_MIN}, 1]")
         self.params, self.tables = params, PairingTables(params)
-        self.maps, self.coreps = {}, {}
+        self.maps, self.coreps, self._solved_F = {}, {}, None
 
     def corep(self, label: str):
         U = self.coreps.get(label)
@@ -92,14 +100,27 @@ class Engine:
                 U = Corep("triv", 1, ((Element.unit(params),),), _freeze(np.array([[1.0]])), params)
             elif label == "fund":
                 a, astar, c, cstar = (Element.generator(params, g) for g in ("a", "a*", "c", "c*"))
-                rq = math.sqrt(params.q)
+                q, rq = params.q, math.sqrt(params.q)
                 entries = ((a, rq * c), ((-1.0 / rq) * cstar, astar))
-                U = Corep("fund", 2, entries, _freeze(compute_F(entries, params)), params)
+                U = Corep("fund", 2, entries, _freeze(np.array([[1.0 / q, 0.0], [0.0, q]])), params)
+                if not all(e.terms for row in entries for e in row):
+                    raise ValueError(f"tol = {params.tol!r} prunes a coefficient of the fundamental corep")
             else:
-                left, right = label.split("*")
-                U = product_corep(self.corep(left), self.corep(right))
+                u, v = (self.corep(part) for part in label.split("*"))
+                (u_keys, left), (v_keys, right) = _terms(u), _terms(v)
+                # `tensor`'s arithmetic on the factors' coefficients, pruned by the trusted constructor
+                U = _product(u, v, tuple(tuple(
+                    MultiElement._trusted(params, 2, {key: 0j + (1.0 + 0.0j) * left[i] * right[j]
+                                                      for key, i, j in terms}) for terms in row)
+                    for row in _product_plan(u_keys, v_keys)))
             self.coreps[label] = U
         return U
+
+    def solved_F(self) -> np.ndarray:
+        """`compute_F` of fund's entries, solved once: the oracle of fund's closed-form F."""
+        if self._solved_F is None:
+            self._solved_F = _freeze(compute_F(self.corep("fund").entries, self.params))
+        return self._solved_F
 
 
 @lru_cache(maxsize=ENGINES_SIZE)
@@ -169,55 +190,21 @@ def _intertwiner_system(entries) -> np.ndarray:
     """The non-zero rows of `compute_F`'s linear system, one per (i, j, monomial t).
 
     Row (i, j, t) holds κ²(u_ir)_t at r·dim + j and -(u_rj)_t at i·dim + r
-    for every r, over the monomials of u and κ²(u) in sorted order; it
-    is assembled by `_intertwiner_layout`'s index arrays.
+    for every r, over the monomials of u and κ²(u) in sorted order.
     """
     dim = len(entries)
     k2 = [[coinverse_squared(e) for e in row] for row in entries]
     monomials = sorted({mono for grid in (entries, k2) for row in grid for e in row for mono in e.terms},
                        key=lambda m: (m.sector, m.k, m.m, m.n))
-    count = len(monomials)
-    position = {mono: t for t, mono in enumerate(monomials)}
-    # coefficient of monomial t in u_rj and in κ²(u_rj), each at flat index (t·dim + r)·dim + j
-    coeffs = ([0j] * (count * dim * dim), [0j] * (count * dim * dim))
-    for values, grid in zip(coeffs, (entries, k2)):
-        for r, row in enumerate(grid):
-            for j, e in enumerate(row):
-                for mono, c in e.terms.items():
-                    values[(position[mono] * dim + r) * dim + j] = c
-    plus_at, plus_from, minus_at, minus_from = _intertwiner_layout(dim, count)
-    system = np.zeros(dim * dim * count * dim * dim, dtype=complex)
-    system[plus_at] += np.array(coeffs[1])[plus_from]
-    system[minus_at] -= np.array(coeffs[0])[minus_from]
-    system = system.reshape(-1, dim * dim)
-    return system[(np.abs(system) > 0).any(axis=1)]
-
-
-# (dim, monomial count) shapes of `compute_F`'s system whose index arrays are kept
-INTERTWINER_LAYOUTS_SIZE = 8
-
-
-@lru_cache(maxsize=INTERTWINER_LAYOUTS_SIZE)
-def _intertwiner_layout(dim: int, count: int):
-    """Where `_intertwiner_system` puts each coefficient, as flat index arrays.
-
-    The system has shape (dim, dim, count, dim · dim) before its zero rows
-    are dropped.  Returns (plus_at, plus_from, minus_at, minus_from) into
-    the flattened system and coefficient lists.  No position is hit twice
-    by one of the two sums, so adding onto zeros and then subtracting
-    gives the bits of a loop that adds and subtracts in either order.
-    """
-    plus_at, plus_from, minus_at, minus_from = [], [], [], []
-    for i in range(dim):
-        for j in range(dim):
-            for t in range(count):
-                row = ((i * dim + j) * count + t) * dim * dim
-                for r in range(dim):
-                    plus_at.append(row + r * dim + j)
-                    plus_from.append((t * dim + i) * dim + r)
-                    minus_at.append(row + i * dim + r)
-                    minus_from.append((t * dim + r) * dim + j)
-    return tuple(np.array(a, dtype=np.intp) for a in (plus_at, plus_from, minus_at, minus_from))
+    rows = []
+    for i, j, mono in itertools.product(range(dim), range(dim), monomials):
+        row = np.zeros(dim * dim, dtype=complex)
+        for r in range(dim):
+            row[r * dim + j] += k2[i][r].coeff(mono)
+            row[i * dim + r] -= entries[r][j].coeff(mono)
+        if row.any():
+            rows.append(row)
+    return np.array(rows, dtype=complex).reshape(-1, dim * dim)
 
 
 def product_corep(u: Corep, v: Corep) -> ProductCorep:
@@ -225,14 +212,42 @@ def product_corep(u: Corep, v: Corep) -> ProductCorep:
     if u.params != v.params:
         raise ValueError("factors carry different algebra parameters")
     n, m = u.dim, v.dim
-    entries = tuple(
+    return _product(u, v, tuple(
         tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
         for i in range(n)
         for k in range(m)
-    )
+    ))
+
+
+def _product(u, v, entries) -> ProductCorep:
+    n, m = u.dim, v.dim
     # np.kron(u.F, v.F) as one broadcast product, without np.kron's set-up (about 20 µs a call)
     F = (u.F[:, None, :, None] * v.F[None, :, None, :]).reshape(n * m, n * m)
     return ProductCorep(f"{u.label}*{v.label}", u, v, n * m, entries, _freeze(F), u.params)
+
+
+# factor layout pairs whose product plans are kept at once; each shipped pair has one
+PRODUCT_PLANS_SIZE = 8
+
+
+@lru_cache(maxsize=PRODUCT_PLANS_SIZE)
+def _product_plan(left: tuple, right: tuple) -> tuple:
+    """The q-free plan of u ⊗ v from its factors' term keys (`_terms`): each entry U_(ik),(jl), row by row, as
+    terms (key, i, j) in `tensor`'s order, key (a, b) taking u's coefficient i (of a) and v's coefficient j."""
+    n, m = math.isqrt(len(left)), math.isqrt(len(right))
+    starts = [tuple(itertools.accumulate((len(keys) for keys in layout[:-1]), initial=0))
+              for layout in (left, right)]
+    return tuple(
+        tuple(tuple(((a, b), starts[0][i * n + j] + s, starts[1][k * m + l] + t)
+                    for s, a in enumerate(left[i * n + j]) for t, b in enumerate(right[k * m + l]))
+              for j in range(n) for l in range(m))
+        for i in range(n) for k in range(m))
+
+
+def _terms(u) -> tuple:
+    """(the term keys of each entry of u, row-major; the coefficients of those terms in turn)."""
+    entries = [e.terms for row in u.entries for e in row]
+    return tuple(map(tuple, entries)), [c for terms in entries for c in terms.values()]
 
 
 def unitarity_residual(u) -> float:

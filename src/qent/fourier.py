@@ -35,7 +35,10 @@ every q, so everything index-like is a q-free plan kept per shape in a
 bounded memo: `_BlockPlan` per block, `_CatalogPlan` per catalog (a q
 where pruning drops a key gets its own).  The fill computes one q's
 numbers with numpy in the arithmetic and order of the symbolic products
-it replaces, so the results are the same bits.  The engine of a q
+it replaces, so the results are the same bits.  Every shipped block's F
+is diagonal (`corep`'s closed form), so the fill takes √F, F^(-1/2) and
+the witness row from its diagonal, with no inverse or eigen-solve; only
+a hand-built corep with a non-diagonal F needs them.  The engine of a q
 (`corep.engine`) builds each shipped corep once and keeps the map of each
 catalog of them, so a `qent ppt` request fills each block once.
 """
@@ -48,7 +51,7 @@ import math
 import numpy as np
 
 from .algebra import LRU, Element, _adjoint_image, _adjoint_power
-from .corep import Corep, ProductCorep, _require_distinct, engine, pairing_tables
+from .corep import Corep, ProductCorep, _require_distinct, _terms, engine, pairing_tables
 from .haar import leg_support
 from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
 
@@ -184,58 +187,54 @@ class BlockMap:
     """
 
     __slots__ = ("dim", "legs", "plan", "layout", "support", "expansion", "adjoints", "witness",
-                 "sqrtF", "inv_sqrtF", "trF", "transfer", "lifted", "_tables", "_chains")
+                 "sqrtF", "inv_sqrtF", "trF", "transfer", "lifted", "params", "_chains")
 
     def __init__(self, U):
         d = self.dim = U.dim
         legs = self.legs = 2 if isinstance(U, ProductCorep) else 1
-        layout = tuple(tuple(e.terms) for row in U.entries for e in row)
+        layout, values = _terms(U)
         plan = _BLOCK_PLANS.get((layout, legs)) or _BLOCK_PLANS.put((layout, legs), _BlockPlan(layout, legs))
         self.plan, self.support = plan, plan.support
         q, tol = U.params.q, U.params.tol
         # as the adjoint computes them: scale = 1.0·q^e₀·q^e₁.., then β = 0j + conj(c)·scale
-        scales = []
-        for powers in plan.powers:
-            scale = 1.0
-            for power in powers:
-                scale *= q ** power
-            scales.append(scale)
-        values = [c for row in U.entries for e in row for c in e.terms.values()]
+        scales = [math.prod(q ** power for power in powers) for powers in plan.powers]
         betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
         try:
             kept = all(tol < abs(beta) < math.inf for beta in betas)
         except OverflowError:  # a finite β whose modulus overflows
             kept = False
         if kept:
-            self.adjoints = tuple(tuple(zip(plan.adjoint_keys[start:end], betas[start:end]))
-                                  for start, end in zip((0,) + plan.entry_ends, plan.entry_ends))
+            pairs = tuple(zip(plan.adjoint_keys, betas))
+            self.adjoints = tuple(pairs[start:end] for start, end in plan.spans)
             self.layout = (layout, None)
         else:
             # the adjoint's constructor drops a β at or below tol, and refuses one
             # whose modulus is not finite
             self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
             self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
-        finv = np.linalg.inv(U.F)
-        row = int((np.abs(finv) ** 2).sum(axis=0).argmax())
-        self.sqrtF, self.inv_sqrtF = _sqrt_pair(U.F)
-        self.trF = float(U.F.trace().real)
+        F, f = U.F, U.F.diagonal()
+        # the witness row is the column of F⁻¹ with the largest norm; F⁻¹ of a diagonal F is diag(1/f)
+        diagonal = np.count_nonzero(F) == np.count_nonzero(f)
+        row = int(((1.0 / f) ** 2 if diagonal else (np.abs(np.linalg.inv(F)) ** 2).sum(axis=0)).argmax())
+        sqrtF, inv_sqrtF = self.sqrtF, self.inv_sqrtF = _sqrt_pair(F)
+        self.trF = float(F.trace().real)
         # the complex √F gives the bits a matrix product gives after casting a real √F
-        self.witness = (self.sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
+        self.witness = (sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
         self.expansion = np.zeros((len(plan.support), d * d), dtype=complex)
         self.expansion[plan.expansion_at] = values
-        self.transfer = np.einsum("ic,rk->ikrc", self.inv_sqrtF, self.sqrtF).reshape(d * d, d * d)
-        lift = self.trF * np.einsum("ia,bk->ikab", self.sqrtF, self.sqrtF).reshape(d * d, d * d)
+        # transfer[(i,k),(r,c)] = F^(-1/2)[i,c]·√F[r,k] and lift[(i,k),(a,b)] = tr F·√F[i,a]·√F[b,k]
+        self.transfer = np.multiply.outer(inv_sqrtF, sqrtF).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+        lift = self.trF * np.multiply.outer(sqrtF, sqrtF).transpose(0, 3, 1, 2).reshape(d * d, d * d)
         self.lifted = self.expansion @ lift
-        for arr in (self.sqrtF, self.inv_sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
+        for arr in (sqrtF, inv_sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
             arr.setflags(write=False)
-        self._tables = pairing_tables(U.params)
-        self._chains = LRU(BLOCK_CHAINS_SIZE)
+        self.params, self._chains = U.params, LRU(BLOCK_CHAINS_SIZE)
 
     def chain(self, t):
         """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
         found = self._chains.get(t)
         if found is None:
-            leg_terms = self._tables.leg_terms
+            leg_terms = pairing_tables(self.params).leg_terms
             monos = t if self.legs == 2 else (t,)
             bins, factors = [], []
             for rc, terms in enumerate(self.adjoints):
@@ -495,10 +494,10 @@ class _BlockPlan:
     Term j of the entries, in row-major entry order, has its coefficient at
     E[expansion_at[0][j], expansion_at[1][j]], its adjoint key at
     `adjoint_keys[j]`, and its adjoint scaled by q^e for each leg's power e
-    in powers[power_at[j]]; `entry_ends` splits the terms by entry.
+    in powers[power_at[j]]; `spans` splits the terms by entry.
     """
 
-    __slots__ = ("legs", "support", "expansion_at", "adjoint_keys", "powers", "power_at", "entry_ends")
+    __slots__ = ("legs", "support", "expansion_at", "adjoint_keys", "powers", "power_at", "spans")
 
     def __init__(self, layout, legs):
         d = math.isqrt(len(layout))
@@ -517,7 +516,8 @@ class _BlockPlan:
         self.adjoint_keys = tuple(image[0] if legs == 1 else image for image in images)
         self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
         self.power_at = tuple(power_at.tolist())
-        self.entry_ends = tuple(itertools.accumulate(len(keys) for keys in layout))
+        ends = tuple(itertools.accumulate(len(keys) for keys in layout))
+        self.spans = tuple(zip((0,) + ends, ends))
 
 
 class _CatalogPlan:
@@ -718,10 +718,11 @@ def _leg_keys(keys, legs):
 
 
 def _sqrt_pair(F: np.ndarray):
-    """(√F, F^(-1/2)) for a positive matrix; diagonal inputs stay exact."""
-    if not np.any(F - np.diag(np.diagonal(F))):
-        root = np.sqrt(np.diagonal(F).astype(float))
-        return np.diag(root), np.diag(1.0 / root)
+    """(√F, F^(-1/2)) for a positive matrix; a diagonal one is taken root by root, exactly."""
+    if np.count_nonzero(F) == np.count_nonzero(F.diagonal()):
+        root, inv_root = np.sqrt(F), np.sqrt(F)
+        inv_root.flat[::len(F) + 1] = 1.0 / root.diagonal()
+        return root, inv_root
     eigvals, vecs = np.linalg.eigh(F)
     if eigvals.min() <= 0:
         raise ValueError("intertwiner matrix is not positive definite")

@@ -211,9 +211,7 @@ def tensor(*factors) -> MultiElement:
 
     Each coefficient is the fold ((1+0j)·c_1)·c_2·… of the factors'
     coefficients, added onto 0j.  Every factor's keys are distinct, and so
-    are their concatenations, so each is added once.  Two Elements, as in
-    every entry of a product corep, take a path that runs the same
-    arithmetic in one comprehension.
+    are their concatenations, so each is added once.
     """
     if not factors:
         raise ValueError("tensor() needs at least one factor")
@@ -221,10 +219,6 @@ def tensor(*factors) -> MultiElement:
     for f in factors[1:]:
         if f.params is not params and f.params != params:
             raise ValueError("tensor factors carry different algebra parameters")
-    if len(factors) == 2 and isinstance(factors[0], Element) and isinstance(factors[1], Element):
-        left, right = factors[0].terms.items(), factors[1].terms.items()
-        return MultiElement._trusted(params, 2, {(a, b): 0j + (1.0 + 0.0j) * ca * cb
-                                                 for a, ca in left for b, cb in right})
     terms = [((), 1.0 + 0.0j)]
     legs = 0
     for f in factors:

@@ -15,11 +15,11 @@ import numpy as np
 from .algebra import AlgebraParams, Element, Monomial, PLAIN, STAR, generators
 from .corep import (
     _sum,
+    engine,
     fundamental_corep,
     intertwiner_residual,
     orthogonality_check,
     product_catalog,
-    product_corep,
     standard_catalog,
     trivial_corep,
     unitarity_residual,
@@ -257,9 +257,10 @@ def corep_suite(params: AlgebraParams, seed: int = DEFAULT_SEED) -> list:
     q = params.q
 
     unitarity = max(unitarity_residual(triv), unitarity_residual(fund))
-    f_value = float(np.max(np.abs(fund.F - np.diag([1.0 / q, q]))))
-    f_norm = abs(np.trace(fund.F) - np.trace(np.linalg.inv(fund.F)))
-    qdim = abs(np.trace(fund.F) - (q + 1.0 / q))
+    solved = engine(params).solved_F()  # the intertwiner solve, the oracle of fund's closed-form F
+    f_value = float(np.max(np.abs(solved - fund.F)))
+    f_norm = abs(np.trace(solved) - np.trace(np.linalg.inv(solved)))
+    qdim = abs(np.trace(solved) - (q + 1.0 / q))
 
     products = product_catalog(params)
     unitarity = max(unitarity, max(unitarity_residual(U) for U in products))
@@ -479,8 +480,7 @@ def _fold_legs(dx: MultiElement, apply_kappa_first: bool) -> Element:
 
 def _product_comultiplication_residual(params: AlgebraParams) -> float:
     """Δ U_(ik),(jl) = Σ_rs U_(ik),(rs) ⊗ U_(rs),(jl) entry-wise on fund⊗fund."""
-    fund = fundamental_corep(params)
-    U = product_corep(fund, fund)
+    U = product_catalog(params, ("fund*fund",))[0]
     d = U.dim
     residual = 0.0
     for row in range(d):

@@ -1,6 +1,10 @@
 """End-to-end command-line tests over real files."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 
 from qent.algebra import AlgebraParams, Element
 from qent.cli import main
-from qent.corep import product_catalog
+from qent.corep import Q_MIN, product_catalog
 from qent.fourier import DensityOp, reconstruct, singlet_state, werner_state
 from qent.hopf import MultiElement, partial_theta, tensor
 from qent.serialize import (
@@ -182,6 +186,7 @@ def test_demo_singlet(capsys):
 
 
 GOLDEN = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.mark.parametrize("q", ["0.1", "0.5", "1.0"])
@@ -215,6 +220,44 @@ def test_env_var_default_q(tmp_path, capsys, monkeypatch):
 
 def test_invalid_q_exits_2():
     assert main(["demo-singlet", "--q", "1.5"]) == 2
+
+
+def test_ppt_over_q_from_the_smallest_float_to_1_exits_cleanly(capsys):
+    """Below `corep.Q_MIN` the request is refused with exit 2; above it the verdict is given.
+
+    Warnings are errors here, so an overflow or a singular solve would show.
+    """
+    werner = str(GOLDEN / "werner_0.6.json")
+    grid = [5e-324, 1e-300, 1e-200, 1e-100, 1e-20, 1e-12, 1e-10, 1.3e-8, 0.999 * Q_MIN]
+    grid += [float(q) for q in np.geomspace(Q_MIN, 1.0, 21)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in grid:
+            code = main(["ppt", "--input", werner, "--q", repr(q), "--format", "json"])
+            err = capsys.readouterr().err
+            if q < Q_MIN:
+                assert code == 2 and err.startswith("error: q = ") and "below" in err, q
+            else:
+                # entangled: NOT_POSITIVE_DEFINITE, or UNDECIDED_SUPPORT where tol prunes the support
+                assert code in (1, 3) and err == "", q
+    # the same as a console run with every warning an error
+    for q, code in (("1e-100", 2), ("1e-12", 2), ("1e-7", 3), ("0.37", 1)):
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "qent.cli", "ppt", "--input", werner, "--q", q],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert run.returncode == code and "Traceback" not in run.stderr, (q, run.stderr)
+
+
+def test_json_output_is_the_indented_json_module_text():
+    from qent.cli import _json_text
+
+    payloads = [
+        {}, [], (), "", 0, -0.0, 1e300, 5e-324, float("nan"), float("inf"), -float("inf"), True, False, None,
+        {"a": [], "b": {}, "c": [[]], "é\"\n": "ü\t\\", "n": [1, -2, 2 ** 70, 0.1, -0.0, np.float64(0.1)]},
+        [{"x": (1.5, None)}, [True, [False, {"y": float("nan")}]], "z"],
+        {"per_block": [{"label": "fund*fund", "min_eigenvalue": -0.2}], "witness": None},
+    ]
+    for payload in payloads:
+        assert _json_text(payload) == json.dumps(payload, indent=2), payload
 
 
 def test_element_files_fix_their_own_q(tmp_path, capsys):

@@ -216,8 +216,7 @@ def _cache_sizes(params):
         "gram index": (len(tables._gram_index), haar_module.GRAM_INDEX_SIZE),
         "gram matrices": (len(tables._grams), haar_module.GRAM_MATRICES_SIZE),
         "mono_mul programs": (algebra._mono_mul_program.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
-        "intertwiner layouts": (corep._intertwiner_layout.cache_info().currsize,
-                                corep.INTERTWINER_LAYOUTS_SIZE),
+        "product plans": (corep._product_plan.cache_info().currsize, corep.PRODUCT_PLANS_SIZE),
         "block plans": (len(fourier._BLOCK_PLANS), fourier.BLOCK_PLANS_SIZE),
         "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
     }
@@ -354,17 +353,17 @@ def test_a_catalog_that_names_a_block_twice_is_refused():
 
 def test_a_fresh_q_ppt_request_builds_and_fills_each_block_once(monkeypatch, capsys):
     built, filled = [], []
-    original_product, original_fill = corep.product_corep, fourier.BlockMap.__init__
+    original_product, original_fill = corep._product, fourier.BlockMap.__init__
 
-    def counting_product(u, v):
+    def counting_product(u, v, entries):
         built.append(f"{u.label}*{v.label}")
-        return original_product(u, v)
+        return original_product(u, v, entries)
 
     def counting_fill(self, U):
         filled.append(U.label)
         original_fill(self, U)
 
-    monkeypatch.setattr(corep, "product_corep", counting_product)
+    monkeypatch.setattr(corep, "_product", counting_product)
     monkeypatch.setattr(fourier.BlockMap, "__init__", counting_fill)
     requests = 24
     for i in range(requests):

@@ -7,7 +7,9 @@ import pytest
 
 from qent.algebra import AlgebraParams, Element
 from qent.corep import (
+    Q_MIN,
     compute_F,
+    engine,
     fundamental_corep,
     intertwiner_residual,
     orthogonality_check,
@@ -21,6 +23,10 @@ from qent.haar import haar
 from qent.hopf import tensor
 
 from conftest import gens
+
+QS = (0.2, 0.37, 0.64, 1.0)
+# a log grid of q from the supported floor up to 1
+FLOOR_GRID = tuple(float(q) for q in np.geomspace(Q_MIN, 1.0, 31))
 
 
 def test_trivial_corep(params):
@@ -59,6 +65,45 @@ def test_computed_F(q):
     assert np.max(np.abs(fund.F - np.diag([1.0 / q, q]))) < 1e-9
     assert abs(np.trace(fund.F) - np.trace(np.linalg.inv(fund.F))) < 1e-12
     assert abs(np.trace(fund.F) - (q + 1.0 / q)) < 1e-12
+
+
+def test_the_closed_form_F_is_the_solved_intertwiner():
+    for q in QS + FLOOR_GRID:
+        params = AlgebraParams(q=q)
+        fund = fundamental_corep(params)
+        assert fund.F.tolist() == [[1.0 / q, 0.0], [0.0, q]]
+        solved = compute_F(fund.entries, params)
+        assert np.max(np.abs(solved - fund.F)) <= 1e-12 * np.linalg.norm(fund.F), q
+        # the engine keeps its one solve
+        assert engine(params).solved_F() is engine(params).solved_F()
+        assert np.array_equal(engine(params).solved_F(), solved)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_the_closed_form_F_intertwines_every_shipped_block(q):
+    params = AlgebraParams(q=q)
+    for U in [fundamental_corep(params), *product_catalog(params)]:
+        assert intertwiner_residual(U) <= 1e-9, U.label
+
+
+def test_an_engine_refuses_a_q_below_the_floor():
+    assert fundamental_corep(AlgebraParams(q=Q_MIN)).F[1, 1] == Q_MIN
+    for q in (0.999 * Q_MIN, 1e-100, 5e-324):
+        with pytest.raises(ValueError, match="below the supported range"):
+            engine(AlgebraParams(q=q))
+
+
+def test_a_tol_that_prunes_the_fundamental_corep_is_refused():
+    # √q·c falls to tol 0.3 at q = 0.04, and a·1 to tol 1; compute_F finds no intertwiner for either
+    for q, tol in ((0.04, 0.3), (0.5, 1.0)):
+        with pytest.raises(ValueError, match="prunes a coefficient of the fundamental corep"):
+            fundamental_corep(AlgebraParams(q=q, tol=tol))
+        params = AlgebraParams(q=q, tol=tol)
+        pruned = tuple(tuple(Element(params, e.terms) for e in row)
+                       for row in fundamental_corep(AlgebraParams(q=q)).entries)
+        with pytest.raises(ValueError):
+            compute_F(pruned, params)
+    assert len(fundamental_corep(AlgebraParams(q=0.2, tol=0.3)).entries[0][1].terms) == 1
 
 
 def test_F_identity_in_classical_limit():

@@ -4,9 +4,10 @@ A compiled map is a q-independent plan filled with the numbers of one q.
 These tests hold the fills to the symbolic products bit for bit: a map
 compiled through plans left warm by another q equals one compiled cold, the
 compiled adjoints are the symbolic adjoints, `tensor` is the written-out fold
-over its factors, a product corep's F is `np.kron`, `_mono_mul` is the
-written-out rewriting loop, and `compute_F`'s system is the written-out row
-loop.  Floats are compared as their exact bits, so signed zeros count.
+over its factors, an engine's plan-built product entries are `tensor`'s, a
+product corep's F is `np.kron`, `_mono_mul` is the written-out rewriting
+loop, and `compute_F`'s system is the written-out row loop.  Floats are
+compared as their exact bits, so signed zeros count.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from qent.hopf import MultiElement, coinverse_squared, tensor
 
 algebra, corep, fourier = (sys.modules[f"qent.{name}"] for name in ("algebra", "corep", "fourier"))
 
-# 0.37 is a q where compute_F leaves 1e-16 off the diagonal of F
+# 0.37 is a q where compute_F leaves 1e-16 off the diagonal of F, which the closed form does not
 QS = (0.2, 0.37, 0.64, 1.0)
 # at tol 0.3 and q = 0.2 the product of c and c (coefficient q) is pruned from fund*fund
 TOLS = (1e-9, 0.3)
@@ -62,12 +63,7 @@ def _bits(value):
 
 
 def _singles(q, tol):
-    """The shipped single-factor coreps at q, with their entries and products pruned at tol.
-
-    F is solved at the default tol: at every q where some product coefficient
-    lies at or below a tol, so does a coefficient of κ²(u), and compute_F
-    then finds no intertwiner.
-    """
+    """The shipped single-factor coreps at q, built apart from the engine and pruned at tol."""
     params = AlgebraParams(q=q, tol=tol)
     return {u.label: dataclasses.replace(u, params=params, entries=tuple(
                 tuple(Element(params, e.terms) for e in row) for row in u.entries))
@@ -130,6 +126,9 @@ def test_compiled_blocks_hold_the_symbolic_adjoints(q, tol):
         assert _bits(compiled.adjoints) == _bits(symbolic), U.label
         sqrtF, inv_sqrtF = fourier._sqrt_pair(U.F)
         assert _bits((compiled.sqrtF, compiled.inv_sqrtF)) == _bits((sqrtF, inv_sqrtF))
+        # every F here is diagonal, and its roots are the written-out ones, entry by entry
+        root = np.sqrt(np.diagonal(U.F))
+        assert _bits((sqrtF, inv_sqrtF)) == _bits((np.diag(root), np.diag(1.0 / root))), U.label
         assert _bits(compiled.witness[0]) == _bits(sqrtF.astype(complex))
     assert fourier.block_map(coreps[-1]).adjoints == (((UNIT, 1.0),),)
     # the adjoint of a*·c is scaled by 1/q, past the largest float here, which the constructor refuses
@@ -184,6 +183,24 @@ def test_tensor_is_the_written_out_fold_bit_for_bit(q, tol):
         got = tensor(*factors)
         assert got.legs == _written_out_tensor(*factors).legs
         assert _bits(got.terms) == _bits(_written_out_tensor(*factors).terms)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("q", QS)
+def test_plan_built_product_entries_are_the_tensor_products_bit_for_bit(q, tol):
+    params = AlgebraParams(q=q, tol=tol)
+    singles = standard_catalog(params)
+    pruned = []
+    for U in product_catalog(params):
+        u, v = (singles[label] for label in U.label.split("*"))
+        assert U.left is u and U.right is v
+        n, m = U.dims
+        for i, k, j, l in itertools.product(range(n), range(m), range(n), range(m)):
+            entry, left, right = U.entries[i * m + k][j * m + l], u.entries[i][j], v.entries[k][l]
+            assert _bits(entry.terms) == _bits(tensor(left, right).terms), (U.label, i, k, j, l)
+            pruned += [U.label] * (len(left.terms) * len(right.terms) - len(entry.terms))
+    # at tol 0.3 and q = 0.2 the product of c and c (coefficient q) is pruned, as tensor prunes it
+    assert pruned == (["fund*fund"] if (q, tol) == (0.2, 0.3) else [])
 
 
 @pytest.mark.parametrize("q", QS)
@@ -269,9 +286,9 @@ def test_the_intertwiner_system_is_the_written_out_one(q):
         assert _bits(corep._intertwiner_system(entries)) == _bits(_written_out_system(entries))
 
 
-def test_a_fresh_q_ppt_request_builds_no_adjoint_and_solves_F_once(monkeypatch, capsys):
-    adjoints, solved = [], []
-    original_adjoint, original_solve = MultiElement.adjoint, corep.compute_F
+def test_a_fresh_q_ppt_request_builds_no_adjoint_and_solves_no_F(monkeypatch, capsys):
+    adjoints, solved, eigen = [], [], []
+    original_adjoint, original_solve, original_eigh = MultiElement.adjoint, corep.compute_F, np.linalg.eigh
 
     def counting_adjoint(self):
         adjoints.append(self)
@@ -281,12 +298,21 @@ def test_a_fresh_q_ppt_request_builds_no_adjoint_and_solves_F_once(monkeypatch, 
         solved.append(params)
         return original_solve(entries, params)
 
+    def counting_eigh(a, *args, **kwargs):
+        eigen.append(sys._getframe(1).f_code.co_name)
+        return original_eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(MultiElement, "adjoint", counting_adjoint)
     monkeypatch.setattr(corep, "compute_F", counting_solve)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     corep.engine.cache_clear()
-    for q, path, code in ((0.3579, "werner_0.6.json", 1), (0.7531, "werner_0.2.json", 0)):
+    for q, path, code in ((0.3579, "werner_0.6.json", 1), (0.7531, "werner_0.2.json", 0), (0.37, "werner_0.6.json", 1)):
         adjoints.clear()
         solved.clear()
+        eigen.clear()
         assert main(["ppt", "--input", str(DATA / path), "--q", str(q), "--format", "json"]) == code
-        assert adjoints == [] and len(solved) == 1
+        # F is the closed form, and its roots are taken entry-wise: the one eigen-solve
+        # is that of the NPT witness
+        assert adjoints == [] and solved == []
+        assert eigen == ["_witness"] * (code == 1)
     capsys.readouterr()
