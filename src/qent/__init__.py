@@ -21,7 +21,6 @@ from .algebra import (
 )
 from .corep import (
     Corep,
-    ProductCorep,
     compute_F,
     fundamental_corep,
     orthogonality_check,
@@ -53,17 +52,13 @@ from .entangle import (
 from .fourier import (
     DensityOp,
     forward,
-    forward_single,
     inverse,
-    inverse_single,
     maximally_mixed,
     normalization_check,
     product_basis_projector,
     reconstruct,
-    reconstruct_single,
     singlet_state,
     support_residual,
-    support_residual_single,
     werner_state,
 )
 from .haar import (

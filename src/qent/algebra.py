@@ -239,35 +239,132 @@ def _adjoint_image(mono: Monomial) -> Monomial:
     return _mono(STAR if mono.sector == PLAIN else PLAIN, mono.k, mono.n, mono.m)
 
 
-class Element:
-    """Finite complex linear combination of normal-ordered monomials.
+class _ElementCore:
+    """What one-leg Elements and multi-leg MultiElements share: terms, pruning, linear arithmetic.
 
-    Instances are immutable by convention: every operation returns a new
-    Element, so values can be shared freely between threads.  Coefficients
-    with modulus at most ``params.tol`` are pruned on construction; a
-    coefficient whose modulus is not finite (a non-finite one, or a finite
-    one such as 1.5e308 + 1.5e308j whose modulus overflows) raises
-    ValueError.
+    `terms` maps each key (a Monomial, or a tuple of `legs` Monomials) to
+    its coefficient.  Coefficients with modulus at most ``params.tol`` are
+    pruned on construction; a coefficient whose modulus is not finite (a
+    non-finite one, or a finite one such as 1.5e308 + 1.5e308j whose
+    modulus overflows) raises ValueError.  Sums, differences, negation and
+    scalar products build their keys from keys already checked, so they
+    use the trusted constructor.
     """
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params", "legs", "terms")
 
-    def __init__(self, params: AlgebraParams, terms: Mapping[Monomial, complex] | None = None):
+    def __init__(self, params: AlgebraParams, terms: Mapping | None = None, legs: int = 1):
         pruned = {}
         if terms:
             tol = params.tol
-            for mono, coeff in terms.items():
+            for key, coeff in terms.items():
                 z = complex(coeff)
                 try:
                     size = abs(z)
                 except OverflowError:  # a finite z whose modulus overflows
                     size = math.inf
                 if tol < size < math.inf:
-                    pruned[mono] = z
+                    pruned[key] = z
                 elif not size <= tol:
-                    raise ValueError(f"the modulus of the coefficient of {mono} is not finite: {z!r}")
+                    # str() of a tuple key is its repr, and a Monomial reads as its word
+                    raise ValueError(f"the modulus of the coefficient of {key} is not finite: {z!r}")
         self.params = params
+        self.legs = legs
         self.terms = pruned
+
+    @classmethod
+    def _trusted(cls, params: AlgebraParams, legs: int, terms: Mapping):
+        """An element of the class over keys the caller built: Monomials, or tuples of `legs` of them.
+
+        The keys are not checked again; coefficients are pruned at tol and
+        rejected when their modulus is not finite, as by the constructor.
+        """
+        out = cls.__new__(cls)
+        _ElementCore.__init__(out, params, terms, legs)
+        return out
+
+    # -- inspection --------------------------------------------------------
+
+    def coeff(self, key) -> complex:
+        return self.terms.get(key, 0j)
+
+    def items(self):
+        return self.terms.items()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _check(self, other):
+        if self.params != other.params:
+            raise ValueError("operands carry different algebra parameters")
+        if self.legs != other.legs:
+            raise ValueError(f"leg mismatch: {self.legs} vs {other.legs}")
+
+    def __add__(self, other):
+        if isinstance(other, (int, float, complex)):
+            unit = UNIT if isinstance(self, Element) else (UNIT,) * self.legs
+            other = self._trusted(self.params, self.legs, {unit: other})
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0j) + coeff
+        return self._trusted(self.params, self.legs, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rsub__(self, other):
+        return (-1) * self + other
+
+    def __neg__(self):
+        return (-1) * self
+
+    def _scaled(self, factor):
+        return self._trusted(self.params, self.legs, {key: coeff * factor for key, coeff in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self._scaled(other)
+        return NotImplemented
+
+    # -- comparison --------------------------------------------------------
+
+    def distance(self, other) -> float:
+        """Largest coefficient deviation over the union of supports."""
+        self._check(other)
+        keys = set(self.terms) | set(other.terms)
+        return max((abs(self.coeff(k) - other.coeff(k)) for k in keys), default=0.0)
+
+    def equal(self, other) -> bool:
+        """Coefficient-wise agreement within the shared tolerance."""
+        return self.distance(other) <= self.params.tol
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.params == other.params and self.legs == other.legs and self.equal(other)
+
+    __hash__ = None
+
+    def __str__(self):
+        return _format_terms(self.terms)
+
+
+class Element(_ElementCore):
+    """Finite complex linear combination of normal-ordered monomials, keyed by Monomial.
+
+    Instances are immutable by convention: every operation returns a new
+    Element, so values can be shared freely between threads.  Pruning and
+    the linear arithmetic are `_ElementCore`'s.
+    """
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -295,51 +392,14 @@ class Element:
     def monomial(cls, params: AlgebraParams, mono: Monomial, coeff: complex = 1.0) -> "Element":
         return cls(params, {mono: complex(coeff)})
 
-    # -- inspection --------------------------------------------------------
-
-    def coeff(self, mono: Monomial) -> complex:
-        return self.terms.get(mono, 0j)
-
-    def items(self):
-        return self.terms.items()
-
     def degree(self) -> int:
         return max((mono.degree for mono in self.terms), default=0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "Element"):
-        if self.params != other.params:
-            raise ValueError("operands carry different algebra parameters")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Element.from_scalar(self.params, other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0j) + coeff
-        return Element(self.params, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * (other if isinstance(other, Element) else Element.from_scalar(self.params, other))
-
-    def __rsub__(self, other):
-        return (-1) * self + other
-
-    def __neg__(self):
-        return (-1) * self
+    # -- symbolic product and involution -----------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Element(self.params, {mono: coeff * other for mono, coeff in self.terms.items()})
+            return self._scaled(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._check(other)
@@ -352,11 +412,6 @@ class Element:
                     out[mono] = out.get(mono, 0j) + cxy * scale
         return Element(self.params, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def adjoint(self) -> "Element":
         q = self.params.q
         out: dict = {}
@@ -365,29 +420,8 @@ class Element:
             out[mono2] = out.get(mono2, 0j) + coeff.conjugate() * scale
         return Element(self.params, out)
 
-    # -- comparison --------------------------------------------------------
-
-    def distance(self, other: "Element") -> float:
-        """Largest coefficient deviation over the union of supports."""
-        self._check(other)
-        keys = set(self.terms) | set(other.terms)
-        return max((abs(self.coeff(k) - other.coeff(k)) for k in keys), default=0.0)
-
-    def equal(self, other: "Element") -> bool:
-        return self.distance(other) <= self.params.tol
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.params == other.params and self.equal(other)
-
-    __hash__ = None
-
     def __repr__(self):
         return f"Element({_format_terms(self.terms)!s})"
-
-    def __str__(self):
-        return _format_terms(self.terms)
 
 
 def _format_coeff(z: complex) -> str:

@@ -12,8 +12,11 @@ The shipped catalog holds the trivial (spin-0) and the fundamental
 (spin-1/2) corepresentations, with fund's F in closed form, diag(1/q, q)
 (Woronowicz, Publ. RIMS 23, 1987); product corepresentations of the
 direct square are entry-wise tensor products, built from a q-free plan,
-with F given by the Kronecker product of the factors.  `compute_F` and
-`product_corep` solve and multiply symbolically, as the oracles of both.
+with F given by the Kronecker product of the factors.  One `Corep` type
+holds both kinds: a product corep keeps its two factors, and its `legs`
+(2, against 1) tells the transform which kind of element it pairs with.
+`compute_F` and `product_corep` solve and multiply symbolically, as the
+oracles of both.
 """
 
 from __future__ import annotations
@@ -34,36 +37,29 @@ _NULLSPACE_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Corep:
-    """A unitary corepresentation with its positive intertwiner; equal only to itself."""
+    """A unitary corepresentation with its positive intertwiner; equal only to itself.
+
+    A single-factor corep (`factors` empty) has one-leg Element entries.  A
+    product corep u ⊗ v of the direct square has `factors` (u, v),
+    composite indices (ik),(jl) and two-leg MultiElement entries.
+    """
 
     label: str
     dim: int
     entries: tuple
     F: np.ndarray = field(repr=False)
     params: AlgebraParams
+    factors: tuple = ()
 
-    def entry(self, i: int, j: int) -> Element:
-        return self.entries[i][j]
-
-
-@dataclass(frozen=True, eq=False)
-class ProductCorep:
-    """Corepresentation u ⊗ v of the direct square, with composite indices (ik),(jl); equal only to itself."""
-
-    label: str
-    left: Corep
-    right: Corep
-    dim: int
-    entries: tuple
-    F: np.ndarray = field(repr=False)
-    params: AlgebraParams
+    @property
+    def legs(self) -> int:
+        """The legs of its entries: 1 for a single-factor corep, 2 for a product one."""
+        return 2 if self.factors else 1
 
     @property
     def dims(self) -> tuple:
-        return (self.left.dim, self.right.dim)
-
-    def entry(self, row: int, col: int) -> MultiElement:
-        return self.entries[row][col]
+        """The dimensions of its factors, or (dim,) for a single-factor corep."""
+        return tuple(u.dim for u in self.factors) or (self.dim,)
 
 
 # AlgebraParams whose engines are kept at once; a q-sweep builds one per q
@@ -207,7 +203,7 @@ def _intertwiner_system(entries) -> np.ndarray:
     return np.array(rows, dtype=complex).reshape(-1, dim * dim)
 
 
-def product_corep(u: Corep, v: Corep) -> ProductCorep:
+def product_corep(u: Corep, v: Corep) -> Corep:
     """Entry-wise tensor product with U_(ik),(jl) = u_ij ⊗ v_kl and F = F_u ⊗ F_v."""
     if u.params != v.params:
         raise ValueError("factors carry different algebra parameters")
@@ -219,11 +215,11 @@ def product_corep(u: Corep, v: Corep) -> ProductCorep:
     ))
 
 
-def _product(u, v, entries) -> ProductCorep:
+def _product(u, v, entries) -> Corep:
     n, m = u.dim, v.dim
     # np.kron(u.F, v.F) as one broadcast product, without np.kron's set-up (about 20 µs a call)
     F = (u.F[:, None, :, None] * v.F[None, :, None, :]).reshape(n * m, n * m)
-    return ProductCorep(f"{u.label}*{v.label}", u, v, n * m, entries, _freeze(F), u.params)
+    return Corep(f"{u.label}*{v.label}", n * m, entries, _freeze(F), u.params, (u, v))
 
 
 # factor layout pairs whose product plans are kept at once; each shipped pair has one
@@ -344,9 +340,7 @@ def _sum(elements):
 
 
 def _delta_unit(u, diagonal: bool):
-    unit = MultiElement.unit if isinstance(u.entries[0][0], MultiElement) else Element.unit
-    args = (u.params, 2) if isinstance(u.entries[0][0], MultiElement) else (u.params,)
-    one = unit(*args)
+    one = MultiElement.unit(u.params, 2) if u.legs == 2 else Element.unit(u.params)
     return one if diagonal else one * 0.0
 
 

@@ -20,7 +20,9 @@ scale to x's gathered coefficients and builds no θx.  Both then share one
 block test: one pass over the blocks gives their hermitian parts and the
 largest asymmetry, the blocks of each size are tested in one stacked
 eigen-solve, and a witness is built from a product catalog's failing block
-only.  `tensor_pd` reads its factors' blocks from the same map.
+only, with its eigenvector in a canonical phase.  `tensor_pd` reads its
+factors' blocks from the same map, and so does the per-block `inverse`
+that `find_negative_witness` calls without a block.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corep import ProductCorep, pairing_tables, standard_catalog
+from .corep import Corep, pairing_tables, standard_catalog
 from .fourier import DensityOp, _require_kind, block_map, catalog_map, inverse
 from .hopf import MultiElement, _require_theta_leg, partial_theta, tensor
 
@@ -42,6 +44,8 @@ ENTANGLED = "ENTANGLED"
 
 # eigenvalues in (-EIG_TOL, 0) count as zero; eigen-solvers jitter at this scale
 EIG_TOL = 1e-9
+# eigenvector components whose moduli agree to this relative tolerance tie for the witness's phase
+WITNESS_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ def _block_report(compiled, flat, residual, params) -> PDReport:
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
-def find_negative_witness(x: MultiElement, U: ProductCorep, *, block=None) -> MultiElement | None:
+def find_negative_witness(x: MultiElement, U: Corep, *, block=None) -> MultiElement | None:
     """A witness b with pd_witness_value(x, b) < 0, or None when the block is PSD.
 
     The block's most negative eigenvector is pulled back through the
@@ -174,6 +178,13 @@ def _witness(params, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
     """
     eigvals, vecs = np.linalg.eigh(trF * (sqrtF @ herm @ sqrtF))
     v = vecs[:, int(np.argmin(eigvals))]
+    # eigh fixes v only up to a phase: rotate the first component of largest modulus to the
+    # positive reals, counting moduli within WITNESS_TIE_RTOL of the largest as ties, so that
+    # a block that moves in its last bits gives the same witness up to rounding
+    size = np.abs(v).tolist()
+    top = (1.0 - WITNESS_TIE_RTOL) * max(size)
+    pivot = v[next(i for i, s in enumerate(size) if s >= top)]
+    v = v * (pivot.conjugate() / abs(pivot))
     terms: dict = {}
     for col, adjoint in enumerate(witness_adjoints):
         beta = v[col].conjugate()
@@ -239,7 +250,9 @@ def ppt_check(x: MultiElement, catalog, *, leg: int = 1) -> PDReport:
 
 
 def partial_transpose(matrix, dims, leg: int = 1) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite matrix in the product basis."""
+    """Transpose one tensor factor (leg 0 or 1) of a bipartite matrix in the product basis."""
+    if leg not in (0, 1):
+        raise ValueError("leg must be 0 or 1")
     n, m = dims
     arr = np.asarray(matrix, dtype=complex).reshape(n, m, n, m)
     arr = arr.transpose(0, 3, 2, 1) if leg == 1 else arr.transpose(2, 1, 0, 3)

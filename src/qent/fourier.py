@@ -11,19 +11,17 @@ against an irreducible block U is
 
 and the original operator is recovered as (tr F) √F x̂(U) √F.  The same maps
 with a single-factor corepresentation act between matrices and one-leg
-Elements; every entry point refuses any other pairing (`_require_kind`).
+Elements: `forward`, `inverse` and `reconstruct` read the kind from the
+corep (`Corep.legs`) and refuse any other pairing (`_require_kind`).
 
-Both directions are linear, so each block, product or single-factor, is
-compiled once into a `BlockMap` kept on its corep: the forward direction is
-one matrix over the block's support, and for the per-block `inverse` and
-`reconstruct` the Haar pairings h(U_rc* · t) of each term key t are
-memoised term by term from single-leg tables.
-
-A whole catalog of blocks of one kind is compiled on first use into one
-`CatalogMap`: a single matrix from x's coefficients over the catalog's
-support to every block x̂(U) at once, built leg by leg from the same
-single-leg tables, and the matrix that re-expands the lifted blocks, so
-the support residual is one more product.  The transposition map on one
+Both directions are linear.  Each block, product or single-factor, is
+compiled once into a `BlockMap` kept on its corep; the forward direction is
+one matrix over the block's support.  A whole catalog of blocks of one kind
+is compiled on first use into one `CatalogMap`: a single matrix from x's
+coefficients over the catalog's support to every block x̂(U) at once, built
+leg by leg from single-leg Haar tables, and the matrix that re-expands the
+lifted blocks, so the support residual is one more product.  `inverse` is
+the block of a one-block catalog's map.  The transposition map on one
 leg of a product catalog only moves and rescales coefficients over that
 support, so the map also keeps it as an index and a scale per leg, and a
 partial transpose is tested without building θx.  The positivity test in
@@ -51,7 +49,7 @@ import math
 import numpy as np
 
 from .algebra import LRU, Element, _adjoint_image, _adjoint_power
-from .corep import Corep, ProductCorep, _require_distinct, _terms, engine, pairing_tables
+from .corep import Corep, _require_distinct, _terms, engine, pairing_tables
 from .haar import leg_support
 from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
 
@@ -105,31 +103,36 @@ class DensityOp:
         return f"DensityOp(dims={self.dims}, trace={self.trace():.6g})"
 
 
-# -- two-leg transform ---------------------------------------------------------
+# -- transform -------------------------------------------------------------------
 
-def forward(rho, U: ProductCorep) -> MultiElement:
-    """ρ̂ = Σ ρ_(ik),(jl) U_(jl),(ik); linear in ρ."""
-    # the keys of a product corep's entries are two-leg tuples, as the trusted constructor needs
-    _require_kind(2, U)
+def forward(rho, U: Corep):
+    """ρ̂ = Σ ρ_(ik),(jl) U_(jl),(ik) over a product corep, Σ ρ_ij u_ji over a single-factor one; linear in ρ.
+
+    The result is a two-leg MultiElement or a one-leg Element, as U's entries are.
+    """
+    # the keys of U's entries are keys of its kind, as the trusted constructor needs
+    legs = _require_kind(None, U)
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
     d = U.dim
     if mat.shape != (d, d):
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
     if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
-    return MultiElement._trusted(U.params, 2, _expand(mat, U))
+    return (MultiElement if legs == 2 else Element)._trusted(U.params, legs, _expand(mat, U))
 
 
-def inverse(x: MultiElement, U: ProductCorep) -> np.ndarray:
-    """The inverse transform of a two-leg x against the irreducible product block U."""
-    _require_kind(2, x, U)
-    if x.params != U.params:
-        raise ValueError("element and corepresentation parameters differ")
-    block = block_map(U)
-    return block.inv_sqrtF @ block.haar_matrix(x).T @ block.sqrtF
+def inverse(x, U: Corep) -> np.ndarray:
+    """The inverse transform x̂(U) of x against the irreducible block U, of U's kind.
+
+    It is the block of U's one-block catalog map, which the engine keeps
+    for its own coreps, so the per-block API and the positivity test read
+    the same compiled map.
+    """
+    compiled = catalog_map((U,))
+    return compiled.block(compiled.flat(*compiled.gather(x)), 0)
 
 
-def reconstruct(x: MultiElement, U: ProductCorep) -> np.ndarray:
+def reconstruct(x, U: Corep) -> np.ndarray:
     """(tr F) √F x̂(U) √F: recovers ρ when x is the transform of ρ over U."""
     return lift_block(inverse(x, U), U)
 
@@ -159,21 +162,12 @@ def lift_block(block: np.ndarray, U) -> np.ndarray:
 
 # -- compiled block maps -----------------------------------------------------------
 
-# per-monomial chains kept per block
-BLOCK_CHAINS_SIZE = 512
-
-
 class BlockMap:
-    """The compiled data and maps of one corep block U: its shape's plan filled with U's numbers.
+    """The compiled data of one corep block U: its shape's plan filled with U's numbers.
 
     U is a product corep (terms keyed by two-leg tuples of monomials) or a
     single-factor corep (terms keyed by monomials).
 
-    - `chain(t)` lists, for a term key t, every non-zero term of the Haar
-      values h(U_rc* · t) as its entry index r * d + c and its factors
-      (β, s_0, .., h_0, ..): the coefficient β of U_rc*, the scale of each
-      leg's product and the Haar value of each leg's monomial.  It is built
-      from single-leg tables and memoised per key;
     - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness` is what
       `find_negative_witness` combines: (√F as a complex matrix, tr F, the
       adjoints of the row given by the column of F⁻¹ with the largest norm);
@@ -186,12 +180,11 @@ class BlockMap:
       key layout, the adjoint keys where a term was pruned, else None).
     """
 
-    __slots__ = ("dim", "legs", "plan", "layout", "support", "expansion", "adjoints", "witness",
-                 "sqrtF", "inv_sqrtF", "trF", "transfer", "lifted", "params", "_chains")
+    __slots__ = ("plan", "layout", "support", "expansion", "adjoints", "witness",
+                 "sqrtF", "trF", "transfer", "lifted")
 
     def __init__(self, U):
-        d = self.dim = U.dim
-        legs = self.legs = 2 if isinstance(U, ProductCorep) else 1
+        d, legs = U.dim, U.legs
         layout, values = _terms(U)
         plan = _BLOCK_PLANS.get((layout, legs)) or _BLOCK_PLANS.put((layout, legs), _BlockPlan(layout, legs))
         self.plan, self.support = plan, plan.support
@@ -216,7 +209,8 @@ class BlockMap:
         # the witness row is the column of F⁻¹ with the largest norm; F⁻¹ of a diagonal F is diag(1/f)
         diagonal = np.count_nonzero(F) == np.count_nonzero(f)
         row = int(((1.0 / f) ** 2 if diagonal else (np.abs(np.linalg.inv(F)) ** 2).sum(axis=0)).argmax())
-        sqrtF, inv_sqrtF = self.sqrtF, self.inv_sqrtF = _sqrt_pair(F)
+        sqrtF, inv_sqrtF = _sqrt_pair(F)
+        self.sqrtF = sqrtF
         self.trF = float(F.trace().real)
         # the complex √F gives the bits a matrix product gives after casting a real √F
         self.witness = (sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
@@ -226,51 +220,8 @@ class BlockMap:
         self.transfer = np.multiply.outer(inv_sqrtF, sqrtF).transpose(0, 3, 2, 1).reshape(d * d, d * d)
         lift = self.trF * np.multiply.outer(sqrtF, sqrtF).transpose(0, 3, 1, 2).reshape(d * d, d * d)
         self.lifted = self.expansion @ lift
-        for arr in (sqrtF, inv_sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
+        for arr in (sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
             arr.setflags(write=False)
-        self.params, self._chains = U.params, LRU(BLOCK_CHAINS_SIZE)
-
-    def chain(self, t):
-        """(entry indices, factors of shape (1 + 2·legs, n)) of the terms of h(U_rc* · t)."""
-        found = self._chains.get(t)
-        if found is None:
-            leg_terms = pairing_tables(self.params).leg_terms
-            monos = t if self.legs == 2 else (t,)
-            bins, factors = [], []
-            for rc, terms in enumerate(self.adjoints):
-                for key, beta in terms:
-                    # the last leg varies fastest, as in the symbolic product
-                    slots = key if self.legs == 2 else (key,)
-                    for legs in itertools.product(*map(leg_terms, slots, monos)):
-                        bins.append(rc)
-                        factors.append((beta, *(s for s, _ in legs), *(h for _, h in legs)))
-            found = (np.array(bins, dtype=np.intp),
-                     np.array(factors, dtype=complex).reshape(-1, 1 + 2 * self.legs).T.copy())
-            self._chains.put(t, found)
-        return found
-
-    def haar_matrix(self, x) -> np.ndarray:
-        """H with H[r, c] = h(U_rc* · x).
-
-        Each term is multiplied out as β·x_t, then by each leg's scale,
-        then by each leg's Haar value, and added in the order of the
-        symbolic product.  So H equals the symbolic value bit for bit when
-        each U_rc* is one term and no two terms of U_rc*·x share a
-        monomial, as for transforms of operators (and their partial
-        transposes) over the shipped catalog.
-        """
-        d = self.dim
-        H = np.zeros(d * d, dtype=complex)
-        if x.terms:
-            chains = [self.chain(t) for t in x.terms]
-            coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(chains)),
-                               [len(chain[0]) for chain in chains])
-            factors = np.concatenate([chain[1] for chain in chains], axis=1)
-            values = factors[0] * coeffs
-            for factor in factors[1:]:
-                values = values * factor
-            np.add.at(H, np.concatenate([chain[0] for chain in chains]), values)
-        return H.reshape(d, d)
 
 
 def block_map(U) -> BlockMap:
@@ -426,10 +377,15 @@ class CatalogMap:
 
     def transform(self, v: np.ndarray, outside=()):
         """(flat, residual) from x's coefficients v over the support and its other terms."""
+        flat = self.flat(v, outside)
+        missed = float(np.max(np.abs([c for _, c in outside]))) if outside else 0.0
+        gaps = np.abs(v - self.reexpansion @ flat)
+        return flat, max(float(gaps.max(initial=0.0)), missed)
+
+    def flat(self, v: np.ndarray, outside=()) -> np.ndarray:
+        """Every block x̂(U) end to end, from x's coefficients v over the support and its other terms."""
         flat = self.matrix @ v
-        missed = 0.0
         if outside:
-            coeffs = np.array([c for _, c in outside])
             keys = _leg_keys([t for t, _ in outside], self.legs)
             gathered = []
             for side, (monos, rows) in enumerate(self.plan.slot_legs):
@@ -437,10 +393,8 @@ class CatalogMap:
                 table = np.array([[self._tables.leg(p, m) for m in key_monos] for p in monos],
                                  dtype=complex).reshape(len(monos), len(key_monos))
                 gathered.append(table[np.ix_(rows, cols)])
-            flat = flat + self._pairing(gathered, len(keys)) @ coeffs
-            missed = float(np.max(np.abs(coeffs)))
-        gaps = np.abs(v - self.reexpansion @ flat)
-        return flat, max(float(gaps.max(initial=0.0)), missed)
+            flat = flat + self._pairing(gathered, len(keys)) @ np.array([c for _, c in outside])
+        return flat
 
     def block(self, flat: np.ndarray, i: int) -> np.ndarray:
         """x̂(U_i) from flat."""
@@ -611,36 +565,6 @@ def _theta_plan(index, leg):
     return src, monos, which
 
 
-# -- single-factor transform -----------------------------------------------------
-
-def forward_single(mat, u: Corep) -> Element:
-    """Σ ρ_ij u_ji for a single-factor operator ρ."""
-    _require_kind(1, u)
-    arr = np.asarray(mat, dtype=complex)
-    d = u.dim
-    if arr.shape != (d, d):
-        raise ValueError(f"operator shape {arr.shape} does not match corep dimension {d}")
-    return Element(u.params, _expand(arr, u))
-
-
-def inverse_single(x: Element, u: Corep) -> np.ndarray:
-    """The inverse transform of a one-leg element x against the single-factor block u."""
-    _require_kind(1, x, u)
-    if x.params != u.params:
-        raise ValueError("element and corepresentation parameters differ")
-    block = block_map(u)
-    return block.inv_sqrtF @ block.haar_matrix(x).T @ block.sqrtF
-
-
-def reconstruct_single(x: Element, u: Corep) -> np.ndarray:
-    return lift_block(inverse_single(x, u), u)
-
-
-def support_residual_single(x: Element, coreps) -> float:
-    """`support_residual` for a one-leg x over single-factor coreps."""
-    return support_residual(x, coreps)
-
-
 # -- reference states ------------------------------------------------------------
 
 def singlet_state() -> DensityOp:
@@ -697,8 +621,8 @@ def _require_kind(legs, *items):
     (None when there is none); ValueError names the first item of another kind.
     """
     for item in items:
-        if isinstance(item, (ProductCorep, Corep)):
-            found = 2 if isinstance(item, ProductCorep) else 1
+        if isinstance(item, Corep):
+            found = item.legs
             name = f"the {'product' if found == 2 else 'single-factor'} corep {item.label}"
         elif isinstance(item, MultiElement):
             found, name = (2 if item.legs == 2 else None), f"a {item.legs}-leg element"

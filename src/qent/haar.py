@@ -78,9 +78,8 @@ GRAM_MATRICES_SIZE = 64
 class PairingTables:
     """Single-leg Haar pairings at one AlgebraParams, filled as they are first asked for.
 
-    `leg_terms(p, m)` lists the non-zero terms s·h(w) of h(p·m) =
-    Σ_w s·h(w) over the normal form p·m = Σ_w s·w, and `leg(p, m)` is
-    their sum.  `convolution(m, p, p2)` is
+    `leg(p, m)` is h(p·m) = Σ_w s·h(w) over the normal form p·m = Σ_w s·w,
+    added in the normal form's order.  `convolution(m, p, p2)` is
 
         G(m; p, p2) = Σ_{Δm = a1 ⊗ a2} h(κ(a1)·p2*) · h(p·a2),
 
@@ -99,21 +98,15 @@ class PairingTables:
         self._gram_index = OrderedDict()
         self._grams = LRU(GRAM_MATRICES_SIZE)
 
-    def leg_terms(self, p: Monomial, m: Monomial) -> tuple:
-        key = (p, m)
-        terms = self._leg.get(key)
-        if terms is None:
-            params = self.params
-            terms = tuple(
-                (scale, value)
-                for mono, scale in _mono_mul(p, m, params.q)
-                if (value := haar_monomial(mono, params))
-            )
-            self._leg.put(key, terms)
-        return terms
-
     def leg(self, p: Monomial, m: Monomial) -> complex:
-        return sum((scale * value for scale, value in self.leg_terms(p, m)), 0j)
+        key = (p, m)
+        value = self._leg.get(key)
+        if value is None:
+            params = self.params
+            value = sum((scale * h for mono, scale in _mono_mul(p, m, params.q)
+                         if (h := haar_monomial(mono, params))), 0j)
+            self._leg.put(key, value)
+        return value
 
     def convolution(self, m: Monomial, p: Monomial, p2: Monomial) -> complex:
         key = (m, p, p2)

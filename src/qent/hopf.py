@@ -18,7 +18,6 @@ unitary corepresentation and Δ coassociative.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 from .algebra import (
@@ -33,6 +32,7 @@ from .algebra import (
     MONO_C,
     MONO_CSTAR,
     UNIT,
+    _ElementCore,
     _format_terms,
     _mono,
     _mono_adjoint,
@@ -40,16 +40,14 @@ from .algebra import (
 )
 
 
-class MultiElement:
+class MultiElement(_ElementCore):
     """Linear combination of tuples of monomials: an element of a tensor power.
 
-    Every key must be a plain tuple of `legs` Monomials. Coefficients with
-    modulus at most ``params.tol`` are pruned on construction; a coefficient
-    whose modulus is not finite (non-finite, or overflowing as for
-    1.5e308 + 1.5e308j) raises ValueError.
+    Every key must be a plain tuple of `legs` Monomials.  Pruning and the
+    linear arithmetic are `algebra._ElementCore`'s.
     """
 
-    __slots__ = ("params", "legs", "terms")
+    __slots__ = ()
 
     def __init__(self, params: AlgebraParams, legs: int, terms: Mapping[tuple, complex] | None = None):
         if legs < 1:
@@ -60,22 +58,7 @@ class MultiElement:
                 if not (type(tup) is tuple and len(tup) == legs
                         and all(map(isinstance, tup, kinds))):
                     raise ValueError(f"term {tup!r} is not a tuple of {legs} monomials")
-        self.params = params
-        self.legs = legs
-        self.terms = _pruned(terms, params.tol) if terms else {}
-
-    @classmethod
-    def _trusted(cls, params: AlgebraParams, legs: int, terms: Mapping[tuple, complex]) -> "MultiElement":
-        """A MultiElement over keys the caller built as tuples of `legs` monomials.
-
-        The keys are not checked again; coefficients are pruned at tol and
-        rejected when their modulus is not finite, as by the constructor.
-        """
-        out = cls.__new__(cls)
-        out.params = params
-        out.legs = legs
-        out.terms = _pruned(terms, params.tol)
-        return out
+        super().__init__(params, terms, legs)
 
     @classmethod
     def zero(cls, params: AlgebraParams, legs: int) -> "MultiElement":
@@ -85,49 +68,9 @@ class MultiElement:
     def unit(cls, params: AlgebraParams, legs: int) -> "MultiElement":
         return cls(params, legs, {(UNIT,) * legs: 1.0})
 
-    def coeff(self, tup: tuple) -> complex:
-        return self.terms.get(tup, 0j)
-
-    def items(self):
-        return self.terms.items()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "MultiElement"):
-        if self.params != other.params:
-            raise ValueError("operands carry different algebra parameters")
-        if self.legs != other.legs:
-            raise ValueError(f"leg mismatch: {self.legs} vs {other.legs}")
-
-    # sums, products and adjoints build their keys from keys already checked,
-    # so they use the trusted constructor
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = MultiElement(self.params, self.legs, {(UNIT,) * self.legs: other})
-        if not isinstance(other, MultiElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for tup, coeff in other.terms.items():
-            out[tup] = out.get(tup, 0j) + coeff
-        return MultiElement._trusted(self.params, self.legs, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return MultiElement._trusted(
-                self.params, self.legs,
-                {tup: coeff * other for tup, coeff in self.terms.items()},
-            )
+            return self._scaled(other)
         if not isinstance(other, MultiElement):
             return NotImplemented
         self._check(other)
@@ -149,11 +92,6 @@ class MultiElement:
                     out[tup] = out.get(tup, 0j) + coeff
         return MultiElement._trusted(self.params, self.legs, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def adjoint(self) -> "MultiElement":
         q = self.params.q
         out: dict = {}
@@ -168,42 +106,8 @@ class MultiElement:
             out[key] = out.get(key, 0j) + coeff.conjugate() * scale
         return MultiElement._trusted(self.params, self.legs, out)
 
-    def distance(self, other: "MultiElement") -> float:
-        self._check(other)
-        keys = set(self.terms) | set(other.terms)
-        return max((abs(self.coeff(k) - other.coeff(k)) for k in keys), default=0.0)
-
-    def equal(self, other: "MultiElement") -> bool:
-        return self.distance(other) <= self.params.tol
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiElement):
-            return NotImplemented
-        return self.params == other.params and self.legs == other.legs and self.equal(other)
-
-    __hash__ = None
-
     def __repr__(self):
         return f"MultiElement(legs={self.legs}, {_format_terms(self.terms)!s})"
-
-    def __str__(self):
-        return _format_terms(self.terms)
-
-
-def _pruned(terms: Mapping[tuple, complex], tol: float) -> dict:
-    """The terms with modulus above tol; ValueError on a coefficient whose modulus is not finite."""
-    pruned = {}
-    for tup, coeff in terms.items():
-        z = complex(coeff)
-        try:
-            size = abs(z)
-        except OverflowError:  # a finite z whose modulus overflows
-            size = math.inf
-        if tol < size < math.inf:
-            pruned[tup] = z
-        elif not size <= tol:
-            raise ValueError(f"the modulus of the coefficient of {tup!r} is not finite: {z!r}")
-    return pruned
 
 
 def tensor(*factors) -> MultiElement:

@@ -40,7 +40,6 @@ from .entangle import (
 from .fourier import (
     DensityOp,
     forward,
-    forward_single,
     inverse,
     normalization_check,
     reconstruct,
@@ -154,7 +153,7 @@ def random_pd_element(rng, params: AlgebraParams) -> Element:
     """A random positive definite single-factor element over {triv, fund}."""
     fund = fundamental_corep(params)
     weight = float(rng.uniform(0.0, 1.0))
-    return Element.unit(params) * weight + forward_single(random_psd(rng, 2), fund)
+    return Element.unit(params) * weight + forward(random_psd(rng, 2), fund)
 
 
 # -- suites ---------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Compiled Haar-pairing maps against their symbolic definitions, and cache bounds.
 
-`inverse`, `inverse_single`, `support_residual`, `support_residual_single`,
-`find_negative_witness` and `pd_witness_value` evaluate memoised single-leg
-tables. The symbolic definitions they replace are written out here as
-oracles: H[r, c] = h(U_rc* · x) from the normal-ordered product, the support
+`inverse`, `support_residual`, `find_negative_witness` and
+`pd_witness_value` evaluate memoised single-leg tables, for product and
+single-factor coreps alike. The symbolic definitions they replace are
+written out here as oracles: H[r, c] = h(U_rc* · x) from the normal-ordered product, the support
 residual from the forward transform of each reconstructed block, and the
 pairing from `haar.convolve_check`. The catalog map's positivity test, for
 product and single-factor catalogs, is held to the same test run block by
 block (`_per_block_report`). The loops that the compiled forms replaced
-(gathering chains per call, summing ρ_rc·U_cr entry by entry, the Gram
-matrices term by term) are written out too, and the compiled forms must
-equal them bit for bit.
+(summing ρ_rc·U_cr entry by entry, the Gram matrices term by term) are
+written out too, and the compiled forms must equal them bit for bit.
 """
 
 import sys
@@ -34,11 +33,8 @@ from qent.fourier import (
     DensityOp,
     _sqrt_pair,
     forward,
-    forward_single,
     inverse,
-    inverse_single,
     support_residual,
-    support_residual_single,
 )
 from qent.haar import convolve_check, haar
 from qent.hopf import MultiElement, coproduct
@@ -90,8 +86,8 @@ def one_leg_elements(draw, q):
     params = AlgebraParams(q=q, tol=TOL)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    x = forward_single(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-                       fundamental_corep(params))
+    x = forward(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                fundamental_corep(params))
     terms = dict(x.terms)
     extra = draw(st.lists(st.tuples(monomials(), _coeffs), max_size=4))
     for mono, coeff in [(Monomial(), draw(_coeffs))] + extra:
@@ -158,11 +154,11 @@ def test_support_residual_matches_the_symbolic_reexpansion(q, data):
 def test_single_factor_blocks_match_the_symbolic_pairing(q, data):
     x = data.draw(one_leg_elements(q))
     coreps = tuple(standard_catalog(x.params).values())
-    blocks = [inverse_single(x, u) for u in coreps]
+    blocks = [inverse(x, u) for u in coreps]
     for u, got in zip(coreps, blocks):
         assert np.max(np.abs(got - symbolic_inverse(x, u))) <= 1e-10 * _scale(x), u.label
     for subset in (coreps, coreps[:1], coreps[1:]):
-        got = support_residual_single(x, subset)
+        got = support_residual(x, subset)
         assert abs(got - symbolic_support_residual_single(x, subset)) <= 1e-10 * _scale(x)
 
 
@@ -203,7 +199,6 @@ ENGINE_CATALOGS = 64 + 4
 
 def _cache_sizes(params):
     owner = corep.engine(params)
-    single = fourier.block_map(fundamental_corep(params))
     tables = owner.tables
     return {
         "mono_mul": (algebra._mono_mul.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
@@ -212,7 +207,6 @@ def _cache_sizes(params):
         "engine catalog maps": (len(owner.maps), ENGINE_CATALOGS),
         "pairing h(p·m) memo": (len(tables._leg), haar_module.PAIRING_MEMO_SIZE),
         "pairing G memo": (len(tables._convolution), haar_module.PAIRING_MEMO_SIZE),
-        "single block memo": (len(single._chains), fourier.BLOCK_CHAINS_SIZE),
         "gram index": (len(tables._gram_index), haar_module.GRAM_INDEX_SIZE),
         "gram matrices": (len(tables._grams), haar_module.GRAM_MATRICES_SIZE),
         "mono_mul programs": (algebra._mono_mul_program.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
@@ -236,10 +230,6 @@ def compiled_blocks(monkeypatch):
     return built
 
 
-def _most_chains(blocks):
-    return max((len(b._chains) for b in blocks), default=0)
-
-
 def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
     rng = np.random.default_rng(11)
     probe = [random_element(rng, AlgebraParams(q=0.5), max_degree=3, n_terms=6) for _ in range(2)]
@@ -259,7 +249,6 @@ def test_q_keyed_caches_stay_bounded_over_a_q_sweep(compiled_blocks):
                                     standard_catalog(params).values())
         for name, (size, bound) in _cache_sizes(params).items():
             assert size <= bound, (name, q)
-        assert _most_chains(compiled_blocks) <= fourier.BLOCK_CHAINS_SIZE
         coproduct_keys.update(hopf._COPRODUCT_CACHE)
     # the sweep outgrew every q-keyed bound, so the bounds were exercised, not just respected
     assert algebra._mono_mul.cache_info().misses - misses_before > algebra.MONO_MUL_CACHE_SIZE
@@ -278,10 +267,10 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
     info = algebra._mono_mul.cache_info()
     assert info.misses == info.currsize < algebra.MONO_MUL_CACHE_SIZE
     sizes = _cache_sizes(params)
-    for name in ("coproduct", "single block memo", "pairing h(p·m) memo", "pairing G memo"):
+    for name in ("coproduct", "pairing h(p·m) memo", "pairing G memo"):
         size, bound = sizes[name]
         assert size < bound, name
-    assert compiled_blocks and _most_chains(compiled_blocks) < fourier.BLOCK_CHAINS_SIZE
+    assert compiled_blocks
     for name in ("gram index", "gram matrices", "engine catalog maps"):
         size, bound = sizes[name]
         assert 0 < size < bound, name
@@ -401,50 +390,6 @@ def test_cycling_catalogs_compiles_each_map_once(monkeypatch):
     assert corep.engine(params).maps[("fund*fund",)].coreps == (catalog[3],)
 
 
-def _gathered_haar_matrix(block, x):
-    """H from the per-key chains, gathered and concatenated afresh on every call."""
-    d = block.dim
-    H = np.zeros(d * d, dtype=complex)
-    chains = [block.chain(t) for t in x.terms]
-    bins = np.concatenate([c[0] for c in chains])
-    factors = np.concatenate([c[1] for c in chains], axis=1)
-    coeffs = np.repeat(np.fromiter(x.terms.values(), complex, len(chains)),
-                       [len(c[0]) for c in chains])
-    values = factors[0] * coeffs
-    for factor in factors[1:]:
-        values = values * factor
-    np.add.at(H, bins, values)
-    return H.reshape(d, d)
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("q", QS)
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_layout_hits_and_misses_give_the_gathered_matrix(q, data):
-    """Every term layout of x (its order, a subset, other coefficients) gives the gathered matrix."""
-    x = data.draw(two_leg_elements(q))
-    items = list(x.terms.items())
-    order = data.draw(st.permutations(range(len(items))))
-    keep = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
-    rescale = complex(data.draw(_coeffs))
-    variants = [
-        x,
-        MultiElement(x.params, 2, {items[i][0]: items[i][1] for i in order}),
-        MultiElement(x.params, 2, {k: c for (k, c), kept in zip(items, keep) if kept}),
-    ]
-    variants = [y for y in variants if y.terms]
-    for U in product_catalog(x.params):
-        block = fourier.block_map(U)
-        for y in variants:
-            assert _same_bits(block.haar_matrix(y), _gathered_haar_matrix(block, y))
-            other = MultiElement(x.params, 2, {k: c * rescale for k, c in y.terms.items()})
-            assert _same_bits(block.haar_matrix(other), _gathered_haar_matrix(block, other))
-
-
 def _written_out_forward(mat, U):
     """Σ mat[row, col] U_(col),(row), summed entry by entry."""
     terms: dict = {}
@@ -470,8 +415,45 @@ def test_forward_is_the_written_out_sum_bit_for_bit(q):
             assert list(got.terms.items()) == list(expect.terms.items())
         for u in standard_catalog(params).values():
             mat = rng.normal(size=(u.dim, u.dim)) + 1j * rng.normal(size=(u.dim, u.dim))
-            got = forward_single(mat, u)
+            got = forward(mat, u)
             assert list(got.terms.items()) == list(Element(params, _written_out_forward(mat, u)).terms.items())
+
+
+@pytest.mark.parametrize("q", QS)
+def test_forward_and_reconstruct_serve_single_factor_coreps(q):
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(19)
+    for u in standard_catalog(params).values():
+        block = fourier.block_map(u)
+        for _ in range(10):
+            mat = rng.normal(size=(u.dim, u.dim)) + 1j * rng.normal(size=(u.dim, u.dim))
+            x = forward(mat, u)
+            # the single-factor transform as it was written before the transform paths merged
+            expect = Element(params, dict(zip(block.support, block.expansion @ mat.reshape(-1))))
+            assert type(x) is Element and list(x.terms.items()) == list(expect.terms.items())
+            assert np.max(np.abs(fourier.reconstruct(x, u) - mat)) <= 1e-12 * (1.0 + np.abs(mat).max())
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_inverse_is_its_block_of_the_catalog_map(q, data):
+    two, one = data.draw(two_leg_elements(q)), data.draw(one_leg_elements(q))
+    params = two.params
+    # cc* lies outside every shipped block's support, and the trivial block pairs with it
+    cc = Monomial(PLAIN, 0, 1, 1)
+    cases = [(two + MultiElement(params, 2, {(cc, cc): 0.7}),
+              product_catalog(params) if pairs is None else product_catalog(params, pairs)) for pairs in CATALOGS]
+    singles = standard_catalog(params)
+    cases += [(one + Element(params, {cc: 0.7}), [singles[label] for label in labels])
+              for labels in SINGLE_CATALOGS]
+    for x, catalog in cases:
+        compiled = fourier.catalog_map(catalog)
+        flat, _ = compiled.apply(x)
+        for i, U in enumerate(catalog):
+            assert not set(x.terms) <= set(fourier.block_map(U).support)
+            got = inverse(x, U)
+            assert np.max(np.abs(got - compiled.block(flat, i))) <= 1e-12 * _scale(x), U.label
 
 
 @pytest.mark.parametrize("q", QS)
@@ -622,9 +604,8 @@ def test_ppt_check_raises_what_the_partial_transpose_check_raises():
 
 
 def _per_block_report(x, catalog):
-    """The positivity test block by block: `inverse` (or `inverse_single`), then each lifted block re-expanded over its U."""
-    invert = inverse_single if isinstance(x, Element) else inverse
-    blocks = [invert(x, U) for U in catalog]
+    """The positivity test block by block: `inverse`, then each lifted block re-expanded over its U."""
+    blocks = [inverse(x, U) for U in catalog]
     minima = {U.label: float(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min())
               for U, b in zip(catalog, blocks)}
     hermitian = all(np.max(np.abs(b - b.conj().T)) <= x.params.tol for b in blocks)
@@ -704,7 +685,7 @@ def pd_test_single_elements(draw, q):
         mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         if kind == "hermitian":
             mat = mat + mat.conj().T
-    terms = dict(forward_single(mat, fundamental_corep(params)).terms)
+    terms = dict(forward(mat, fundamental_corep(params)).terms)
     extra = [(Monomial(), draw(_coeffs))] + draw(st.lists(st.tuples(monomials(), _coeffs), max_size=3))
     for mono, coeff in extra[:draw(st.integers(0, len(extra)))]:
         terms[mono] = terms.get(mono, 0j) + coeff
@@ -758,10 +739,14 @@ def test_catalog_map_columns_of_keys_outside_the_support_match_the_per_block_pat
 
 
 def _written_out_witness(x, U, block):
-    """The witness from the row of F⁻¹ with the largest column norm, chosen on every call."""
+    """The witness from the row of F⁻¹ with the largest column norm, chosen on every call, in its canonical phase."""
     herm = (block + block.conj().T) / 2.0
     eigvals, vecs = np.linalg.eigh(fourier.lift_block(herm, U))
     v = vecs[:, int(np.argmin(eigvals))]
+    # the canonical phase: the first component of largest modulus (up to ties within 1e-9) made positive
+    size = np.abs(v)
+    k = next(i for i in range(U.dim) if size[i] >= (1.0 - 1e-9) * size.max())
+    v = v * (v[k].conjugate() / abs(v[k]))
     Finv = np.linalg.inv(U.F)
     row = int(np.argmax(np.sum(np.abs(Finv) ** 2, axis=0)))
     terms: dict = {}
@@ -846,20 +831,6 @@ def test_trusted_constructions_equal_the_validating_constructor(monkeypatch):
     assert any(len(terms) < 16 for legs, terms in trusted if legs == 2)
 
 
-def test_forward_refuses_a_single_factor_corep():
-    params = AlgebraParams(q=0.5)
-    with pytest.raises(ValueError, match="product corep"):
-        forward(np.eye(2), fundamental_corep(params))
-    with pytest.raises(ValueError, match="product corep"):
-        forward(np.eye(1), standard_catalog(params)["triv"])
-
-
-def test_forward_single_refuses_a_product_corep():
-    params = AlgebraParams(q=0.5)
-    with pytest.raises(ValueError, match="single-factor corep, got the product corep fund\\*fund"):
-        forward_single(np.eye(4), product_catalog(params)[3])
-
-
 def test_a_catalog_of_both_kinds_is_refused():
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params) + [fundamental_corep(params)]
@@ -872,22 +843,23 @@ def test_a_catalog_of_both_kinds_is_refused():
 def test_inverse_refuses_a_single_factor_corep():
     params = AlgebraParams(q=0.5)
     x = forward(fourier.singlet_state(), product_catalog(params)[3])
-    with pytest.raises(ValueError, match="product corep, got the single-factor corep fund"):
+    # the kind is the corep's, so a mismatch names the element
+    with pytest.raises(ValueError, match="single-factor corep, got a 2-leg element"):
         inverse(x, fundamental_corep(params))
     with pytest.raises(ValueError, match="two-leg element or a product corep, got a one-leg Element"):
-        inverse(forward_single(np.eye(2), fundamental_corep(params)), product_catalog(params)[3])
+        inverse(forward(np.eye(2), fundamental_corep(params)), product_catalog(params)[3])
 
 
 def test_single_factor_checks_refuse_product_coreps_and_two_leg_elements():
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
-    a = forward_single(np.eye(2), fundamental_corep(params))
+    a = forward(np.eye(2), fundamental_corep(params))
     x = forward(fourier.singlet_state(), catalog[3])
-    with pytest.raises(ValueError, match="single-factor corep, got the product corep fund\\*fund"):
-        inverse_single(a, catalog[3])
+    with pytest.raises(ValueError, match="product corep, got a one-leg Element"):
+        inverse(a, catalog[3])
     with pytest.raises(ValueError, match="single-factor corep, got a 2-leg element"):
-        inverse_single(x, fundamental_corep(params))
-    for check in (is_positive_definite_single, is_positive_definite, support_residual_single):
+        inverse(x, fundamental_corep(params))
+    for check in (is_positive_definite_single, is_positive_definite, support_residual):
         with pytest.raises(ValueError, match="product corep, got a one-leg Element"):
             check(a, catalog)
         with pytest.raises(ValueError, match="single-factor corep, got a 2-leg element"):

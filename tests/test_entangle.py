@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qent.algebra import Element
+from qent.algebra import AlgebraParams, Element
 from qent.corep import fundamental_corep, product_catalog, standard_catalog
 from qent.entangle import (
     EIG_TOL,
@@ -26,7 +26,6 @@ from qent.entangle import (
 from qent.fourier import (
     DensityOp,
     forward,
-    forward_single,
     maximally_mixed,
     product_basis_projector,
     reconstruct,
@@ -114,10 +113,10 @@ def test_find_negative_witness(params, U):
 
 def test_single_factor_pd(params, singles):
     fund = fundamental_corep(params)
-    a = forward_single(np.array([[1, 0], [0, 0]]), fund)
+    a = forward(np.array([[1, 0], [0, 0]]), fund)
     report = is_positive_definite_single(a, singles)
     assert report.verdict == POSITIVE_DEFINITE
-    sigma = forward_single(np.diag([1.0, -0.5]), fund)
+    sigma = forward(np.diag([1.0, -0.5]), fund)
     report = is_positive_definite_single(sigma, singles)
     assert report.verdict == NOT_POSITIVE_DEFINITE
     c = Element.generator(params, "c")
@@ -127,8 +126,8 @@ def test_single_factor_pd(params, singles):
 
 def test_separable_build_product_state(params, U, singles):
     fund = fundamental_corep(params)
-    ket0 = forward_single(np.array([[1, 0], [0, 0]]), fund)
-    ket1 = forward_single(np.array([[0, 0], [0, 1]]), fund)
+    ket0 = forward(np.array([[1, 0], [0, 0]]), fund)
+    ket1 = forward(np.array([[0, 0], [0, 1]]), fund)
     element = separable_build([(1.0, ket0, ket1)], singles)
     recon = reconstruct(element, U)
     assert np.max(np.abs(recon - product_basis_projector(0, 1).matrix)) < 1e-9
@@ -154,7 +153,7 @@ def test_separable_build_rejects_bad_input(params, singles):
     with pytest.raises(ValueError):
         separable_build([(-0.1, one, one)], singles)
     fund = fundamental_corep(params)
-    bad = forward_single(np.diag([1.0, -1.0]), fund)
+    bad = forward(np.diag([1.0, -1.0]), fund)
     with pytest.raises(ValueError):
         separable_build([(1.0, bad, one)], singles)
     with pytest.raises(ValueError):
@@ -185,24 +184,69 @@ def test_partial_transpose_both_legs(rng):
     assert np.allclose(partial_transpose(pt2, (2, 2), leg=1), rho)
 
 
+def test_partial_transpose_refuses_a_leg_other_than_0_or_1(rng):
+    rho = random_hermitian(rng, 4)
+    for leg in (2, -1, 1.5, None):
+        with pytest.raises(ValueError, match="leg must be 0 or 1"):
+            partial_transpose(rho, (2, 2), leg=leg)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 1.0))
+def test_the_witness_does_not_follow_the_eigenvector_phase(q, monkeypatch):
+    """eigh may return each eigenvector times any phase; the witness is the same up to rounding.
+
+    The eigenvectors are also moved in their last bits, later components
+    outgrowing earlier ones.  The failing eigenvector of the state
+    (|00⟩ + |11⟩)/√2 has two components of equal modulus and opposite
+    sign, so the phase must come from the first of them, not from
+    whichever rounding makes larger.
+    """
+    params = AlgebraParams(q=q)
+    catalog = product_catalog(params)
+    rng = np.random.default_rng(31)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    mats = [np.outer(bell, bell), singlet_state().matrix, werner_state(0.6).matrix]
+    mats += [random_psd(rng, 4) for _ in range(6)]
+    xs = [partial_theta(forward(mat, catalog[3])) for mat in mats]
+    plain = [is_positive_definite(x, catalog).witness for x in xs]
+    assert all(witness is not None for witness in plain[:3])
+    eigh = np.linalg.eigh
+    for phase in (0.7, np.pi, -2.0):
+        def rotated(a, phase=phase):
+            vals, vecs = eigh(a)
+            n = vecs.shape[1]
+            return vals, vecs * np.exp(1j * phase * np.arange(1, n + 1)) * (1.0 + 1e-15 * np.arange(n))[:, None]
+
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        for x, expect in zip(xs, plain):
+            got = is_positive_definite(x, catalog).witness
+            if expect is None:
+                assert got is None
+                continue
+            assert list(got.terms) == list(expect.terms)
+            size = max(abs(c) for c in expect.terms.values())
+            assert max(abs(got.terms[k] - c) for k, c in expect.terms.items()) <= 1e-12 * size
+            assert pd_witness_value(x, got).real < 0
+
+
 def test_tensor_pd(params, singles):
     fund = fundamental_corep(params)
-    a = forward_single(np.array([[1, 0], [0, 0]]), fund)
-    b = forward_single(np.eye(2) / 2, fund)
+    a = forward(np.array([[1, 0], [0, 0]]), fund)
+    b = forward(np.eye(2) / 2, fund)
     product, certificate = tensor_pd(a, b, singles)
     assert product.equal(tensor(a, b))
     assert min(certificate["product"].values()) >= -EIG_TOL
     one = Element.unit(params)
     product, certificate = tensor_pd(one, one, singles)
     assert product.equal(MultiElement.unit(params, 2))
-    bad = forward_single(np.diag([1.0, -1.0]), fund)
+    bad = forward(np.diag([1.0, -1.0]), fund)
     with pytest.raises(ValueError):
         tensor_pd(bad, one, singles)
 
 
 def test_tensor_pd_blocks_are_kronecker(params, singles, rng):
     from qent.corep import product_corep
-    from qent.fourier import inverse, inverse_single
+    from qent.fourier import inverse
 
     a = random_pd_element(rng, params)
     b = random_pd_element(rng, params)
@@ -211,7 +255,7 @@ def test_tensor_pd_blocks_are_kronecker(params, singles, rng):
         for v in singles:
             U = product_corep(u, v)
             block = inverse(product, U)
-            kron = np.kron(inverse_single(a, u), inverse_single(b, v))
+            kron = np.kron(inverse(a, u), inverse(b, v))
             assert np.max(np.abs(block - kron)) < 1e-9
 
 
