@@ -240,20 +240,37 @@ def _adjoint_image(mono: Monomial) -> Monomial:
 
 
 class _ElementCore:
-    """What one-leg Elements and multi-leg MultiElements share: terms, pruning, linear arithmetic.
+    """What one-leg Elements and multi-leg MultiElements share: terms, keys, pruning, linear
+    arithmetic and the leg-wise maps.
 
-    `terms` maps each key (a Monomial, or a tuple of `legs` Monomials) to
-    its coefficient.  Coefficients with modulus at most ``params.tol`` are
-    pruned on construction; a coefficient whose modulus is not finite (a
-    non-finite one, or a finite one such as 1.5e308 + 1.5e308j whose
-    modulus overflows) raises ValueError.  Sums, differences, negation and
-    scalar products build their keys from keys already checked, so they
-    use the trusted constructor.
+    `terms` maps each key to its coefficient.  An Element's key is a
+    Monomial and a MultiElement's is a plain tuple of `legs` Monomials;
+    `leg_monomials` reads either as its tuple of leg monomials, and the
+    constructor refuses any other key.  Coefficients with modulus at most
+    ``params.tol`` are pruned on construction; a coefficient whose modulus
+    is not finite (a non-finite one, or a finite one such as
+    1.5e308 + 1.5e308j whose modulus overflows) raises ValueError.
+    Operations that build their keys from keys already checked use the
+    trusted constructor, which skips the key check.
     """
 
     __slots__ = ("params", "legs", "terms")
 
     def __init__(self, params: AlgebraParams, terms: Mapping | None = None, legs: int = 1):
+        if legs < 1:
+            raise ValueError("legs must be at least 1")
+        if terms:
+            # a Monomial is a 4-tuple itself, so a key's type is tested exactly, not by isinstance
+            key_type = Monomial if isinstance(self, Element) else tuple
+            kinds = (Monomial,) * legs
+            for key in terms:
+                if type(key) is not key_type or not (
+                        key_type is Monomial or len(key) == legs and all(map(isinstance, key, kinds))):
+                    what = "a monomial" if key_type is Monomial else f"a tuple of {legs} monomials"
+                    raise ValueError(f"term {key!r} is not {what}")
+        self._fill(params, terms, legs)
+
+    def _fill(self, params: AlgebraParams, terms: Mapping | None, legs: int):
         pruned = {}
         if terms:
             tol = params.tol
@@ -280,8 +297,49 @@ class _ElementCore:
         rejected when their modulus is not finite, as by the constructor.
         """
         out = cls.__new__(cls)
-        _ElementCore.__init__(out, params, terms, legs)
+        out._fill(params, terms, legs)
         return out
+
+    # -- keys as tuples of leg monomials -----------------------------------
+
+    @staticmethod
+    def leg_monomials(key) -> tuple:
+        """A term key as its tuple of leg monomials: a Monomial reads as the 1-tuple of itself."""
+        return (key,) if type(key) is Monomial else key
+
+    def _key(self, monos: tuple):
+        """The term key of this kind for a tuple of leg monomials: an Element's is the monomial."""
+        return monos[0] if isinstance(self, Element) else monos
+
+    @property
+    def kind(self) -> str:
+        """The kind as messages name it: "a one-leg Element", or "a <legs>-leg element"."""
+        return "a one-leg Element" if isinstance(self, Element) else f"a {self.legs}-leg element"
+
+    def _legwise(self, image, conjugate: bool):
+        """The element with every leg monomial m replaced by image(m) = (real scale, monomial).
+
+        A term's scale is the product of its legs' scales, taken from 1.0,
+        so one leg keeps its scale's bits.  Its coefficient, conjugated when
+        `conjugate`, times the scale is added onto 0j at the image key.
+        """
+        out: dict = {}
+        leg_monomials, key_of = self.leg_monomials, self._key
+        for key, coeff in self.terms.items():
+            scale = 1.0
+            monos = []
+            for mono in leg_monomials(key):
+                s, mono2 = image(mono)
+                scale *= s
+                monos.append(mono2)
+            key2 = key_of(tuple(monos))
+            out[key2] = out.get(key2, 0j) + (coeff.conjugate() if conjugate else coeff) * scale
+        return self._trusted(self.params, self.legs, out)
+
+    def adjoint(self):
+        """The *-involution, leg by leg: antilinear and antimultiplicative."""
+        q = self.params.q
+        return self._legwise(lambda mono: _mono_adjoint(mono, q), True)
 
     # -- inspection --------------------------------------------------------
 
@@ -304,8 +362,7 @@ class _ElementCore:
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            unit = UNIT if isinstance(self, Element) else (UNIT,) * self.legs
-            other = self._trusted(self.params, self.legs, {unit: other})
+            other = self._trusted(self.params, self.legs, {self._key((UNIT,) * self.legs): other})
         elif not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
@@ -353,15 +410,22 @@ class _ElementCore:
     __hash__ = None
 
     def __str__(self):
-        return _format_terms(self.terms)
+        """The terms in basis order, each as its coefficient times its legs' words joined by ⊗."""
+        parts = []
+        for key in sorted(self.terms, key=_term_sort_key):
+            coeff, label = _format_coeff(self.terms[key]), " ⊗ ".join(map(str, self.leg_monomials(key)))
+            parts.append(coeff if label == "1" else f"{coeff}·{label}")
+        return " + ".join(parts) or "0"
 
 
 class Element(_ElementCore):
     """Finite complex linear combination of normal-ordered monomials, keyed by Monomial.
 
     Instances are immutable by convention: every operation returns a new
-    Element, so values can be shared freely between threads.  Pruning and
-    the linear arithmetic are `_ElementCore`'s.
+    Element, so values can be shared freely between threads.  The key
+    check, pruning, linear arithmetic and adjoint are `_ElementCore`'s; the
+    symbolic product is this kind's own, since one product over leg tuples
+    runs one-leg products 1.3-2.0x slower.
     """
 
     __slots__ = ()
@@ -375,10 +439,6 @@ class Element(_ElementCore):
     @classmethod
     def unit(cls, params: AlgebraParams) -> "Element":
         return cls(params, {UNIT: 1.0})
-
-    @classmethod
-    def from_scalar(cls, params: AlgebraParams, value: complex) -> "Element":
-        return cls(params, {UNIT: complex(value)})
 
     @classmethod
     def generator(cls, params: AlgebraParams, name: str) -> "Element":
@@ -395,7 +455,7 @@ class Element(_ElementCore):
     def degree(self) -> int:
         return max((mono.degree for mono in self.terms), default=0)
 
-    # -- symbolic product and involution -----------------------------------
+    # -- symbolic product ---------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -410,18 +470,10 @@ class Element(_ElementCore):
                 cxy = cx * cy
                 for mono, scale in _mono_mul(mx, my, q):
                     out[mono] = out.get(mono, 0j) + cxy * scale
-        return Element(self.params, out)
-
-    def adjoint(self) -> "Element":
-        q = self.params.q
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            scale, mono2 = _mono_adjoint(mono, q)
-            out[mono2] = out.get(mono2, 0j) + coeff.conjugate() * scale
-        return Element(self.params, out)
+        return Element._trusted(self.params, 1, out)
 
     def __repr__(self):
-        return f"Element({_format_terms(self.terms)!s})"
+        return f"Element({self})"
 
 
 def _format_coeff(z: complex) -> str:
@@ -431,30 +483,8 @@ def _format_coeff(z: complex) -> str:
     return f"({z.real:.6g}{z.imag:+.6g}j)"
 
 
-def _format_terms(terms) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for key in sorted(terms, key=_term_sort_key):
-        coeff = terms[key]
-        label = key if isinstance(key, str) else _term_label(key)
-        if label == "1":
-            parts.append(_format_coeff(coeff))
-        else:
-            parts.append(f"{_format_coeff(coeff)}·{label}")
-    return " + ".join(parts)
-
-
-def _term_label(key) -> str:
-    if isinstance(key, Monomial):
-        return str(key)
-    return " ⊗ ".join(str(m) for m in key)
-
-
 def _term_sort_key(key):
-    if isinstance(key, Monomial):
-        return _mono_sort_key(key)
-    return tuple(_mono_sort_key(m) for m in key)
+    return tuple(map(_mono_sort_key, _ElementCore.leg_monomials(key)))
 
 
 # -- word rewriting ----------------------------------------------------------

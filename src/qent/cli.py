@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .algebra import AlgebraParams, Element
+from .algebra import AlgebraParams
 from .corep import DEFAULT_PAIRS, engine, product_catalog
 from .entangle import (
     ENTANGLED,
@@ -44,7 +44,7 @@ from .fourier import (
     singlet_state,
 )
 from .haar import haar
-from .hopf import MultiElement, product_counit
+from .hopf import MultiElement, _require_legs, product_counit
 from .serialize import (
     complex_pair,
     densityop_from_dict,
@@ -188,9 +188,17 @@ def _load_two_leg(path) -> MultiElement:
         value = parse_payload(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed element file: {exc}")
-    if not isinstance(value, MultiElement) or value.legs != 2:
+    if not _is_two_leg(value):
         raise CliError("expected a two-leg element file")
     return value
+
+
+def _is_two_leg(value) -> bool:
+    try:
+        _require_legs(value, 2)
+    except ValueError:
+        return False
+    return True
 
 
 def _file_params(args, stored: AlgebraParams) -> AlgebraParams:
@@ -207,9 +215,8 @@ def _file_params(args, stored: AlgebraParams) -> AlgebraParams:
 
 
 def _rekeyed(value, params: AlgebraParams):
-    if isinstance(value, MultiElement):
-        return MultiElement(params, value.legs, value.terms)
-    return Element(params, value.terms)
+    """The element over params, pruned at its tol; its keys were checked when it was parsed."""
+    return value._trusted(params, value.legs, value.terms)
 
 
 def cmd_check_pd(args) -> int:
@@ -266,7 +273,7 @@ def cmd_ppt(args) -> int:
             return EXIT_UNDECIDED
         return EXIT_OK if matrix_report.psd else EXIT_NEGATIVE
 
-    if not isinstance(value, MultiElement) or value.legs != 2:
+    if not _is_two_leg(value):
         raise CliError("expected a density-operator or two-leg element file")
     element_params = _file_params(args, value.params)
     report = ppt_check(_rekeyed(value, element_params), _catalog(args, element_params))

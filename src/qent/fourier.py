@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .algebra import LRU, Element, _adjoint_image, _adjoint_power
+from .algebra import LRU, Element, _ElementCore, _adjoint_image, _adjoint_power
 from .corep import Corep, _require_distinct, _terms, engine, pairing_tables
 from .haar import leg_support
 from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
@@ -75,10 +75,6 @@ class DensityOp:
         arr.setflags(write=False)
         self.dims = (n, m)
         self.matrix = arr
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -386,7 +382,7 @@ class CatalogMap:
         """Every block x̂(U) end to end, from x's coefficients v over the support and its other terms."""
         flat = self.matrix @ v
         if outside:
-            keys = _leg_keys([t for t, _ in outside], self.legs)
+            keys = [_ElementCore.leg_monomials(t) for t, _ in outside]
             gathered = []
             for side, (monos, rows) in enumerate(self.plan.slot_legs):
                 key_monos, cols = _distinct([key[side] for key in keys])
@@ -465,7 +461,7 @@ class _BlockPlan:
         terms = [(rc, key) for rc, keys in enumerate(layout) for key in keys]
         self.expansion_at = (np.array([index[key] for _, key in terms], dtype=np.intp),
                              np.array([(rc % d) * d + rc // d for rc, _ in terms], dtype=np.intp))
-        monos = [(key,) if legs == 1 else key for _, key in terms]
+        monos = [_ElementCore.leg_monomials(key) for _, key in terms]
         images = [tuple(map(_adjoint_image, leg_monos)) for leg_monos in monos]
         self.adjoint_keys = tuple(image[0] if legs == 1 else image for image in images)
         self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
@@ -508,7 +504,7 @@ class _CatalogPlan:
             offset += U.dim * U.dim
         self.offsets, self.size, self.index = tuple(offsets), offset, index
         legs = blocks[0].plan.legs if blocks else 0
-        slot_keys, keys = _leg_keys(slot_keys, legs), _leg_keys(index, legs)
+        slot_keys, keys = (list(map(_ElementCore.leg_monomials, k)) for k in (slot_keys, index))
         self.lift_at = np.array([row * offset + start + k for rows, start, width in lift_at
                                  for row in rows for k in range(width)], dtype=np.intp)
         slots = len(slot_entries)
@@ -624,21 +620,17 @@ def _require_kind(legs, *items):
         if isinstance(item, Corep):
             found = item.legs
             name = f"the {'product' if found == 2 else 'single-factor'} corep {item.label}"
-        elif isinstance(item, MultiElement):
-            found, name = (2 if item.legs == 2 else None), f"a {item.legs}-leg element"
+        elif isinstance(item, _ElementCore):
+            found, name = item.legs, item.kind
+            if found > 2 or isinstance(item, Element) != (found == 1):
+                found = None
         else:
-            found = 1 if isinstance(item, Element) else None
-            name = "a one-leg Element" if found else f"a {type(item).__name__}"
+            found, name = None, f"a {type(item).__name__}"
         if legs is None:
             legs = found
         if found is None or found != legs:
             raise ValueError(f"expected {_KINDS.get(legs, ' or '.join(_KINDS.values()))}, got {name}")
     return legs
-
-
-def _leg_keys(keys, legs):
-    """The term keys as tuples of leg monomials: a one-leg key, a monomial, as a 1-tuple."""
-    return list(keys) if legs == 2 else [(key,) for key in keys]
 
 
 def _sqrt_pair(F: np.ndarray):

@@ -20,11 +20,12 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .algebra import LRU, AlgebraParams, Element, Monomial, _mono_adjoint, _mono_mul, _mono_mul_program
+from .algebra import LRU, AlgebraParams, Monomial, _ElementCore, _mono_adjoint, _mono_mul, _mono_mul_program
 from .hopf import (
     MultiElement,
     _coinverse_monomial,
     _coproduct_monomial,
+    _require_legs,
     coproduct,
     product_coinverse,
     product_coproduct,
@@ -48,23 +49,22 @@ def haar_monomial(mono: Monomial, params: AlgebraParams) -> complex:
 
 
 def haar(x) -> complex:
-    """Linear extension of the per-monomial Haar value; product state on tensors."""
-    if isinstance(x, Element):
-        return sum(
-            (coeff * haar_monomial(mono, x.params) for mono, coeff in x.terms.items()),
-            0j,
-        )
-    if isinstance(x, MultiElement):
-        total = 0j
-        for tup, coeff in x.terms.items():
-            value = coeff
-            for mono in tup:
-                value *= haar_monomial(mono, x.params)
-                if not value:
-                    break
-            total += value
-        return total
-    raise TypeError(f"haar() expects an Element or MultiElement, got {type(x)!r}")
+    """Linear extension of the per-monomial Haar value; product state on tensors.
+
+    Each term's coefficient is multiplied by its legs' values in leg order,
+    stopping at the first zero, and the terms are added onto 0j in order.
+    """
+    if not isinstance(x, _ElementCore):
+        raise TypeError(f"haar() expects an Element or MultiElement, got {type(x)!r}")
+    total = 0j
+    for key, coeff in x.terms.items():
+        value = coeff
+        for mono in x.leg_monomials(key):
+            value *= haar_monomial(mono, x.params)
+            if not value:
+                break
+        total += value
+    return total
 
 
 # entries per memo of one PairingTables
@@ -195,10 +195,8 @@ def convolve_check(a: MultiElement, b: MultiElement) -> complex:
     positive-definiteness pairing computed in the entanglement module, which
     the tests cross-check.
     """
-    if not isinstance(a, MultiElement) or a.legs != 2:
-        raise ValueError("convolve_check expects two-leg elements")
-    if not isinstance(b, MultiElement) or b.legs != 2:
-        raise ValueError("convolve_check expects two-leg elements")
+    for x in (a, b):
+        _require_legs(x, 2)
     params = a.params
     total = 0j
     for (m0, m1, m2, m3), coeff in product_coproduct(a).terms.items():

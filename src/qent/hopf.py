@@ -1,9 +1,10 @@
 """Hopf structure maps and tensor-leg elements.
 
-The coproduct, counit and coinverse act on single-leg Elements; their
-leg-wise extensions act on MultiElements, which represent elements of the
-tensor powers of the algebra (two legs for the direct square, four legs for
-its coproduct, and so on).  All legs share one deformation parameter.
+MultiElements represent elements of the tensor powers of the algebra (two
+legs for the direct square, four legs for its coproduct, and so on).  All
+legs share one deformation parameter.  The counit, the coinverse κ, κ² and
+Δ on one leg act leg by leg on an Element or a MultiElement alike, reading
+each key as its tuple of leg monomials; the coproduct and θ take an Element.
 
 On the generators:
 
@@ -33,9 +34,7 @@ from .algebra import (
     MONO_CSTAR,
     UNIT,
     _ElementCore,
-    _format_terms,
     _mono,
-    _mono_adjoint,
     _mono_mul,
 )
 
@@ -43,21 +42,14 @@ from .algebra import (
 class MultiElement(_ElementCore):
     """Linear combination of tuples of monomials: an element of a tensor power.
 
-    Every key must be a plain tuple of `legs` Monomials.  Pruning and the
-    linear arithmetic are `algebra._ElementCore`'s.
+    Every key must be a plain tuple of `legs` Monomials.  The key check,
+    pruning, linear arithmetic and adjoint are `algebra._ElementCore`'s; the
+    symbolic product is this kind's own.
     """
 
     __slots__ = ()
 
     def __init__(self, params: AlgebraParams, legs: int, terms: Mapping[tuple, complex] | None = None):
-        if legs < 1:
-            raise ValueError("legs must be at least 1")
-        if terms:
-            kinds = (Monomial,) * legs
-            for tup in terms:
-                if not (type(tup) is tuple and len(tup) == legs
-                        and all(map(isinstance, tup, kinds))):
-                    raise ValueError(f"term {tup!r} is not a tuple of {legs} monomials")
         super().__init__(params, terms, legs)
 
     @classmethod
@@ -92,22 +84,8 @@ class MultiElement(_ElementCore):
                     out[tup] = out.get(tup, 0j) + coeff
         return MultiElement._trusted(self.params, self.legs, out)
 
-    def adjoint(self) -> "MultiElement":
-        q = self.params.q
-        out: dict = {}
-        for tup, coeff in self.terms.items():
-            scale = 1.0
-            monos = []
-            for mono in tup:
-                s, mono2 = _mono_adjoint(mono, q)
-                scale *= s
-                monos.append(mono2)
-            key = tuple(monos)
-            out[key] = out.get(key, 0j) + coeff.conjugate() * scale
-        return MultiElement._trusted(self.params, self.legs, out)
-
     def __repr__(self):
-        return f"MultiElement(legs={self.legs}, {_format_terms(self.terms)!s})"
+        return f"MultiElement(legs={self.legs}, {self})"
 
 
 def tensor(*factors) -> MultiElement:
@@ -126,19 +104,17 @@ def tensor(*factors) -> MultiElement:
     terms = [((), 1.0 + 0.0j)]
     legs = 0
     for f in factors:
-        if isinstance(f, Element):
-            terms = [(tup + (mono,), c * c2) for tup, c in terms for mono, c2 in f.terms.items()]
-            legs += 1
-        else:
-            terms = [(tup + t2, c * c2) for tup, c in terms for t2, c2 in f.terms.items()]
-            legs += f.legs
+        terms = [(tup + f.leg_monomials(key), c * c2) for tup, c in terms for key, c2 in f.terms.items()]
+        legs += f.legs
     return MultiElement._trusted(params, legs, {key: 0j + coeff for key, coeff in terms})
 
 
-def _require_legs(x: MultiElement, legs: int):
-    if not isinstance(x, MultiElement) or x.legs != legs:
-        got = x.legs if isinstance(x, MultiElement) else "Element"
-        raise ValueError(f"expected a MultiElement with {legs} legs, got {got}")
+def _require_legs(x, legs: int):
+    """Refuse x unless it is the kind with `legs` legs: an Element for one, a MultiElement for more."""
+    if not (isinstance(x, _ElementCore) and x.legs == legs and isinstance(x, Element) == (legs == 1)):
+        want = "an Element" if legs == 1 else f"a MultiElement with {legs} legs"
+        got = x.kind if isinstance(x, _ElementCore) else f"a {type(x).__name__}"
+        raise ValueError(f"expected {want}, got {got}")
 
 
 # -- coproduct ---------------------------------------------------------------
@@ -177,23 +153,21 @@ def _coproduct_monomial(params: AlgebraParams, mono: Monomial) -> MultiElement:
 
 def coproduct(x: Element) -> MultiElement:
     """Δ as a multiplicative *-homomorphism into the two-leg algebra."""
-    out: dict = {}
-    for mono, coeff in x.terms.items():
-        for tup, c in _coproduct_monomial(x.params, mono).terms.items():
-            out[tup] = out.get(tup, 0j) + coeff * c
-    return MultiElement(x.params, 2, out)
+    _require_legs(x, 1)
+    return apply_coproduct_leg(x, 0)
 
 
-def apply_coproduct_leg(x: MultiElement, leg: int) -> MultiElement:
-    """Apply Δ to one leg, producing a MultiElement with one extra leg."""
+def apply_coproduct_leg(x, leg: int) -> MultiElement:
+    """Apply Δ to one leg of an Element or MultiElement, giving a MultiElement with one leg more."""
     if not 0 <= leg < x.legs:
         raise ValueError(f"leg {leg} out of range for {x.legs} legs")
     out: dict = {}
-    for tup, coeff in x.terms.items():
-        for (g1, g2), c in _coproduct_monomial(x.params, tup[leg]).terms.items():
-            key = tup[:leg] + (g1, g2) + tup[leg + 1:]
-            out[key] = out.get(key, 0j) + coeff * c
-    return MultiElement(x.params, x.legs + 1, out)
+    for key, coeff in x.terms.items():
+        monos = x.leg_monomials(key)
+        for (g1, g2), c in _coproduct_monomial(x.params, monos[leg]).terms.items():
+            key2 = monos[:leg] + (g1, g2) + monos[leg + 1:]
+            out[key2] = out.get(key2, 0j) + coeff * c
+    return MultiElement._trusted(x.params, x.legs + 1, out)
 
 
 def product_coproduct(x: MultiElement) -> MultiElement:
@@ -219,10 +193,9 @@ def counit(x) -> complex:
     It takes an Element or a MultiElement, on which it acts leg-wise; the
     terms with a c or c* on no leg are added onto 0j in term order.
     """
-    multi = isinstance(x, MultiElement)
     total = 0j
     for key, coeff in x.terms.items():
-        if all(mono.m == 0 and mono.n == 0 for mono in (key if multi else (key,))):
+        if all(mono.m == 0 and mono.n == 0 for mono in x.leg_monomials(key)):
             total += coeff
     return total
 
@@ -245,43 +218,22 @@ def _coinverse_monomial(mono: Monomial, q: float):
     return scale, _mono(PLAIN, mono.k, mono.m, mono.n)
 
 
-def coinverse(x: Element) -> Element:
-    """κ: the antihomomorphic coinverse (antipode)."""
-    out: dict = {}
-    for mono, coeff in x.terms.items():
-        scale, mono2 = _coinverse_monomial(mono, x.params.q)
-        out[mono2] = out.get(mono2, 0j) + coeff * scale
-    return Element(x.params, out)
+def coinverse(x):
+    """κ: the antihomomorphic coinverse (antipode), leg by leg on tensors."""
+    q = x.params.q
+    return x._legwise(lambda mono: _coinverse_monomial(mono, q), False)
 
 
 def coinverse_squared(x):
     """κ² as a homomorphism; acts diagonally on monomials, leg-wise on tensors."""
     q = x.params.q
-    multi = isinstance(x, MultiElement)
-    out = {}
-    for key, coeff in x.terms.items():
-        scale = 1.0  # 1.0·q^e is q^e exactly, so one leg keeps the bits of coeff·q^e
-        for mono in (key if multi else (key,)):
-            scale *= q ** (2 * (mono.n - mono.m))
-        out[key] = out.get(key, 0j) + coeff * scale
-    return MultiElement(x.params, x.legs, out) if multi else Element(x.params, out)
+    return x._legwise(lambda mono: (q ** (2 * (mono.n - mono.m)), mono), False)
 
 
 def product_coinverse(x: MultiElement) -> MultiElement:
     """κ of the direct square, applied leg-wise."""
     _require_legs(x, 2)
-    q = x.params.q
-    out: dict = {}
-    for tup, coeff in x.terms.items():
-        scale = 1.0
-        monos = []
-        for mono in tup:
-            s, mono2 = _coinverse_monomial(mono, q)
-            scale *= s
-            monos.append(mono2)
-        key = tuple(monos)
-        out[key] = out.get(key, 0j) + coeff * scale
-    return MultiElement(x.params, 2, out)
+    return coinverse(x)
 
 
 # -- transposition map ---------------------------------------------------------
@@ -301,12 +253,9 @@ def _theta_image(mono: Monomial) -> Monomial:
 
 def theta(x: Element) -> Element:
     """θ(x) = κ(x)*: an antilinear homomorphism (the transposition map)."""
+    _require_legs(x, 1)
     q = x.params.q
-    out: dict = {}
-    for mono, coeff in x.terms.items():
-        scale, mono2 = _theta_monomial(mono, q)
-        out[mono2] = out.get(mono2, 0j) + coeff.conjugate() * scale
-    return Element(x.params, out)
+    return x._legwise(lambda mono: _theta_monomial(mono, q), True)
 
 
 def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:

@@ -14,6 +14,7 @@ from qent.algebra import (
     mul,
     normal_form,
 )
+from qent.hopf import coinverse, coinverse_squared
 
 from conftest import gens
 
@@ -64,6 +65,29 @@ def test_monomial_is_a_validated_tuple_value():
         mono._replace(k=0)
     with pytest.raises(ValueError):
         Monomial._make((PLAIN, 0, -1, 0))
+
+
+def test_element_keys_are_monomials(params):
+    a = Monomial(PLAIN, 1, 0, 0)
+    # a one-leg tuple is a MultiElement's key, and a str no key at all
+    with pytest.raises(ValueError, match="is not a monomial"):
+        Element(params, {"a": 1.0})
+    with pytest.raises(ValueError, match="is not a monomial"):
+        Element(params, {(a,): 1.0})
+    with pytest.raises(ValueError, match="is not a monomial"):
+        Element(params, {a: 1.0, (a, a): 2.0})
+    assert Element(params, {a: 1.0}).coeff(a) == 1.0
+
+
+def test_products_adjoints_and_coinverses_skip_the_key_check(params, monkeypatch):
+    a, astar, c, cstar = gens(params)
+    x = a * c + 0.5j * astar * cstar
+    checked = []
+    init = Element.__init__
+    monkeypatch.setattr(Element, "__init__", lambda self, *args: checked.append(args) or init(self, *args))
+    product, adj, kappa = x * x, x.adjoint(), coinverse(x)
+    assert checked == []
+    assert product.equal(mul(x, x)) and adj.adjoint().equal(x) and coinverse(kappa).equal(coinverse_squared(x))
 
 
 # the last is finite, but its modulus overflows

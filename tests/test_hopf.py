@@ -286,3 +286,24 @@ def test_multielement_keys_are_tuples_of_monomials(params):
     with pytest.raises(ValueError):
         MultiElement(params, 1, {a: 1.0})
     assert MultiElement(params, 1, {(a,): 1.0}).coeff((a,)) == 1.0
+
+
+def test_coinverse_and_the_leg_coproduct_act_leg_wise_on_either_kind(params):
+    a, _, c, _ = gens(params)
+    two = tensor(a, c)
+    assert coinverse(two).equal(tensor(coinverse(a), coinverse(c)))
+    assert coinverse(two).equal(product_coinverse(two))
+    assert apply_coproduct_leg(two, 1).equal(tensor(a, coproduct(c)))
+    ac = a * c
+    assert apply_coproduct_leg(ac, 0).equal(coproduct(ac))
+    with pytest.raises(ValueError, match="leg 1 out of range for 1 legs"):
+        apply_coproduct_leg(ac, 1)
+
+
+@pytest.mark.parametrize("one_leg_map", [coproduct, theta])
+def test_one_leg_maps_refuse_a_two_leg_element_by_its_kind(params, one_leg_map):
+    a, _, c, _ = gens(params)
+    with pytest.raises(ValueError, match="expected an Element, got a 2-leg element"):
+        one_leg_map(tensor(a, c))
+    with pytest.raises(ValueError, match="expected an Element, got a 1-leg element"):
+        one_leg_map(tensor(a))

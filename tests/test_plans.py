@@ -6,7 +6,8 @@ compiled through plans left warm by another q equals one compiled cold, the
 compiled adjoints are the symbolic adjoints, `tensor` is the written-out fold
 over its factors, an engine's plan-built product entries are `tensor`'s, a
 product corep's F is `np.kron`, `_mono_mul` is the written-out rewriting
-loop, and `compute_F`'s system is the written-out row loop.  Floats are
+loop, `compute_F`'s system is the written-out row loop, and the leg-wise
+adjoint, κ, κ², ε, Δ on a leg and h are the written-out loops of each kind.  Floats are
 compared as their exact bits, so signed zeros count.
 """
 
@@ -30,10 +31,25 @@ from qent.algebra import (
     Element,
     Monomial,
     _mono,
+    _mono_adjoint,
 )
 from qent.cli import main
 from qent.corep import fundamental_corep, product_catalog, standard_catalog
-from qent.hopf import MultiElement, coinverse_squared, tensor
+from qent.haar import haar, haar_monomial
+from qent.hopf import (
+    MultiElement,
+    _coinverse_monomial,
+    _coproduct_monomial,
+    apply_coproduct_leg,
+    coinverse,
+    coinverse_squared,
+    coproduct,
+    counit,
+    product_coinverse,
+    product_counit,
+    tensor,
+)
+from qent.verify import random_element, random_multi_element
 
 algebra, corep, fourier = (sys.modules[f"qent.{name}"] for name in ("algebra", "corep", "fourier"))
 
@@ -207,6 +223,96 @@ def test_plan_built_product_entries_are_the_tensor_products_bit_for_bit(q, tol):
 def test_product_F_is_the_kronecker_product_bit_for_bit(q):
     for u, v in itertools.product(standard_catalog(AlgebraParams(q=q)).values(), repeat=2):
         assert _bits(corep.product_corep(u, v).F) == _bits(np.kron(u.F, v.F)), (u.label, v.label)
+
+
+def _written_out_one_leg(x, image, conjugate):
+    """A map of one-leg monomials, image(m) = (scale, monomial), over x's terms onto 0j."""
+    out: dict = {}
+    for mono, coeff in x.terms.items():
+        scale, mono2 = image(mono)
+        out[mono2] = out.get(mono2, 0j) + (coeff.conjugate() if conjugate else coeff) * scale
+    return Element._trusted(x.params, 1, out)
+
+
+def _written_out_two_leg(x, image, conjugate):
+    """The same map on every leg, with the legs' scales multiplied from 1.0."""
+    out: dict = {}
+    for tup, coeff in x.terms.items():
+        scale = 1.0
+        monos = []
+        for mono in tup:
+            s, mono2 = image(mono)
+            scale *= s
+            monos.append(mono2)
+        key = tuple(monos)
+        out[key] = out.get(key, 0j) + (coeff.conjugate() if conjugate else coeff) * scale
+    return MultiElement._trusted(x.params, x.legs, out)
+
+
+def _written_out_coproduct(x):
+    out: dict = {}
+    for mono, coeff in x.terms.items():
+        for tup, c in _coproduct_monomial(x.params, mono).terms.items():
+            out[tup] = out.get(tup, 0j) + coeff * c
+    return MultiElement(x.params, 2, out)
+
+
+def _written_out_coproduct_leg(x, leg):
+    out: dict = {}
+    for tup, coeff in x.terms.items():
+        for (g1, g2), c in _coproduct_monomial(x.params, tup[leg]).terms.items():
+            key = tup[:leg] + (g1, g2) + tup[leg + 1:]
+            out[key] = out.get(key, 0j) + coeff * c
+    return MultiElement(x.params, x.legs + 1, out)
+
+
+def _written_out_scalars(x):
+    """(ε(x), h(x)) by the one-leg sums and the two-leg loops."""
+    if isinstance(x, Element):
+        eps = 0j
+        for mono, coeff in x.terms.items():
+            if mono.m == 0 and mono.n == 0:
+                eps += coeff
+        return eps, sum((coeff * haar_monomial(mono, x.params) for mono, coeff in x.terms.items()), 0j)
+    eps = h = 0j
+    for tup, coeff in x.terms.items():
+        if all(mono.m == 0 and mono.n == 0 for mono in tup):
+            eps += coeff
+        value = coeff
+        for mono in tup:
+            value *= haar_monomial(mono, x.params)
+            if not value:
+                break
+        h += value
+    return eps, h
+
+
+@pytest.mark.parametrize("q", (0.3, 1.0))
+def test_leg_wise_maps_are_the_written_out_loops_of_each_kind_bit_for_bit(q):
+    params = AlgebraParams(q=q)
+    rng = np.random.default_rng(7)
+    maps = (
+        (lambda x: x.adjoint(), lambda mono: _mono_adjoint(mono, q), True),
+        (coinverse, lambda mono: _coinverse_monomial(mono, q), False),
+        (coinverse_squared, lambda mono: (q ** (2 * (mono.n - mono.m)), mono), False),
+    )
+    for _ in range(40):
+        one = random_element(rng, params, max_degree=3, n_terms=6)
+        two = random_multi_element(rng, params, max_degree=2, n_terms=6)
+        three = tensor(two, one)
+        for merged, image, conjugate in maps:
+            assert _bits(merged(one).terms) == _bits(_written_out_one_leg(one, image, conjugate).terms)
+            for x in (two, three):
+                assert _bits(merged(x).terms) == _bits(_written_out_two_leg(x, image, conjugate).terms)
+        assert _bits(product_coinverse(two).terms) == _bits(coinverse(two).terms)
+        assert _bits(coproduct(one).terms) == _bits(_written_out_coproduct(one).terms)
+        assert _bits(apply_coproduct_leg(one, 0).terms) == _bits(_written_out_coproduct(one).terms)
+        for leg in range(3):
+            assert _bits(apply_coproduct_leg(three, leg).terms) == \
+                _bits(_written_out_coproduct_leg(three, leg).terms)
+        for x in (one, two, three):
+            assert _bits((counit(x), haar(x))) == _bits(_written_out_scalars(x))
+        assert _bits(product_counit(two)) == _bits(counit(two))
 
 
 def _written_out_times_gen(mono, gen, q):
