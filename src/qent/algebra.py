@@ -243,9 +243,10 @@ class _ElementCore:
     """What one-leg Elements and multi-leg MultiElements share: terms, keys, pruning, linear
     arithmetic and the leg-wise maps.
 
-    `terms` maps each key to its coefficient.  An Element's key is a
-    Monomial and a MultiElement's is a plain tuple of `legs` Monomials;
-    `leg_monomials` reads either as its tuple of leg monomials, and the
+    `terms` maps each key to its coefficient.  The leg count is the kind: an
+    Element has one leg and Monomial keys, a MultiElement two or more and
+    plain tuples of `legs` Monomials as keys.  `leg_monomials` reads a key as
+    its tuple of leg monomials, `key` builds one from such a tuple, and the
     constructor refuses any other key.  Coefficients with modulus at most
     ``params.tol`` are pruned on construction; a coefficient whose modulus
     is not finite (a non-finite one, or a finite one such as
@@ -257,11 +258,9 @@ class _ElementCore:
     __slots__ = ("params", "legs", "terms")
 
     def __init__(self, params: AlgebraParams, terms: Mapping | None = None, legs: int = 1):
-        if legs < 1:
-            raise ValueError("legs must be at least 1")
         if terms:
             # a Monomial is a 4-tuple itself, so a key's type is tested exactly, not by isinstance
-            key_type = Monomial if isinstance(self, Element) else tuple
+            key_type = Monomial if legs == 1 else tuple
             kinds = (Monomial,) * legs
             for key in terms:
                 if type(key) is not key_type or not (
@@ -307,14 +306,15 @@ class _ElementCore:
         """A term key as its tuple of leg monomials: a Monomial reads as the 1-tuple of itself."""
         return (key,) if type(key) is Monomial else key
 
-    def _key(self, monos: tuple):
-        """The term key of this kind for a tuple of leg monomials: an Element's is the monomial."""
-        return monos[0] if isinstance(self, Element) else monos
+    @staticmethod
+    def key(monos: tuple):
+        """The term key of a tuple of leg monomials: the monomial itself for one leg, the tuple for more."""
+        return monos[0] if len(monos) == 1 else monos
 
     @property
     def kind(self) -> str:
         """The kind as messages name it: "a one-leg Element", or "a <legs>-leg element"."""
-        return "a one-leg Element" if isinstance(self, Element) else f"a {self.legs}-leg element"
+        return "a one-leg Element" if self.legs == 1 else f"a {self.legs}-leg element"
 
     def _legwise(self, image, conjugate: bool):
         """The element with every leg monomial m replaced by image(m) = (real scale, monomial).
@@ -324,7 +324,7 @@ class _ElementCore:
         `conjugate`, times the scale is added onto 0j at the image key.
         """
         out: dict = {}
-        leg_monomials, key_of = self.leg_monomials, self._key
+        leg_monomials, key_of = self.leg_monomials, self.key
         for key, coeff in self.terms.items():
             scale = 1.0
             monos = []
@@ -362,7 +362,7 @@ class _ElementCore:
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = self._trusted(self.params, self.legs, {self._key((UNIT,) * self.legs): other})
+            other = self._trusted(self.params, self.legs, {self.key((UNIT,) * self.legs): other})
         elif not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
@@ -432,6 +432,9 @@ class Element(_ElementCore):
 
     # -- constructors ------------------------------------------------------
 
+    def __init__(self, params: AlgebraParams, terms: Mapping | None = None):
+        super().__init__(params, terms)  # an Element has one leg, the core's default
+
     @classmethod
     def zero(cls, params: AlgebraParams) -> "Element":
         return cls(params)
@@ -474,6 +477,29 @@ class Element(_ElementCore):
 
     def __repr__(self):
         return f"Element({self})"
+
+
+def _checked_kind(legs, *items, corep=None):
+    """The items' kind, which is their leg count, after refusing any item of another kind by its `kind`.
+
+    `legs` is the kind expected, or None to take the first item's.  With
+    `corep` (the Corep class) coreps are items too, of the kind of element
+    they pair with (`Corep.legs`), only the kinds 1 and 2 are taken, and
+    the message names coreps among the kinds expected.
+    """
+    for item in items:
+        found = item.legs if isinstance(item, _ElementCore) or corep and isinstance(item, corep) else None
+        if legs is None:
+            legs = found
+        if found is None or found != legs or corep and found > 2:
+            if corep:
+                kinds = {1: "a one-leg Element or a single-factor corep", 2: "a two-leg element or a product corep"}
+                want = kinds.get(legs, " or ".join(kinds.values()))
+            else:
+                want = "an Element" if legs == 1 else f"a MultiElement with {legs} legs"
+            got = item.kind if found is not None else f"a {type(item).__name__}"
+            raise ValueError(f"expected {want}, got {got}")
+    return legs
 
 
 def _format_coeff(z: complex) -> str:

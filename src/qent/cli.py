@@ -44,10 +44,9 @@ from .fourier import (
     singlet_state,
 )
 from .haar import haar
-from .hopf import MultiElement, _require_legs, product_counit
+from .hopf import MultiElement, product_counit
 from .serialize import (
     complex_pair,
-    densityop_from_dict,
     dump_json,
     load_json,
     multielement_to_dict,
@@ -100,11 +99,52 @@ def _catalog(args, params):
         raise CliError(str(exc))
 
 
-def _load(path):
+def _read(args, accepts):
+    """The input file's value, if its kind is in `accepts`: DensityOp, or an element's leg count.
+
+    Any failure to read or parse the file, and a refused kind, is malformed
+    input.  An element keeps its file's q (a differing --q is refused) and
+    is re-keyed at --tol.
+    """
     try:
-        return load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        value = parse_payload(load_json(args.input))
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {args.input}: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed input file: {exc}")
+    if isinstance(value, DensityOp):
+        if DensityOp not in accepts:
+            raise CliError(f"{args.command} does not take a density operator")
+        return value
+    if value.legs not in accepts:
+        raise CliError(f"{args.command} does not take {value.kind}")
+    stored = value.params
+    if args.q is not None and args.q != stored.q:
+        raise CliError(
+            f"--q {args.q} conflicts with the element file's q = {stored.q}; "
+            "element coefficients are only meaningful in their own algebra"
+        )
+    try:
+        params = AlgebraParams(q=stored.q, tol=args.tol)
+    except ValueError as exc:
+        raise CliError(str(exc))
+    return value._trusted(params, value.legs, value.terms)
+
+
+def _pair(params, dims, label=None):
+    """The product corep named `label`, by default the pair of shipped coreps of the factor dims `dims`."""
+    names = {1: "triv", 2: "fund"}
+    if not label:
+        if not all(d in names for d in dims):
+            raise CliError(f"unsupported dims {dims}: the catalog covers factors of dimension 1 and 2")
+        label = "*".join(names[d] for d in dims)
+    try:
+        U = product_catalog(params, (label,))[0]
+    except ValueError as exc:
+        raise CliError(str(exc))
+    if U.dims != dims:
+        raise CliError(f"corep pair {label} has dims {U.dims}, input has {dims}")
+    return U
 
 
 _JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
@@ -136,24 +176,8 @@ def _emit(args, payload: dict, text_lines):
 
 def cmd_transform(args) -> int:
     params = _params(args)
-    data = _load(args.input)
-    try:
-        rho = densityop_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed density-operator file: {exc}")
-
-    by_dim = {1: "triv", 2: "fund"}
-    try:
-        pair = args.pair or f"{by_dim[rho.dims[0]]}*{by_dim[rho.dims[1]]}"
-    except KeyError:
-        raise CliError(f"no corepresentation of dimension {rho.dims} in the catalog")
-    try:
-        U = product_catalog(params, (pair,))[0]
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if U.dims != rho.dims:
-        raise CliError(f"corep pair {pair} has dims {U.dims}, input has {rho.dims}")
-
+    rho = _read(args, (DensityOp,))
+    U = _pair(params, rho.dims, args.pair)
     element = _forward(rho, U)
     eps = normalization_check(element)
     trace = rho.trace()
@@ -182,48 +206,9 @@ def _forward(rho, U) -> MultiElement:
         raise CliError(f"cannot transform the operator: {exc}")
 
 
-def _load_two_leg(path) -> MultiElement:
-    data = _load(path)
-    try:
-        value = parse_payload(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed element file: {exc}")
-    if not _is_two_leg(value):
-        raise CliError("expected a two-leg element file")
-    return value
-
-
-def _is_two_leg(value) -> bool:
-    try:
-        _require_legs(value, 2)
-    except ValueError:
-        return False
-    return True
-
-
-def _file_params(args, stored: AlgebraParams) -> AlgebraParams:
-    """Element files fix their own q; an explicit conflicting --q is refused."""
-    if args.q is not None and args.q != stored.q:
-        raise CliError(
-            f"--q {args.q} conflicts with the element file's q = {stored.q}; "
-            "element coefficients are only meaningful in their own algebra"
-        )
-    try:
-        return AlgebraParams(q=stored.q, tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
-
-def _rekeyed(value, params: AlgebraParams):
-    """The element over params, pruned at its tol; its keys were checked when it was parsed."""
-    return value._trusted(params, value.legs, value.terms)
-
-
 def cmd_check_pd(args) -> int:
-    element = _load_two_leg(args.input)
-    params = _file_params(args, element.params)
-    element = _rekeyed(element, params)
-    report = is_positive_definite(element, _catalog(args, params))
+    element = _read(args, (2,))
+    report = is_positive_definite(element, _catalog(args, element.params))
     payload = pdreport_to_dict(report)
     if args.output:
         dump_json(payload, args.output)
@@ -237,20 +222,11 @@ def cmd_check_pd(args) -> int:
 
 
 def cmd_ppt(args) -> int:
-    data = _load(args.input)
-    try:
-        value = parse_payload(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed input file: {exc}")
-
+    value = _read(args, (DensityOp, 2))
     if isinstance(value, DensityOp):
         params = _params(args)
         catalog = _catalog(args, params)
-        if not all(d in (1, 2) for d in value.dims):
-            raise CliError(f"unsupported dims {value.dims}: catalog covers factors of dimension 1 and 2")
-        by_dim = {1: "triv", 2: "fund"}
-        pair = f"{by_dim[value.dims[0]]}*{by_dim[value.dims[1]]}"
-        U = product_catalog(params, (pair,))[0]
+        U = _pair(params, value.dims)
         try:
             matrix_report = ppt_matrix(value)
         except ValueError as exc:
@@ -273,25 +249,14 @@ def cmd_ppt(args) -> int:
             return EXIT_UNDECIDED
         return EXIT_OK if matrix_report.psd else EXIT_NEGATIVE
 
-    if not _is_two_leg(value):
-        raise CliError("expected a density-operator or two-leg element file")
-    element_params = _file_params(args, value.params)
-    report = ppt_check(_rekeyed(value, element_params), _catalog(args, element_params))
+    report = ppt_check(value, _catalog(args, value.params))
     payload = {"algebra_report": pdreport_to_dict(report)}
     _emit(args, payload, [f"algebra side: {report.verdict}"])
     return _VERDICT_EXIT[report.verdict]
 
 
 def cmd_haar(args) -> int:
-    data = _load(args.input)
-    try:
-        value = parse_payload(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed element file: {exc}")
-    if isinstance(value, DensityOp):
-        raise CliError("haar expects an element file, not a density operator")
-    value = _rekeyed(value, _file_params(args, value.params))
-    result = haar(value)
+    result = haar(_read(args, range(1, sys.maxsize)))  # an element of any leg count
     _emit(args, {"haar": complex_pair(result)}, [f"[{result.real:.12g}, {result.imag:.12g}]"])
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraParams, Element
+from .algebra import UNIT, AlgebraParams, Element
 from .haar import PairingTables, haar
 from .hopf import MultiElement, coinverse_squared, tensor
 
@@ -55,6 +55,11 @@ class Corep:
     def legs(self) -> int:
         """The legs of its entries: 1 for a single-factor corep, 2 for a product one."""
         return 2 if self.factors else 1
+
+    @property
+    def kind(self) -> str:
+        """The kind as messages name it: "the product corep <label>" or "the single-factor corep <label>"."""
+        return f"the {'product' if self.factors else 'single-factor'} corep {self.label}"
 
     @property
     def dims(self) -> tuple:
@@ -249,10 +254,12 @@ def _terms(u) -> tuple:
 def unitarity_residual(u) -> float:
     """Deviation from both unitarity families, over all index pairs."""
     dim = u.dim
+    entry = u.entries[0][0]
+    one = entry._trusted(u.params, u.legs, {entry.key((UNIT,) * u.legs): 1.0})
     residual = 0.0
     for i in range(dim):
         for j in range(dim):
-            target = _delta_unit(u, i == j)
+            target = one if i == j else one * 0.0
             col = _sum(u.entries[r][i].adjoint() * u.entries[r][j] for r in range(dim))
             row = _sum(u.entries[i][r] * u.entries[j][r].adjoint() for r in range(dim))
             residual = max(residual, col.distance(target), row.distance(target))
@@ -337,11 +344,6 @@ def _sum(elements):
     for e in it:
         total = total + e
     return total
-
-
-def _delta_unit(u, diagonal: bool):
-    one = MultiElement.unit(u.params, 2) if u.legs == 2 else Element.unit(u.params)
-    return one if diagonal else one * 0.0
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _checked_kind
 from .corep import Corep, pairing_tables, standard_catalog
-from .fourier import DensityOp, _require_kind, block_map, catalog_map, inverse
+from .fourier import DensityOp, block_map, catalog_map, inverse
 from .hopf import MultiElement, _require_theta_leg, partial_theta, tensor
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
@@ -78,7 +79,7 @@ def pd_witness_value(x: MultiElement, b: MultiElement) -> complex:
     with the Gram matrices of the memoised one-leg factor G from
     `PairingTables.gram`.
     """
-    _require_kind(2, x, b)
+    _checked_kind(2, x, b, corep=Corep)
     if x.params != b.params:
         raise ValueError("operands carry different algebra parameters")
     gram = pairing_tables(x.params).gram
@@ -158,7 +159,7 @@ def find_negative_witness(x: MultiElement, U: Corep, *, block=None) -> MultiElem
     again.
     """
     # the witness is built with the trusted constructor from U's adjoints, keyed as x is
-    _require_kind(2, x, U)
+    _checked_kind(2, x, U, corep=Corep)
     if block is None:
         block = inverse(x, U)
     herm = (block + block.conj().T) / 2.0

@@ -12,7 +12,7 @@ against an irreducible block U is
 and the original operator is recovered as (tr F) √F x̂(U) √F.  The same maps
 with a single-factor corepresentation act between matrices and one-leg
 Elements: `forward`, `inverse` and `reconstruct` read the kind from the
-corep (`Corep.legs`) and refuse any other pairing (`_require_kind`).
+corep (`Corep.legs`) and refuse any other pairing (`algebra._checked_kind`).
 
 Both directions are linear.  Each block, product or single-factor, is
 compiled once into a `BlockMap` kept on its corep; the forward direction is
@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .algebra import LRU, Element, _ElementCore, _adjoint_image, _adjoint_power
+from .algebra import LRU, _checked_kind, _ElementCore, _adjoint_image, _adjoint_power
 from .corep import Corep, _require_distinct, _terms, engine, pairing_tables
 from .haar import leg_support
 from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
@@ -104,17 +104,17 @@ class DensityOp:
 def forward(rho, U: Corep):
     """ρ̂ = Σ ρ_(ik),(jl) U_(jl),(ik) over a product corep, Σ ρ_ij u_ji over a single-factor one; linear in ρ.
 
-    The result is a two-leg MultiElement or a one-leg Element, as U's entries are.
+    The result is a two-leg MultiElement or a one-leg Element, of the class of U's entries.
     """
     # the keys of U's entries are keys of its kind, as the trusted constructor needs
-    legs = _require_kind(None, U)
+    legs = _checked_kind(None, U, corep=Corep)
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
     d = U.dim
     if mat.shape != (d, d):
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
     if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
-    return (MultiElement if legs == 2 else Element)._trusted(U.params, legs, _expand(mat, U))
+    return type(U.entries[0][0])._trusted(U.params, legs, _expand(mat, U))
 
 
 def inverse(x, U: Corep) -> np.ndarray:
@@ -180,9 +180,9 @@ class BlockMap:
                  "sqrtF", "trF", "transfer", "lifted")
 
     def __init__(self, U):
-        d, legs = U.dim, U.legs
+        d = U.dim
         layout, values = _terms(U)
-        plan = _BLOCK_PLANS.get((layout, legs)) or _BLOCK_PLANS.put((layout, legs), _BlockPlan(layout, legs))
+        plan = _BLOCK_PLANS.get(layout) or _BLOCK_PLANS.put(layout, _BlockPlan(layout))
         self.plan, self.support = plan, plan.support
         q, tol = U.params.q, U.params.tol
         # as the adjoint computes them: scale = 1.0·q^e₀·q^e₁.., then β = 0j + conj(c)·scale
@@ -273,7 +273,7 @@ class CatalogMap:
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         # None for an empty catalog, which serves either kind of element
-        self.legs = _require_kind(None, *self.coreps)
+        self.legs = _checked_kind(None, *self.coreps, corep=Corep)
         _require_distinct(U.label for U in self.coreps)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
         blocks = [block_map(U) for U in self.coreps]
@@ -307,7 +307,7 @@ class CatalogMap:
 
     def gather(self, x):
         """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
-        _require_kind(self.legs, x)
+        _checked_kind(self.legs, x, corep=Corep)
         # params lists the catalog's distinct parameters, so x matches all of them or none
         if self.params and self.params != (x.params,):
             raise ValueError("element and corepresentation parameters differ")
@@ -447,11 +447,10 @@ class _BlockPlan:
     in powers[power_at[j]]; `spans` splits the terms by entry.
     """
 
-    __slots__ = ("legs", "support", "expansion_at", "adjoint_keys", "powers", "power_at", "spans")
+    __slots__ = ("support", "expansion_at", "adjoint_keys", "powers", "power_at", "spans")
 
-    def __init__(self, layout, legs):
+    def __init__(self, layout):
         d = math.isqrt(len(layout))
-        self.legs = legs
         index: dict = {}
         for row in range(d):
             for col in range(d):
@@ -462,8 +461,7 @@ class _BlockPlan:
         self.expansion_at = (np.array([index[key] for _, key in terms], dtype=np.intp),
                              np.array([(rc % d) * d + rc // d for rc, _ in terms], dtype=np.intp))
         monos = [_ElementCore.leg_monomials(key) for _, key in terms]
-        images = [tuple(map(_adjoint_image, leg_monos)) for leg_monos in monos]
-        self.adjoint_keys = tuple(image[0] if legs == 1 else image for image in images)
+        self.adjoint_keys = tuple(_ElementCore.key(tuple(map(_adjoint_image, leg_monos))) for leg_monos in monos)
         self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
         self.power_at = tuple(power_at.tolist())
         ends = tuple(itertools.accumulate(len(keys) for keys in layout))
@@ -503,7 +501,7 @@ class _CatalogPlan:
                     slot_keys.append(key)
             offset += U.dim * U.dim
         self.offsets, self.size, self.index = tuple(offsets), offset, index
-        legs = blocks[0].plan.legs if blocks else 0
+        legs = coreps[0].legs if coreps else 0
         slot_keys, keys = (list(map(_ElementCore.leg_monomials, k)) for k in (slot_keys, index))
         self.lift_at = np.array([row * offset + start + k for rows, start, width in lift_at
                                  for row in rows for k in range(width)], dtype=np.intp)
@@ -604,33 +602,6 @@ def _distinct(items):
     seen: dict = {}
     positions = [seen.setdefault(item, len(seen)) for item in items]
     return tuple(seen), np.array(positions, dtype=np.intp)
-
-
-_KINDS = {1: "a one-leg Element or a single-factor corep", 2: "a two-leg element or a product corep"}
-
-
-def _require_kind(legs, *items):
-    """The legs of the items' kind: 1 for one-leg Elements and single-factor coreps, 2 for
-    two-leg MultiElements and product coreps.
-
-    `legs` is the kind the caller expects, or None to take the first item's
-    (None when there is none); ValueError names the first item of another kind.
-    """
-    for item in items:
-        if isinstance(item, Corep):
-            found = item.legs
-            name = f"the {'product' if found == 2 else 'single-factor'} corep {item.label}"
-        elif isinstance(item, _ElementCore):
-            found, name = item.legs, item.kind
-            if found > 2 or isinstance(item, Element) != (found == 1):
-                found = None
-        else:
-            found, name = None, f"a {type(item).__name__}"
-        if legs is None:
-            legs = found
-        if found is None or found != legs:
-            raise ValueError(f"expected {_KINDS.get(legs, ' or '.join(_KINDS.values()))}, got {name}")
-    return legs
 
 
 def _sqrt_pair(F: np.ndarray):

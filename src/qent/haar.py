@@ -20,12 +20,12 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .algebra import LRU, AlgebraParams, Monomial, _ElementCore, _mono_adjoint, _mono_mul, _mono_mul_program
+from .algebra import (LRU, AlgebraParams, Monomial, _ElementCore, _checked_kind, _mono_adjoint, _mono_mul,
+                      _mono_mul_program)
 from .hopf import (
     MultiElement,
     _coinverse_monomial,
     _coproduct_monomial,
-    _require_legs,
     coproduct,
     product_coinverse,
     product_coproduct,
@@ -196,7 +196,7 @@ def convolve_check(a: MultiElement, b: MultiElement) -> complex:
     the tests cross-check.
     """
     for x in (a, b):
-        _require_legs(x, 2)
+        _checked_kind(2, x)
     params = a.params
     total = 0j
     for (m0, m1, m2, m3), coeff in product_coproduct(a).terms.items():

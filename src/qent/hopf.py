@@ -34,6 +34,7 @@ from .algebra import (
     MONO_CSTAR,
     UNIT,
     _ElementCore,
+    _checked_kind,
     _mono,
     _mono_mul,
 )
@@ -42,7 +43,8 @@ from .algebra import (
 class MultiElement(_ElementCore):
     """Linear combination of tuples of monomials: an element of a tensor power.
 
-    Every key must be a plain tuple of `legs` Monomials.  The key check,
+    It has at least two legs, since one leg is an Element's kind, and
+    every key must be a plain tuple of `legs` Monomials.  The key check,
     pruning, linear arithmetic and adjoint are `algebra._ElementCore`'s; the
     symbolic product is this kind's own.
     """
@@ -50,6 +52,8 @@ class MultiElement(_ElementCore):
     __slots__ = ()
 
     def __init__(self, params: AlgebraParams, legs: int, terms: Mapping[tuple, complex] | None = None):
+        if legs < 2:
+            raise ValueError(f"a MultiElement has at least two legs, got {legs}")
         super().__init__(params, terms, legs)
 
     @classmethod
@@ -95,26 +99,17 @@ def tensor(*factors) -> MultiElement:
     coefficients, added onto 0j.  Every factor's keys are distinct, and so
     are their concatenations, so each is added once.
     """
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
+    legs = sum(f.legs for f in factors)
+    if legs < 2:
+        raise ValueError(f"a MultiElement has at least two legs, and the factors of tensor() have {legs}")
     params = factors[0].params
     for f in factors[1:]:
         if f.params is not params and f.params != params:
             raise ValueError("tensor factors carry different algebra parameters")
     terms = [((), 1.0 + 0.0j)]
-    legs = 0
     for f in factors:
         terms = [(tup + f.leg_monomials(key), c * c2) for tup, c in terms for key, c2 in f.terms.items()]
-        legs += f.legs
     return MultiElement._trusted(params, legs, {key: 0j + coeff for key, coeff in terms})
-
-
-def _require_legs(x, legs: int):
-    """Refuse x unless it is the kind with `legs` legs: an Element for one, a MultiElement for more."""
-    if not (isinstance(x, _ElementCore) and x.legs == legs and isinstance(x, Element) == (legs == 1)):
-        want = "an Element" if legs == 1 else f"a MultiElement with {legs} legs"
-        got = x.kind if isinstance(x, _ElementCore) else f"a {type(x).__name__}"
-        raise ValueError(f"expected {want}, got {got}")
 
 
 # -- coproduct ---------------------------------------------------------------
@@ -153,7 +148,7 @@ def _coproduct_monomial(params: AlgebraParams, mono: Monomial) -> MultiElement:
 
 def coproduct(x: Element) -> MultiElement:
     """Δ as a multiplicative *-homomorphism into the two-leg algebra."""
-    _require_legs(x, 1)
+    _checked_kind(1, x)
     return apply_coproduct_leg(x, 0)
 
 
@@ -172,7 +167,7 @@ def apply_coproduct_leg(x, leg: int) -> MultiElement:
 
 def product_coproduct(x: MultiElement) -> MultiElement:
     """Coproduct of the direct square: two legs in, four legs out, ordered (A,B,A,B)."""
-    _require_legs(x, 2)
+    _checked_kind(2, x)
     out: dict = {}
     for (ma, mb), coeff in x.terms.items():
         da = _coproduct_monomial(x.params, ma)
@@ -202,7 +197,7 @@ def counit(x) -> complex:
 
 def product_counit(x: MultiElement) -> complex:
     """ε of the direct square, applied leg-wise."""
-    _require_legs(x, 2)
+    _checked_kind(2, x)
     return counit(x)
 
 
@@ -232,7 +227,7 @@ def coinverse_squared(x):
 
 def product_coinverse(x: MultiElement) -> MultiElement:
     """κ of the direct square, applied leg-wise."""
-    _require_legs(x, 2)
+    _checked_kind(2, x)
     return coinverse(x)
 
 
@@ -253,7 +248,7 @@ def _theta_image(mono: Monomial) -> Monomial:
 
 def theta(x: Element) -> Element:
     """θ(x) = κ(x)*: an antilinear homomorphism (the transposition map)."""
-    _require_legs(x, 1)
+    _checked_kind(1, x)
     q = x.params.q
     return x._legwise(lambda mono: _theta_monomial(mono, q), True)
 
@@ -277,6 +272,6 @@ def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:
 
 def _require_theta_leg(x: MultiElement, leg: int):
     """The argument checks of `partial_theta`, in its order and with its messages."""
-    _require_legs(x, 2)
+    _checked_kind(2, x)
     if leg not in (0, 1):
         raise ValueError("leg must be 0 or 1")

@@ -4,7 +4,9 @@ All complex numbers are written as two-entry [re, im] arrays; nothing is
 string-encoded.  Element payloads carry q and tol in their header so a file
 fully determines the algebra it lives in.  Integer fields (dims, legs and
 the exponents k, m, n) must be JSON integers: a float, a string or a
-boolean there raises ValueError instead of being truncated.
+boolean there raises ValueError instead of being truncated.  Real fields (q,
+tol and the parts of every complex pair) must be JSON numbers: a string or
+a boolean there raises ValueError instead of being converted.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def complex_pair(z) -> list:
 
 def _from_pair(pair) -> complex:
     re, im = pair
-    z = complex(float(re), float(im))
+    z = complex(_real(re, "a complex part"), _real(im, "a complex part"))
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite number {pair!r}")
     return z
@@ -36,6 +38,16 @@ def _integer(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """A JSON number field as a float; strings and booleans are refused, not converted."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{name} is not a finite number: {value!r}") from None
 
 
 def _mono_record(mono: Monomial) -> dict:
@@ -59,7 +71,7 @@ def element_to_dict(x: Element) -> dict:
 
 
 def element_from_dict(data) -> Element:
-    params = AlgebraParams(q=float(data["q"]), tol=float(data["tol"]))
+    params = AlgebraParams(q=_real(data["q"], "q"), tol=_real(data["tol"], "tol"))
     terms = {}
     for rec in data["terms"]:
         mono = _mono_from_record(rec)
@@ -78,7 +90,7 @@ def multielement_to_dict(x: MultiElement) -> dict:
 
 
 def multielement_from_dict(data) -> MultiElement:
-    params = AlgebraParams(q=float(data["q"]), tol=float(data["tol"]))
+    params = AlgebraParams(q=_real(data["q"], "q"), tol=_real(data["tol"], "tol"))
     legs = _integer(data["legs"], "legs")
     terms = {}
     for rec in data["terms"]:

@@ -467,8 +467,9 @@ def _fold_legs(dx: MultiElement, apply_kappa_first: bool) -> Element:
     params = dx.params
     total = Element.zero(params)
     for (m0, m1), coeff in dx.terms.items():
-        left = Element.monomial(params, m0)
-        right = Element.monomial(params, m1)
+        # Δx's keys were checked already, and the trusted constructor gives Element.monomial's bits
+        left = Element._trusted(params, 1, {m0: 1.0})
+        right = Element._trusted(params, 1, {m1: 1.0})
         if apply_kappa_first:
             left = coinverse(left)
         else:

@@ -420,3 +420,71 @@ def test_a_catalog_that_names_a_pair_twice_exits_2(tmp_path, capsys):
             assert main(argv + ["--catalog", catalog]) == 2, argv
             err = capsys.readouterr().err
             assert "fund*fund twice" in err and "Traceback" not in err
+
+
+def _malformed_payloads():
+    """(name, payload) pairs that every command must refuse with exit 2."""
+    params = AlgebraParams(q=0.5)
+    rho = densityop_to_dict(singlet_state())
+    two_leg = multielement_to_dict(MultiElement.unit(params, 2))
+    one_leg = element_to_dict(Element.generator(params, "c"))
+
+    def edited(base, edit):
+        data = json.loads(json.dumps(base))
+        edit(data)
+        return data
+
+    return [
+        ("top-level list", [rho]),
+        ("top-level number", 4),
+        ("top-level string", "terms"),
+        ("dims a string", edited(rho, lambda d: d.update(dims="22"))),
+        ("negative dims", edited(rho, lambda d: d.update(dims=[-2, -2]))),
+        ("three dims", edited(rho, lambda d: d.update(dims=[2, 2, 1]))),
+        ("entries a dict", edited(rho, lambda d: d.update(entries={"a": [1.0, 0.0]}))),
+        ("three-item entries", edited(rho, lambda d: d.update(entries=[[0.25, 0.0, 0.0]] * 16))),
+        ("string entries", edited(rho, lambda d: d.update(entries=["10", "00", "00", "00"] * 4))),
+        ("boolean entry", edited(rho, lambda d: d["entries"].__setitem__(0, [True, False]))),
+        ("string q", edited(two_leg, lambda d: d.update(q="0.5"))),
+        ("boolean tol", edited(two_leg, lambda d: d.update(tol=True))),
+        ("string coeff", edited(two_leg, lambda d: d["terms"][0].update(coeff="10"))),
+        ("boolean coeff", edited(one_leg, lambda d: d["terms"][0].update(coeff=[True, False]))),
+        ("string q, one leg", edited(one_leg, lambda d: d.update(q="0.5"))),
+        ("sector a list", edited(one_leg, lambda d: d["terms"][0].update(sector=["plain"]))),
+        ("two-leg sector a list", edited(two_leg, lambda d: d["terms"][0]["monomials"][0].update(sector=["plain"]))),
+        ("fewer monomials than legs", edited(two_leg, lambda d: d["terms"][0]["monomials"].pop())),
+        ("one-leg MultiElement", edited(two_leg, lambda d: (d.update(legs=1), d["terms"][0]["monomials"].pop()))),
+        ("zero legs", edited(two_leg, lambda d: d.update(legs=0, terms=[]))),
+    ]
+
+
+@pytest.mark.parametrize("command", ["transform", "check-pd", "ppt", "haar"])
+def test_every_command_gives_malformed_payloads_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    for name, payload in _malformed_payloads():
+        dump_json(payload, path)
+        assert main([command, "--input", str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, name
+
+
+@pytest.mark.parametrize("command", ["transform", "check-pd", "ppt", "haar"])
+def test_unreadable_files_exit_2(tmp_path, capsys, command):
+    paths = {"missing": tmp_path / "missing.json", "a directory": tmp_path, "not json": tmp_path / "bad.json",
+             "not utf-8": tmp_path / "latin.json", "nested too deep": tmp_path / "deep.json"}
+    paths["not json"].write_text("{not json")
+    paths["not utf-8"].write_bytes(b'{"q": "\xe9"}')
+    paths["nested too deep"].write_text("[" * 100_000 + "]" * 100_000)
+    for name, path in paths.items():
+        assert main([command, "--input", str(path)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_the_shipped_files_of_one_leg_and_of_string_numbers(capsys):
+    # the CI lines on these files: a one-leg Element file is an element haar takes
+    assert main(["haar", "--input", str(GOLDEN / "one_leg_element.json")]) == 0
+    assert json.loads(capsys.readouterr().out)[0] == pytest.approx(0.4)
+    # and numbers written as strings are refused, where they used to be read as numbers
+    for command in ("ppt", "haar"):
+        assert main([command, "--input", str(GOLDEN / "string_numbers.json")]) == 2
+        assert "must be a number" in capsys.readouterr().err

@@ -12,6 +12,7 @@ block (`_per_block_report`). The loops that the compiled forms replaced
 written out too, and the compiled forms must equal them bit for bit.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -214,6 +215,31 @@ def _cache_sizes(params):
         "block plans": (len(fourier._BLOCK_PLANS), fourier.BLOCK_PLANS_SIZE),
         "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
     }
+
+
+# every module-level cache-size constant of qent; a new memo bound is added here and to _cache_sizes
+CACHE_SIZE_CONSTANTS = {
+    "algebra.MONO_MUL_CACHE_SIZE", "corep.ENGINES_SIZE", "corep.PRODUCT_PLANS_SIZE",
+    "haar.PAIRING_MEMO_SIZE", "haar.GRAM_INDEX_SIZE", "haar.GRAM_MATRICES_SIZE",
+    "hopf.COPRODUCT_CACHE_SIZE", "fourier.BLOCK_PLANS_SIZE", "fourier.CATALOG_PLANS_SIZE",
+}
+
+
+def test_every_cache_size_constant_is_listed_and_bounded_by_the_cache_sizes(monkeypatch):
+    found = set()
+    for path in sorted(Path(algebra.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            found.update(f"{path.stem}.{target.id}" for target in targets
+                         if isinstance(target, ast.Name) and target.id.endswith("_SIZE"))
+    assert found == CACHE_SIZE_CONSTANTS
+    # each constant, set to a value of its own, is the bound of an entry of _cache_sizes
+    marks = {name: 10 ** 9 + i for i, name in enumerate(sorted(found))}
+    for name, mark in marks.items():
+        module, constant = name.split(".")
+        monkeypatch.setattr(sys.modules[f"qent.{module}"], constant, mark)
+    bounds = {bound for _, bound in _cache_sizes(AlgebraParams(q=0.5)).values()}
+    assert [name for name, mark in marks.items() if mark not in bounds] == []
 
 
 @pytest.fixture
@@ -587,10 +613,12 @@ def test_ppt_check_raises_what_the_partial_transpose_check_raises():
     catalog = product_catalog(params)
     x = forward(fourier.singlet_state(), catalog[3])
     a, c = Monomial(PLAIN, 1, 0, 0), Monomial(PLAIN, 0, 1, 0)
+    # a one-leg MultiElement, once a case here, can no longer be built
+    with pytest.raises(ValueError, match="a MultiElement has at least two legs, got 1"):
+        MultiElement(params, 1, {(a,): 1.0})
     cases = [
         (x, catalog, 2),
         (Element(params, {a: 1.0}), catalog, 1),
-        (MultiElement(params, 1, {(a,): 1.0}), catalog, 0),
         (x, product_catalog(AlgebraParams(q=0.4)), 1),
         # θ on leg 1 scales the coefficient of a ⊗ c by -1/q, past the largest float
         (MultiElement(params, 2, {(a, c): 1e308}), catalog, 1),
@@ -864,8 +892,8 @@ def test_single_factor_checks_refuse_product_coreps_and_two_leg_elements():
             check(a, catalog)
         with pytest.raises(ValueError, match="single-factor corep, got a 2-leg element"):
             check(x, tuple(standard_catalog(params).values()))
-    with pytest.raises(ValueError, match="got a 1-leg element"):
-        is_positive_definite(MultiElement(params, 1, {(Monomial(),): 1.0}), ())
+    with pytest.raises(ValueError, match="a MultiElement has at least two legs, got 1"):
+        MultiElement(params, 1, {(Monomial(),): 1.0})
 
 
 def test_find_negative_witness_refuses_a_single_factor_corep():

@@ -283,9 +283,13 @@ def test_multielement_keys_are_tuples_of_monomials(params):
         MultiElement(params, 2, {("a", "c"): 1.0})
     with pytest.raises(ValueError):
         MultiElement(params, 2, {(a,): 1.0})
-    with pytest.raises(ValueError):
-        MultiElement(params, 1, {a: 1.0})
-    assert MultiElement(params, 1, {(a,): 1.0}).coeff((a,)) == 1.0
+    # one leg is an Element's kind: a MultiElement has at least two
+    for terms in ({a: 1.0}, {(a,): 1.0}):
+        with pytest.raises(ValueError, match="a MultiElement has at least two legs, got 1"):
+            MultiElement(params, 1, terms)
+    # and an Element has one: its constructor takes no leg count
+    with pytest.raises(TypeError):
+        Element(params, {(a, a): 1.0}, 2)
 
 
 def test_coinverse_and_the_leg_coproduct_act_leg_wise_on_either_kind(params):
@@ -305,5 +309,5 @@ def test_one_leg_maps_refuse_a_two_leg_element_by_its_kind(params, one_leg_map):
     a, _, c, _ = gens(params)
     with pytest.raises(ValueError, match="expected an Element, got a 2-leg element"):
         one_leg_map(tensor(a, c))
-    with pytest.raises(ValueError, match="expected an Element, got a 1-leg element"):
+    with pytest.raises(ValueError, match="a MultiElement has at least two legs, and the factors of tensor"):
         one_leg_map(tensor(a))

@@ -80,3 +80,35 @@ def test_pdreport_serialization(params):
     assert data["witness"] is not None
     witness = multielement_from_dict(data["witness"])
     assert witness.legs == 2
+
+
+@pytest.mark.parametrize("entries", [
+    # each two-character string used to be read as [re, im]
+    ["10", "00", "00", "00"] * 4,
+    [[True, False]] + [[0.0, 0.0]] * 15,
+    [["0.5", 0.0]] + [[0.0, 0.0]] * 15,
+    [[2 ** 1100, 0.0]] + [[0.0, 0.0]] * 15,
+])
+def test_densityop_entries_must_be_json_numbers(entries):
+    with pytest.raises(ValueError, match="must be a number|is not a finite number"):
+        densityop_from_dict({"dims": [2, 2], "entries": entries})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", "0.5"), ("q", True), ("tol", True), ("tol", "1e-9"), ("coeff", "10"), ("coeff", [True, False]),
+    ("coeff", [0.5, "0"]), ("q", 2 ** 1100),
+])
+def test_element_numbers_must_be_json_numbers(params, field, value):
+    for data in (element_to_dict(Element.generator(params, "c")), multielement_to_dict(MultiElement.unit(params, 2))):
+        (data["terms"][0] if field == "coeff" else data)[field] = value
+        with pytest.raises(ValueError, match="must be a number|is not a finite number"):
+            parse_payload(data)
+
+
+def test_json_numbers_of_either_type_still_load(params):
+    data = element_to_dict(Element.generator(params, "c"))
+    data["q"], data["terms"][0]["coeff"] = 1, [1, 0]
+    x = parse_payload(data)
+    assert x.params.q == 1.0 and x.terms == {Monomial(PLAIN, 0, 1, 0): 1 + 0j}
+    rho = densityop_from_dict({"dims": [2, 2], "entries": [[1, 0]] + [[0, 0]] * 15})
+    assert rho.matrix[0, 0] == 1.0
