@@ -479,25 +479,22 @@ class Element(_ElementCore):
         return f"Element({self})"
 
 
-def _checked_kind(legs, *items, corep=None):
+def _checked_kind(legs, *items, names=None):
     """The items' kind, which is their leg count, after refusing any item of another kind by its `kind`.
 
-    `legs` is the kind expected, or None to take the first item's.  With
-    `corep` (the Corep class) coreps are items too, of the kind of element
-    they pair with (`Corep.legs`), only the kinds 1 and 2 are taken, and
-    the message names coreps among the kinds expected.
+    An item is an element, or a corep of the kind of element it pairs with
+    (`Corep.legs`).  `legs` is the kind expected, or None to take the first
+    item's.  `names` maps kinds to how the message names what was expected;
+    by default an Element or a MultiElement.
     """
     for item in items:
-        found = item.legs if isinstance(item, _ElementCore) or corep and isinstance(item, corep) else None
+        found = getattr(item, "legs", None)
         if legs is None:
             legs = found
-        if found is None or found != legs or corep and found > 2:
-            if corep:
-                kinds = {1: "a one-leg Element or a single-factor corep", 2: "a two-leg element or a product corep"}
-                want = kinds.get(legs, " or ".join(kinds.values()))
-            else:
-                want = "an Element" if legs == 1 else f"a MultiElement with {legs} legs"
-            got = item.kind if found is not None else f"a {type(item).__name__}"
+        if found is None or found != legs:
+            names = names or {legs: "an Element" if legs == 1 else f"a MultiElement with {legs} legs"}
+            want = names.get(legs) or " or ".join(names.values())
+            got = getattr(item, "kind", f"a {type(item).__name__}")
             raise ValueError(f"expected {want}, got {got}")
     return legs
 

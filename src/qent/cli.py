@@ -102,21 +102,21 @@ def _catalog(args, params):
 def _read(args, accepts):
     """The input file's value, if its kind is in `accepts`: DensityOp, or an element's leg count.
 
-    Any failure to read or parse the file, and a refused kind, is malformed
-    input.  An element keeps its file's q (a differing --q is refused) and
-    is re-keyed at --tol.
+    `accepts` None takes an element of any leg count.  Any failure to read
+    or parse the file, and a refused kind, is malformed input.  An element
+    keeps its file's q (a differing --q is refused) and is re-keyed at --tol.
     """
     try:
         value = parse_payload(load_json(args.input))
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {args.input}: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed input file: {exc}")
     if isinstance(value, DensityOp):
-        if DensityOp not in accepts:
+        if accepts is None or DensityOp not in accepts:
             raise CliError(f"{args.command} does not take a density operator")
         return value
-    if value.legs not in accepts:
+    if accepts is not None and value.legs not in accepts:
         raise CliError(f"{args.command} does not take {value.kind}")
     stored = value.params
     if args.q is not None and args.q != stored.q:
@@ -256,7 +256,7 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_haar(args) -> int:
-    result = haar(_read(args, range(1, sys.maxsize)))  # an element of any leg count
+    result = haar(_read(args, None))
     _emit(args, {"haar": complex_pair(result)}, [f"[{result.real:.12g}, {result.imag:.12g}]"])
     return EXIT_OK
 

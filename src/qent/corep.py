@@ -50,6 +50,8 @@ class Corep:
     F: np.ndarray = field(repr=False)
     params: AlgebraParams
     factors: tuple = ()
+    # how a kind check names the elements and coreps that pair with a corep of each kind
+    pairing_kinds = {1: "a one-leg Element or a single-factor corep", 2: "a two-leg element or a product corep"}
 
     @property
     def legs(self) -> int:

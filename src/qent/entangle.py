@@ -79,7 +79,7 @@ def pd_witness_value(x: MultiElement, b: MultiElement) -> complex:
     with the Gram matrices of the memoised one-leg factor G from
     `PairingTables.gram`.
     """
-    _checked_kind(2, x, b, corep=Corep)
+    _checked_kind(2, x, b)
     if x.params != b.params:
         raise ValueError("operands carry different algebra parameters")
     gram = pairing_tables(x.params).gram
@@ -159,7 +159,7 @@ def find_negative_witness(x: MultiElement, U: Corep, *, block=None) -> MultiElem
     again.
     """
     # the witness is built with the trusted constructor from U's adjoints, keyed as x is
-    _checked_kind(2, x, U, corep=Corep)
+    _checked_kind(2, x, U, names=Corep.pairing_kinds)
     if block is None:
         block = inverse(x, U)
     herm = (block + block.conj().T) / 2.0

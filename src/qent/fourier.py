@@ -107,7 +107,7 @@ def forward(rho, U: Corep):
     The result is a two-leg MultiElement or a one-leg Element, of the class of U's entries.
     """
     # the keys of U's entries are keys of its kind, as the trusted constructor needs
-    legs = _checked_kind(None, U, corep=Corep)
+    legs = _checked_kind(None, U, names=Corep.pairing_kinds)
     mat = rho.matrix if isinstance(rho, DensityOp) else np.asarray(rho, dtype=complex)
     d = U.dim
     if mat.shape != (d, d):
@@ -273,7 +273,7 @@ class CatalogMap:
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         # None for an empty catalog, which serves either kind of element
-        self.legs = _checked_kind(None, *self.coreps, corep=Corep)
+        self.legs = _checked_kind(None, *self.coreps, names=Corep.pairing_kinds)
         _require_distinct(U.label for U in self.coreps)
         self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
         blocks = [block_map(U) for U in self.coreps]
@@ -307,7 +307,7 @@ class CatalogMap:
 
     def gather(self, x):
         """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
-        _checked_kind(self.legs, x, corep=Corep)
+        _checked_kind(self.legs, x, names=Corep.pairing_kinds)
         # params lists the catalog's distinct parameters, so x matches all of them or none
         if self.params and self.params != (x.params,):
             raise ValueError("element and corepresentation parameters differ")
@@ -461,7 +461,8 @@ class _BlockPlan:
         self.expansion_at = (np.array([index[key] for _, key in terms], dtype=np.intp),
                              np.array([(rc % d) * d + rc // d for rc, _ in terms], dtype=np.intp))
         monos = [_ElementCore.leg_monomials(key) for _, key in terms]
-        self.adjoint_keys = tuple(_ElementCore.key(tuple(map(_adjoint_image, leg_monos))) for leg_monos in monos)
+        images = [tuple(map(_adjoint_image, leg_monos)) for leg_monos in monos]
+        self.adjoint_keys = tuple(_ElementCore.key(image) for image in images)
         self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
         self.power_at = tuple(power_at.tolist())
         ends = tuple(itertools.accumulate(len(keys) for keys in layout))

@@ -477,7 +477,15 @@ def test_unreadable_files_exit_2(tmp_path, capsys, command):
     paths["nested too deep"].write_text("[" * 100_000 + "]" * 100_000)
     for name, path in paths.items():
         assert main([command, "--input", str(path)]) == 2, name
-        assert capsys.readouterr().err.startswith("error: "), name
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: "), name
+
+
+@pytest.mark.parametrize("command", ["check-pd", "haar"])
+def test_element_commands_refuse_a_density_operator_file(command):
+    # in a child with a time limit, so that a kind test which never returns fails instead of stalling the suite
+    run = subprocess.run([sys.executable, "-m", "qent.cli", command, "--input", str(GOLDEN / "werner_0.6.json")],
+                         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 2 and run.stderr == f"error: {command} does not take a density operator\n"
 
 
 def test_the_shipped_files_of_one_leg_and_of_string_numbers(capsys):
