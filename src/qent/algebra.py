@@ -126,16 +126,12 @@ def _mono_sort_key(mono: Monomial):
 
 
 def _times_gen_rules(mono: Monomial, gen: str):
-    """Right-multiply a basis monomial by a single generator, without q.
+    """Right-multiply a basis monomial by a or a*, without q.
 
     Returns ((monomial, (power, kind)), ...): the scale of each monomial is
     phase = q**power, and -phase / q for kind "/" or -phase * q for kind "*".
     """
     k, m, n = mono.k, mono.m, mono.n
-    if gen == GEN_C:
-        return ((_mono(mono.sector, k, m + 1, n), (0, None)),)
-    if gen == GEN_CSTAR:
-        return ((_mono(mono.sector, k, m, n + 1), (0, None)),)
     if gen == GEN_A:
         # commute a to the left of the c-block, then absorb: a*a = 1 - (1/q) cc*
         power = -(m + n)
@@ -183,21 +179,26 @@ class LRU(OrderedDict):
 def _mono_mul_program(x: Monomial, y: Monomial):
     """The rewriting of x·y, which does not depend on q: (steps, monomials).
 
-    x is multiplied by the generators of y one at a time; each step lists
-    (source, target, power, kind) for every term it writes, in the order in
-    which the rewriting meets them (see `_times_gen_rules`), and the last
-    step's targets are `monomials`.
+    x is multiplied by the a or a* factors of y one at a time; each step
+    lists (source, target, power, kind) for every term it writes, in the
+    order in which the rewriting meets them (see `_times_gen_rules`), and
+    the last step's targets are `monomials`.  The c and c* factors of y
+    append to each monomial with scale 1, one monomial onto one, so they
+    are one step however many there are.
     """
     monos = (x,)
     steps = []
-    for gen, count in ((GEN_A if y.sector == PLAIN else GEN_ASTAR, y.k), (GEN_C, y.m), (GEN_CSTAR, y.n)):
-        for _ in range(count):
-            index: dict = {}
-            ops = tuple((src, index.setdefault(mono2, len(index)), power, kind)
-                        for src, mono in enumerate(monos)
-                        for mono2, (power, kind) in _times_gen_rules(mono, gen))
-            steps.append((len(index), ops))
-            monos = tuple(index)
+    gen = GEN_A if y.sector == PLAIN else GEN_ASTAR
+    for _ in range(y.k):
+        index: dict = {}
+        ops = tuple((src, index.setdefault(mono2, len(index)), power, kind)
+                    for src, mono in enumerate(monos)
+                    for mono2, (power, kind) in _times_gen_rules(mono, gen))
+        steps.append((len(index), ops))
+        monos = tuple(index)
+    if y.m or y.n:
+        steps.append((len(monos), tuple((src, src, 0, None) for src in range(len(monos)))))
+        monos = tuple(_mono(mono.sector, mono.k, mono.m + y.m, mono.n + y.n) for mono in monos)
     return tuple(steps), monos
 
 

@@ -14,15 +14,16 @@ Every step of the test is linear in x's coefficients, so
 `is_positive_definite` takes every block and the support residual from one
 product with the catalog's compiled map (`fourier.catalog_map`), for a
 two-leg x over product coreps and a one-leg x over single-factor coreps
-alike.  The transposition map on one leg moves and rescales coefficients
-over the catalog's support, so `ppt_check` applies the map's θ index and
-scale to x's gathered coefficients and builds no θx.  Both then share one
-block test: one pass over the blocks gives their hermitian parts and the
-largest asymmetry, the blocks of each size are tested in one stacked
-eigen-solve, and a witness is built from a product catalog's failing block
-only, with its eigenvector in a canonical phase.  `tensor_pd` reads its
-factors' blocks from the same map, and so does the per-block `inverse`
-that `find_negative_witness` calls without a block.
+alike.  `ppt_check` forms the terms of θx, the transposition map on one
+leg, with `partial_theta`'s arithmetic and the map's memo of θ on the
+support's leg monomials, and gathers them as `is_positive_definite`
+gathers x.  Both then share one block test: one pass over the blocks
+gives their hermitian parts and the largest asymmetry, the blocks of each
+size are tested in one stacked eigen-solve, and a witness is built from a
+product catalog's failing block only, with its eigenvector in a canonical
+phase.
+`tensor_pd` reads its factors' blocks from the same map, and so does the
+per-block `inverse` that `find_negative_witness` calls without a block.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .algebra import _checked_kind
 from .corep import Corep, pairing_tables, standard_catalog
 from .fourier import DensityOp, block_map, catalog_map, inverse
-from .hopf import MultiElement, _require_theta_leg, partial_theta, tensor
+from .hopf import MultiElement, _require_theta_leg, tensor
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
 NOT_POSITIVE_DEFINITE = "NOT_POSITIVE_DEFINITE"
@@ -235,19 +236,14 @@ def ppt_check(x: MultiElement, catalog, *, leg: int = 1) -> PDReport:
     operator whose transform is x.
 
     The report is that of is_positive_definite(partial_theta(x, leg=leg),
-    catalog), bit for bit.  When x lives on the catalog's support and θ maps
-    that support onto itself, θx is not built: the catalog map's θ index
-    and scale (`CatalogMap.apply_theta`) turn x's gathered coefficients into
-    those of θx, which go through the same block test.  Otherwise θx is
-    built and tested as above.
+    catalog), bit for bit: the catalog map forms θx's terms with
+    `partial_theta`'s arithmetic and its memo of θ on the support's leg
+    monomials (`CatalogMap.apply_theta`), and they go through the same
+    block test.
     """
     _require_theta_leg(x, leg)
-    catalog = tuple(catalog)
-    compiled = catalog_map(catalog)
-    applied = compiled.apply_theta(x, leg)
-    if applied is None:
-        return is_positive_definite(partial_theta(x, leg=leg), catalog)
-    return _block_report(compiled, *applied, x.params)
+    compiled = catalog_map(tuple(catalog))
+    return _block_report(compiled, *compiled.apply_theta(x, leg), x.params)
 
 
 def partial_transpose(matrix, dims, leg: int = 1) -> np.ndarray:

@@ -21,19 +21,18 @@ is compiled on first use into one `CatalogMap`: a single matrix from x's
 coefficients over the catalog's support to every block x̂(U) at once, built
 leg by leg from single-leg Haar tables, and the matrix that re-expands the
 lifted blocks, so the support residual is one more product.  `inverse` is
-the block of a one-block catalog's map.  The transposition map on one
-leg of a product catalog only moves and rescales coefficients over that
-support, so the map also keeps it as an index and a scale per leg, and a
-partial transpose is tested without building θx.  The positivity test in
-`qent.entangle` runs on it.
+the block of a one-block catalog's map.  A partial transpose θx is formed
+term by term with `partial_theta`'s arithmetic, reading θ of the
+support's leg monomials from the map's memo, and goes through the same
+map.  The positivity test in `qent.entangle` runs on it.
 
 Compiling splits into a plan and a fill.  Over the shipped blocks the term
-keys of every entry, adjoint, support key and θ image are the same at
-every q, so everything index-like is a q-free plan kept per shape in a
-bounded memo: `_BlockPlan` per block, `_CatalogPlan` per catalog (a q
-where pruning drops a key gets its own).  The fill computes one q's
-numbers with numpy in the arithmetic and order of the symbolic products
-it replaces, so the results are the same bits.  Every shipped block's F
+keys of every entry, adjoint and support key are the same at every q, so
+everything index-like is a q-free plan kept per shape in a bounded memo:
+`_BlockPlan` per block, `_CatalogPlan` per catalog (a q where pruning
+drops a key gets its own).  The fill computes one q's numbers with numpy
+in the arithmetic and order of the symbolic products it replaces, so the
+results are the same bits.  Every shipped block's F
 is diagonal (`corep`'s closed form), so the fill takes √F, F^(-1/2) and
 the witness row from its diagonal, with no inverse or eigen-solve; only
 a hand-built corep with a non-diagonal F needs them.  The engine of a q
@@ -51,7 +50,7 @@ import numpy as np
 from .algebra import LRU, _checked_kind, _ElementCore, _adjoint_image, _adjoint_power
 from .corep import Corep, _require_distinct, _terms, engine, pairing_tables
 from .haar import leg_support
-from .hopf import MultiElement, _theta_image, _theta_scale, product_counit
+from .hopf import MultiElement, _theta_monomial, _theta_on_leg, product_counit
 
 
 class DensityOp:
@@ -257,14 +256,11 @@ class CatalogMap:
     size: (catalog positions, index array into flat) per size, of shape
     (blocks, d, d), or (blocks,) for 1×1 blocks.  `witnesses[i]` is the
     `BlockMap.witness` of block i; only a product catalog has a witness.
-    `theta(leg)` is the transposition map on the support of a product
-    catalog, built on first use.
 
     Everything index-like above (offsets, index, slots, which table entries
-    can be non-zero, transpose, stacks, re-expansion positions and θ's
-    source positions) is the catalog's `_CatalogPlan`, shared by every q
-    whose blocks have the same term keys; the constructor only fills in
-    the numbers of its q.
+    can be non-zero, transpose, stacks and re-expansion positions) is the
+    catalog's `_CatalogPlan`, shared by every q whose blocks have the same
+    term keys; the constructor only fills in the numbers of its q.
     """
 
     __slots__ = ("coreps", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
@@ -303,7 +299,7 @@ class CatalogMap:
             # each entry gets one block's part, added to zero as the blockwise += adds it
             parts = np.concatenate([block.lifted.reshape(-1) for block in blocks])
             self.reexpansion.reshape(-1)[plan.lift_at] += parts
-        self._thetas: dict = {}
+        self._thetas: dict = {}  # per leg, θ of each leg monomial of the support as (scale, image)
 
     def gather(self, x):
         """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
@@ -327,49 +323,21 @@ class CatalogMap:
         return self.transform(*self.gather(x))
 
     def apply_theta(self, x: MultiElement, leg: int):
-        """`apply` of partial_theta(x, leg=leg), or None where this map cannot give it.
+        """`apply` of partial_theta(x, leg=leg), with θ of the support's leg monomials read from a memo.
 
-        θx has coefficient scale·v[src] at each support key, pruned at tol
-        as by `partial_theta`'s constructor, and each part is rounded as
-        the symbolic 0j + coeff·scale rounds it.  The map works on the real
-        and imaginary parts side by side, so src and scale index those.
-        None when x has keys outside the support, θ does not map the
-        support onto itself, or θx or its blocks are not finite.
+        θx's terms come from `partial_theta`'s own loop, so its report is
+        bit for bit that of θx; keys and images off the support go through
+        the outside-key columns of `flat`.  The memo holds θ on the leg
+        monomials of a product catalog's support at its q (5 per leg on the
+        shipped catalog), so only an x that `gather` takes reads it.
         """
-        v, outside = self.gather(x)
-        theta = self.theta(leg)
-        if outside or theta is None:
-            return None
-        src, scale = theta
-        # a coefficient scaled past the largest float leaves a residual that is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts = v.view(float)[src]
-            parts *= scale
-            parts += 0.0
-            size = np.hypot(parts[0::2], parts[1::2])  # the libm hypot of Python's abs(complex)
-            np.copyto(parts.reshape(-1, 2), 0.0, where=(size <= x.params.tol)[:, None])
-            flat, residual = self.transform(parts.view(complex))
-        return (flat, residual) if math.isfinite(residual) else None
-
-    def theta(self, leg: int):
-        """(src, scale) of the transposition map on `leg` over the support, or None.
-
-        partial_theta sends the key at position i to the key at position j
-        and scales its coefficient by (-1)^(m+n)·q^(n-m), with (m, n) the c
-        and c* powers of the key's leg monomial.  src holds 2i and 2i + 1
-        at 2j and 2j + 1, the real and imaginary parts of the coefficients,
-        and scale holds the factor at both.  None when some image lies
-        outside the support.  src comes from the plan; the scale is
-        evaluated once per distinct leg monomial.
-        """
-        if leg not in self._thetas:
-            at = self.plan.thetas[leg]
-            if at is not None:
-                src, monos, which = at
-                q = self.params[0].q
-                at = src, np.array([_theta_scale(m, q) for m in monos])[which]
-            self._thetas[leg] = at
-        return self._thetas[leg]
+        images = {}
+        if self.legs == 2 and self.params == (x.params,):
+            if leg not in self._thetas:
+                monos = {key[leg] for key in self.index}
+                self._thetas[leg] = {mono: _theta_monomial(mono, x.params.q) for mono in monos}
+            images = self._thetas[leg]
+        return self.apply(_theta_on_leg(x, leg, images))
 
     def transform(self, v: np.ndarray, outside=()):
         """(flat, residual) from x's coefficients v over the support and its other terms."""
@@ -386,8 +354,9 @@ class CatalogMap:
             gathered = []
             for side, (monos, rows) in enumerate(self.plan.slot_legs):
                 key_monos, cols = _distinct([key[side] for key in keys])
-                table = np.array([[self._tables.leg(p, m) for m in key_monos] for p in monos],
-                                 dtype=complex).reshape(len(monos), len(key_monos))
+                # h(p·m) is 0j, as `leg` gives it, where the charges of p and m do not cancel
+                table = np.array([[self._tables.leg(p, m) if leg_support(p, m) else 0j for m in key_monos]
+                                  for p in monos], dtype=complex).reshape(len(monos), len(key_monos))
                 gathered.append(table[np.ix_(rows, cols)])
             flat = flat + self._pairing(gathered, len(keys)) @ np.array([c for _, c in outside])
         return flat
@@ -480,13 +449,11 @@ class _CatalogPlan:
     h(p·m) of `pairs[which]`: only pairs whose product has a monomial with
     a Haar value are listed (`haar.leg_support`).  `lift_at` places each
     block's lifted expansion, flattened in catalog order, in the
-    re-expansion matrix, and `thetas[leg]` is (src, the distinct leg
-    monomials, the position of each part's monomial among them) of θ on
-    that leg, or None.  A one-leg catalog has one side and no θ.
+    re-expansion matrix.  A one-leg catalog has one side.
     """
 
     __slots__ = ("offsets", "size", "index", "slot_at", "slot_legs", "pairs", "tables",
-                 "lift_at", "stacks", "transpose", "thetas")
+                 "lift_at", "stacks", "transpose")
 
     def __init__(self, coreps, blocks):
         offsets, lift_at, slot_entries, slot_keys = [], [], [], []
@@ -536,28 +503,6 @@ class _CatalogPlan:
         self.transpose = np.array(
             [offset + c * U.dim + r for offset, U in zip(offsets, coreps)
              for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
-        self.thetas = tuple(_theta_plan(index, leg) for leg in (0, 1)) if legs == 2 else ()
-
-
-def _theta_plan(index, leg):
-    """(src, distinct leg monomials, which) of θ on `leg` over the support, or None.
-
-    See `CatalogMap.theta` and `_CatalogPlan`.
-    """
-    if not index:
-        return None
-    monos, at = _distinct([key[leg] for key in index])
-    images = [_theta_image(mono) for mono in monos]
-    src = np.zeros(2 * len(index), dtype=np.intp)
-    which = np.zeros(2 * len(index), dtype=np.intp)
-    for i, key in enumerate(index):
-        image = images[at[i]]
-        j = index.get((image, key[1]) if leg == 0 else (key[0], image))
-        if j is None:
-            return None
-        src[2 * j], src[2 * j + 1] = 2 * i, 2 * i + 1
-        which[2 * j] = which[2 * j + 1] = at[i]
-    return src, monos, which
 
 
 # -- reference states ------------------------------------------------------------

@@ -235,15 +235,8 @@ def product_coinverse(x: MultiElement) -> MultiElement:
 
 def _theta_monomial(mono: Monomial, q: float):
     """θ = (adjoint ∘ κ) on a basis monomial as (real scale, monomial)."""
-    return _theta_scale(mono, q), _theta_image(mono)
-
-
-def _theta_scale(mono: Monomial, q: float) -> float:
-    return (-1.0) ** (mono.m + mono.n) * q ** (mono.n - mono.m)
-
-
-def _theta_image(mono: Monomial) -> Monomial:
-    return _mono(mono.sector, mono.k, mono.n, mono.m)
+    scale = (-1.0) ** (mono.m + mono.n) * q ** (mono.n - mono.m)
+    return scale, _mono(mono.sector, mono.k, mono.n, mono.m)
 
 
 def theta(x: Element) -> Element:
@@ -260,13 +253,23 @@ def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:
     monomial basis; with this convention the image of a transformed density
     matrix is the transform of its partial transpose.
     """
+    return _theta_on_leg(x, leg, {})
+
+
+def _theta_on_leg(x: MultiElement, leg: int, images) -> MultiElement:
+    """`partial_theta`, reading θ of a leg monomial from `images` where it is there.
+
+    `images` maps monomials to their `_theta_monomial` at x's q, as a
+    catalog map's θ memo does.
+    """
     _require_theta_leg(x, leg)
     q = x.params.q
     out: dict = {}
-    for tup, coeff in x.terms.items():
-        scale, mono2 = _theta_monomial(tup[leg], q)
-        key = (mono2, tup[1]) if leg == 0 else (tup[0], mono2)
-        out[key] = out.get(key, 0j) + coeff * scale
+    for key, coeff in x.terms.items():
+        scale, mono = images.get(key[leg]) or _theta_monomial(key[leg], q)
+        image = (mono, key[1]) if leg == 0 else (key[0], mono)
+        # θ on a leg is one-to-one on keys, so every image is added onto 0j once
+        out[image] = 0j + coeff * scale
     return MultiElement._trusted(x.params, 2, out)
 
 

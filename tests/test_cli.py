@@ -496,3 +496,25 @@ def test_the_shipped_files_of_one_leg_and_of_string_numbers(capsys):
     for command in ("ppt", "haar"):
         assert main([command, "--input", str(GOLDEN / "string_numbers.json")]) == 2
         assert "must be a number" in capsys.readouterr().err
+
+
+def _check_pd_child(path):
+    """`qent check-pd --format json` on a file, in a child with a time limit, so that a run which never ends fails."""
+    return subprocess.run([sys.executable, "-m", "qent.cli", "check-pd", "--input", str(path), "--format", "json"],
+                          capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_an_exponent_costs_no_time_in_proportion_to_its_size(tmp_path):
+    # the CI line on this file: the Werner(0.6) transform with its first key's first leg c*^(10⁹)
+    data = json.loads((GOLDEN / "huge_exponent.json").read_text())
+    assert data["terms"][0]["monomials"][0] == {"sector": "plain", "k": 0, "m": 0, "n": 10**9}
+    huge = _check_pd_child(GOLDEN / "huge_exponent.json")
+    data["terms"][0]["monomials"][0]["n"] = 2
+    (tmp_path / "small.json").write_text(json.dumps(data))
+    small = _check_pd_child(tmp_path / "small.json")
+    assert huge.returncode == small.returncode == 3 and huge.stdout == small.stdout
+    # a key whose Haar pairing with a unit slot monomial is not zero, so its product is written out
+    data["terms"].append({"monomials": [{"sector": "plain", "k": 0, "m": 10**6, "n": 10**6},
+                                        {"sector": "plain", "k": 0, "m": 0, "n": 0}], "coeff": [0.1, 0.0]})
+    (tmp_path / "power.json").write_text(json.dumps(data))
+    assert _check_pd_child(tmp_path / "power.json").returncode == 3

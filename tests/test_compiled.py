@@ -521,7 +521,6 @@ def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch, compile
     monkeypatch.setattr(fourier.CatalogMap, "transform", counting_transform)
     monkeypatch.setattr(entangle, "inverse", counting_inverse)
     monkeypatch.setattr(fourier, "inverse", counting_inverse)
-    monkeypatch.setattr(entangle, "partial_theta", counting_theta)
     monkeypatch.setattr(hopf, "partial_theta", counting_theta)
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
@@ -601,7 +600,8 @@ def theta_test_elements(draw, q):
 @given(data=st.data())
 def test_ppt_check_is_the_check_of_the_partial_transpose(q, data):
     x = data.draw(theta_test_elements(q))
-    for pairs in CATALOGS:
+    # and the empty catalog, which spans nothing
+    for pairs in CATALOGS + ((),):
         catalog = product_catalog(x.params) if pairs is None else product_catalog(x.params, pairs)
         for leg in (0, 1):
             expect = is_positive_definite(hopf.partial_theta(x, leg=leg), catalog)

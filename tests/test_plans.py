@@ -35,7 +35,7 @@ from qent.algebra import (
 )
 from qent.cli import main
 from qent.corep import fundamental_corep, product_catalog, standard_catalog
-from qent.haar import haar, haar_monomial
+from qent.haar import haar, haar_monomial, leg_support
 from qent.hopf import (
     MultiElement,
     _coinverse_monomial,
@@ -96,7 +96,6 @@ def _map_bits(compiled):
     return _bits([
         compiled.index, compiled.offsets, compiled.matrix, compiled.reexpansion, compiled.transpose,
         compiled.stacks, compiled.witnesses,
-        compiled.theta(0), compiled.theta(1),
     ])
 
 
@@ -359,6 +358,15 @@ def test_mono_mul_is_the_written_out_rewriting(q):
     for x, y in itertools.product(monos, repeat=2):
         got = algebra._mono_mul.__wrapped__(x, y, q)
         assert _bits(got) == _bits(_written_out_mono_mul(x, y, q)), (x, y)
+
+
+def test_leg_support_is_the_rule_of_the_rewriting_program():
+    # the charge rule against what it replaced: whether the normal form of
+    # p·m, as the q-free program writes it, has a monomial with a Haar value
+    monos = _monomials(3)
+    for p, m in itertools.product(monos, repeat=2):
+        found = any(w.k == 0 and w.m == w.n for w in algebra._mono_mul_program(p, m)[1])
+        assert leg_support(p, m) == found, (p, m)
 
 
 def _written_out_system(entries):

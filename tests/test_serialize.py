@@ -5,9 +5,9 @@ import pytest
 
 from qent.algebra import Element, Monomial, PLAIN, STAR
 from qent.corep import product_catalog
-from qent.entangle import is_positive_definite, partial_theta
+from qent.entangle import is_positive_definite
 from qent.fourier import forward, singlet_state
-from qent.hopf import MultiElement
+from qent.hopf import MultiElement, partial_theta
 from qent.serialize import (
     densityop_from_dict,
     densityop_to_dict,
