@@ -38,6 +38,7 @@ from .entangle import (
 )
 from .fourier import (
     DensityOp,
+    catalog_map,
     forward,
     normalization_check,
     reconstruct,
@@ -226,6 +227,8 @@ def cmd_ppt(args) -> int:
     if isinstance(value, DensityOp):
         params = _params(args)
         catalog = _catalog(args, params)
+        # the catalog's fill compiles every block at once, the one `forward` reads among them
+        catalog_map(catalog)
         U = _pair(params, value.dims)
         try:
             matrix_report = ppt_matrix(value)

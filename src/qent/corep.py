@@ -10,27 +10,29 @@ invertible solution of
 
 The shipped catalog holds the trivial (spin-0) and the fundamental
 (spin-1/2) corepresentations, with fund's F in closed form, diag(1/q, q)
-(Woronowicz, Publ. RIMS 23, 1987); product corepresentations of the
-direct square are entry-wise tensor products, built from a q-free plan,
-with F given by the Kronecker product of the factors.  One `Corep` type
-holds both kinds: a product corep keeps its two factors, and its `legs`
-(2, against 1) tells the transform which kind of element it pairs with.
-`compute_F` and `product_corep` solve and multiply symbolically, as the
-oracles of both.
+(Woronowicz, Publ. RIMS 23, 1987).  A product corepresentation of the
+direct square keeps its two factors and F = F_u ⊗ F_v; its entries
+u_ij ⊗ v_kl are built with `tensor` when a caller first reads them, and a
+catalog fill (`fourier.CatalogMap`) reads the factors' coefficients
+instead, so compiling a product corep builds no entry.  One `Corep` type
+holds both kinds, and its `legs` (2 for a product, 1 otherwise) tells the
+transform which kind of element it pairs with.  `compute_F` solves for F
+symbolically, as the oracle of the closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import UNIT, AlgebraParams, Element
+from .algebra import MONO_A, MONO_ASTAR, MONO_C, MONO_CSTAR, UNIT, AlgebraParams, Element
 from .haar import PairingTables, haar
-from .hopf import MultiElement, coinverse_squared, tensor
+from .hopf import coinverse_squared, tensor
 
 _NULLSPACE_RTOL = 1e-10
 
@@ -41,7 +43,8 @@ class Corep:
 
     A single-factor corep (`factors` empty) has one-leg Element entries.  A
     product corep u ⊗ v of the direct square has `factors` (u, v),
-    composite indices (ik),(jl) and two-leg MultiElement entries.
+    composite indices (ik),(jl) and two-leg MultiElement entries, built
+    when first read (`ProductEntries`).
     """
 
     label: str
@@ -81,8 +84,9 @@ class Engine:
     """The shipped coreps of one AlgebraParams, their pairing tables and catalog maps.
 
     `corep(label)` builds "triv", "fund" or a pair such as "fund*triv" (by
-    `_product_plan`) on first use and keeps it in `coreps`, and each corep
-    keeps its compiled data (`fourier.block_map`).  `maps` holds the
+    `product_corep`, whose entries wait until they are read) on first use
+    and keeps it in `coreps`; the first catalog fill that holds a corep
+    keeps its block's data on it (`fourier.block_map`).  `maps` holds the
     `fourier.CatalogMap` of each catalog of these coreps by labels; no label
     repeats, so at most 64 + 4 catalogs.  A q below `Q_MIN` is refused.
     """
@@ -100,22 +104,16 @@ class Engine:
         if U is None:
             params = self.params
             if label == "triv":
-                U = Corep("triv", 1, ((Element.unit(params),),), _freeze(np.array([[1.0]])), params)
+                U = Corep("triv", 1, ((Element(params, {UNIT: 1.0}),),), _freeze(np.array([[1.0]])), params)
             elif label == "fund":
-                a, astar, c, cstar = (Element.generator(params, g) for g in ("a", "a*", "c", "c*"))
                 q, rq = params.q, math.sqrt(params.q)
-                entries = ((a, rq * c), ((-1.0 / rq) * cstar, astar))
+                entries = ((Element(params, {MONO_A: 1.0}), Element(params, {MONO_C: rq})),
+                           (Element(params, {MONO_CSTAR: -1.0 / rq}), Element(params, {MONO_ASTAR: 1.0})))
                 U = Corep("fund", 2, entries, _freeze(np.array([[1.0 / q, 0.0], [0.0, q]])), params)
                 if not all(e.terms for row in entries for e in row):
                     raise ValueError(f"tol = {params.tol!r} prunes a coefficient of the fundamental corep")
             else:
-                u, v = (self.corep(part) for part in label.split("*"))
-                (u_keys, left), (v_keys, right) = _terms(u), _terms(v)
-                # `tensor`'s arithmetic on the factors' coefficients, pruned by the trusted constructor
-                U = _product(u, v, tuple(tuple(
-                    MultiElement._trusted(params, 2, {key: 0j + (1.0 + 0.0j) * left[i] * right[j]
-                                                      for key, i, j in terms}) for terms in row)
-                    for row in _product_plan(u_keys, v_keys)))
+                U = product_corep(*(self.corep(part) for part in label.split("*")))
             self.coreps[label] = U
         return U
 
@@ -211,46 +209,37 @@ def _intertwiner_system(entries) -> np.ndarray:
 
 
 def product_corep(u: Corep, v: Corep) -> Corep:
-    """Entry-wise tensor product with U_(ik),(jl) = u_ij ⊗ v_kl and F = F_u ⊗ F_v."""
-    if u.params != v.params:
+    """u ⊗ v: entries U_(ik),(jl) = u_ij ⊗ v_kl, built by `tensor` when first read, and F = F_u ⊗ F_v."""
+    if u.params is not v.params and u.params != v.params:
         raise ValueError("factors carry different algebra parameters")
     n, m = u.dim, v.dim
-    return _product(u, v, tuple(
-        tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
-        for i in range(n)
-        for k in range(m)
-    ))
+    # np.kron(u.F, v.F) as one outer product, without np.kron's set-up (about 20 µs a call)
+    F = np.multiply.outer(u.F, v.F).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    return Corep(f"{u.label}*{v.label}", n * m, ProductEntries(u, v), _freeze(F), u.params, (u, v))
 
 
-def _product(u, v, entries) -> Corep:
-    n, m = u.dim, v.dim
-    # np.kron(u.F, v.F) as one broadcast product, without np.kron's set-up (about 20 µs a call)
-    F = (u.F[:, None, :, None] * v.F[None, :, None, :]).reshape(n * m, n * m)
-    return Corep(f"{u.label}*{v.label}", n * m, entries, _freeze(F), u.params, (u, v))
+class ProductEntries(Sequence):
+    """The rows of entries of u ⊗ v, row (ik) by row, each entry u_ij ⊗ v_kl; built by `tensor` when first read.
 
+    A catalog fill reads the coefficients of `factors` instead, so compiling
+    a product corep builds none of its entries.
+    """
 
-# factor layout pairs whose product plans are kept at once; each shipped pair has one
-PRODUCT_PLANS_SIZE = 8
+    __slots__ = ("factors", "_rows")
 
+    def __init__(self, u, v):
+        self.factors, self._rows = (u, v), None
 
-@lru_cache(maxsize=PRODUCT_PLANS_SIZE)
-def _product_plan(left: tuple, right: tuple) -> tuple:
-    """The q-free plan of u ⊗ v from its factors' term keys (`_terms`): each entry U_(ik),(jl), row by row, as
-    terms (key, i, j) in `tensor`'s order, key (a, b) taking u's coefficient i (of a) and v's coefficient j."""
-    n, m = math.isqrt(len(left)), math.isqrt(len(right))
-    starts = [tuple(itertools.accumulate((len(keys) for keys in layout[:-1]), initial=0))
-              for layout in (left, right)]
-    return tuple(
-        tuple(tuple(((a, b), starts[0][i * n + j] + s, starts[1][k * m + l] + t)
-                    for s, a in enumerate(left[i * n + j]) for t, b in enumerate(right[k * m + l]))
-              for j in range(n) for l in range(m))
-        for i in range(n) for k in range(m))
+    def __getitem__(self, i):
+        if self._rows is None:
+            (u, v), n, m = self.factors, self.factors[0].dim, self.factors[1].dim
+            self._rows = tuple(
+                tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
+                for i in range(n) for k in range(m))
+        return self._rows[i]
 
-
-def _terms(u) -> tuple:
-    """(the term keys of each entry of u, row-major; the coefficients of those terms in turn)."""
-    entries = [e.terms for row in u.entries for e in row]
-    return tuple(map(tuple, entries)), [c for terms in entries for c in terms.values()]
+    def __len__(self):
+        return self.factors[0].dim * self.factors[1].dim
 
 
 def unitarity_residual(u) -> float:
@@ -335,9 +324,9 @@ def product_catalog(params: AlgebraParams, pairs=DEFAULT_PAIRS) -> list:
 def _require_distinct(labels):
     """Refuse a catalog that names a block twice, whose report would count that block twice."""
     labels = list(labels)
-    for label in labels:
-        if labels.count(label) > 1:
-            raise ValueError(f"the catalog names the block {label} twice")
+    if len(set(labels)) < len(labels):
+        label = next(label for label in labels if labels.count(label) > 1)
+        raise ValueError(f"the catalog names the block {label} twice")
 
 
 def _sum(elements):

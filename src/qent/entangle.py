@@ -143,7 +143,7 @@ def _block_report(compiled, flat, residual, params) -> PDReport:
         return PDReport(POSITIVE_DEFINITE, per_block, residual)
     witness = None
     if failing is not None and compiled.legs == 2:
-        witness = _witness(params, compiled.block(herm, failing), *compiled.witnesses[failing])
+        witness = _witness(params, compiled.block(herm, failing), *block_map(compiled.coreps[failing]).witness)
     return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
 
 
@@ -153,7 +153,7 @@ def find_negative_witness(x: MultiElement, U: Corep, *, block=None) -> MultiElem
     The block's most negative eigenvector is pulled back through the
     deformed orthogonality relations: with b a combination of adjoints of
     one row of matrix coefficients (compiled once per block, see
-    `BlockMap.witness` and `CatalogMap.witnesses`), the pairing
+    `BlockMap.witness`, which every catalog map keeps for its blocks), the pairing
     collapses to a positive multiple of ⟨v|A|v⟩ for the block coefficient
     matrix A, so the negative eigenvector certifies failure.  `block`, when given, is the inverse
     transform x̂(U), so a caller that already has it does not compute it

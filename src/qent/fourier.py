@@ -42,13 +42,16 @@ catalog of them, so a `qent ppt` request fills each block once.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import LRU, _checked_kind, _ElementCore, _adjoint_image, _adjoint_power
-from .corep import Corep, _require_distinct, _terms, engine, pairing_tables
+from .algebra import LRU, Element, _checked_kind, _ElementCore, _adjoint_image, _adjoint_power
+from .corep import Corep, ProductEntries, _require_distinct, engine, pairing_tables
 from .haar import leg_support
 from .hopf import MultiElement, _theta_monomial, _theta_on_leg, product_counit
 
@@ -113,7 +116,7 @@ def forward(rho, U: Corep):
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
     if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
-    return type(U.entries[0][0])._trusted(U.params, legs, _expand(mat, U))
+    return _element(legs)._trusted(U.params, legs, _expand(mat, U))
 
 
 def inverse(x, U: Corep) -> np.ndarray:
@@ -158,10 +161,13 @@ def lift_block(block: np.ndarray, U) -> np.ndarray:
 # -- compiled block maps -----------------------------------------------------------
 
 class BlockMap:
-    """The compiled data of one corep block U: its shape's plan filled with U's numbers.
+    """The compiled data of one corep block U: its block of a catalog fill (`_Fill`).
 
     U is a product corep (terms keyed by two-leg tuples of monomials) or a
-    single-factor corep (terms keyed by monomials).
+    single-factor corep (terms keyed by monomials).  `BlockMap(U)` fills U
+    as a one-block catalog, and a catalog map gives each of its coreps that
+    has none the block map of its own fill (`block_map`).  Each attribute is
+    read from the fill when first asked for:
 
     - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness` is what
       `find_negative_witness` combines: (√F as a complex matrix, tr F, the
@@ -170,57 +176,64 @@ class BlockMap:
       Σ mat[row, col] U_(col),(row) first meets them, row by row, and
       `expansion` is the matrix E with E[s, row * d + col] the coefficient
       of support[s] in U_(col),(row), so that sum is E @ vec(mat);
-    - `transfer` @ vec H is vec x̂ = vec F^(-1/2)·Hᵀ·F^(1/2), and `lifted` =
-      E·lift, with lift @ vec x̂ the vec of (tr F)·√F·x̂·√F; `layout` is (entry
-      key layout, the adjoint keys where a term was pruned, else None).
+    - `layout` is (the term keys of each entry, those of each adjoint).
     """
 
-    __slots__ = ("plan", "layout", "support", "expansion", "adjoints", "witness",
-                 "sqrtF", "trF", "transfer", "lifted")
-
     def __init__(self, U):
-        d = U.dim
-        layout, values = _terms(U)
-        plan = _BLOCK_PLANS.get(layout) or _BLOCK_PLANS.put(layout, _BlockPlan(layout))
-        self.plan, self.support = plan, plan.support
-        q, tol = U.params.q, U.params.tol
-        # as the adjoint computes them: scale = 1.0·q^e₀·q^e₁.., then β = 0j + conj(c)·scale
-        scales = [math.prod(q ** power for power in powers) for powers in plan.powers]
-        betas = [0j + c.conjugate() * scales[at] for c, at in zip(values, plan.power_at)]
-        try:
-            kept = all(tol < abs(beta) < math.inf for beta in betas)
-        except OverflowError:  # a finite β whose modulus overflows
-            kept = False
-        if kept:
-            pairs = tuple(zip(plan.adjoint_keys, betas))
-            self.adjoints = tuple(pairs[start:end] for start, end in plan.spans)
-            self.layout = (layout, None)
-        else:
-            # the adjoint's constructor drops a β at or below tol, and refuses one
-            # whose modulus is not finite
-            self.adjoints = tuple(tuple(e.adjoint().terms.items()) for row in U.entries for e in row)
-            self.layout = (layout, tuple(tuple(key for key, _ in terms) for terms in self.adjoints))
-        F, f = U.F, U.F.diagonal()
+        self._fill, self._i = _Fill((U,)), 0
+
+    @classmethod
+    def _of(cls, fill, i):
+        """Block i of a fill."""
+        block = cls.__new__(cls)
+        block._fill, block._i = fill, i
+        return block
+
+    @property
+    def _block(self) -> "_PlanBlock":
+        return self._fill.plan.blocks[self._i]
+
+    @property
+    def support(self) -> tuple:
+        return self._block.support
+
+    @property
+    def layout(self) -> tuple:
+        return self._block.layout
+
+    @property
+    def trF(self) -> float:
+        return float(self._fill.trF[self._i])
+
+    @cached_property
+    def sqrtF(self) -> np.ndarray:
+        offset, d = self._block.offset, self._block.dim
+        return self._fill.root[offset:offset + d * d].reshape(d, d)
+
+    @cached_property
+    def expansion(self) -> np.ndarray:
+        offset, d = self._block.offset, self._block.dim
+        return _frozen(self._fill.expansion[self._block.rows, offset:offset + d * d])
+
+    @cached_property
+    def adjoints(self) -> tuple:
+        keys, betas = self._fill.plan.slot_keys, self._fill.betas.tolist()
+        return tuple(tuple(zip(keys[start:end], betas[start:end])) for start, end in self._block.spans)
+
+    @cached_property
+    def witness(self) -> tuple:
+        offset, d = self._block.offset, self._block.dim
+        F = self._fill.F[offset:offset + d * d].reshape(d, d)
+        f = F.diagonal()
         # the witness row is the column of F⁻¹ with the largest norm; F⁻¹ of a diagonal F is diag(1/f)
         diagonal = np.count_nonzero(F) == np.count_nonzero(f)
         row = int(((1.0 / f) ** 2 if diagonal else (np.abs(np.linalg.inv(F)) ** 2).sum(axis=0)).argmax())
-        sqrtF, inv_sqrtF = _sqrt_pair(F)
-        self.sqrtF = sqrtF
-        self.trF = float(F.trace().real)
         # the complex √F gives the bits a matrix product gives after casting a real √F
-        self.witness = (sqrtF.astype(complex), self.trF, self.adjoints[row * d:(row + 1) * d])
-        self.expansion = np.zeros((len(plan.support), d * d), dtype=complex)
-        self.expansion[plan.expansion_at] = values
-        # transfer[(i,k),(r,c)] = F^(-1/2)[i,c]·√F[r,k] and lift[(i,k),(a,b)] = tr F·√F[i,a]·√F[b,k]
-        self.transfer = np.multiply.outer(inv_sqrtF, sqrtF).transpose(0, 3, 2, 1).reshape(d * d, d * d)
-        lift = self.trF * np.multiply.outer(sqrtF, sqrtF).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-        self.lifted = self.expansion @ lift
-        for arr in (sqrtF, self.witness[0], self.expansion, self.transfer, self.lifted):
-            arr.setflags(write=False)
+        return _frozen(self.sqrtF.astype(complex)), self.trF, self.adjoints[row * d:(row + 1) * d]
 
 
 def block_map(U) -> BlockMap:
-    """The compiled data and maps of a corep U, built on its first use and kept on U itself."""
+    """The compiled data and maps of a corep U, filled on its first use and kept on U itself."""
     block = U.__dict__.get("_block_map")
     if block is None:
         block = BlockMap(U)
@@ -254,52 +267,51 @@ class CatalogMap:
     sends each position of flat to that of its transposed entry in the
     same block.  `stacks` groups the blocks by
     size: (catalog positions, index array into flat) per size, of shape
-    (blocks, d, d), or (blocks,) for 1×1 blocks.  `witnesses[i]` is the
-    `BlockMap.witness` of block i; only a product catalog has a witness.
+    (blocks, d, d), or (blocks,) for 1×1 blocks.
 
-    Everything index-like above (offsets, index, slots, which table entries
-    can be non-zero, transpose, stacks and re-expansion positions) is the
-    catalog's `_CatalogPlan`, shared by every q whose blocks have the same
-    term keys; the constructor only fills in the numbers of its q.
+    The constructor fills the catalog's q-free `_CatalogPlan` with one q's
+    numbers (`_Fill`): every block at once, in a fixed number of numpy
+    operations, and gives each corep without a block map its block.
     """
 
     __slots__ = ("coreps", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
-                 "transpose", "stacks", "witnesses", "_slot_matrix", "_tables", "_thetas")
+                 "transpose", "stacks", "_slot_matrix", "_tables", "_thetas")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         # None for an empty catalog, which serves either kind of element
         self.legs = _checked_kind(None, *self.coreps, names=Corep.pairing_kinds)
         _require_distinct(U.label for U in self.coreps)
-        self.params = tuple(dict.fromkeys(U.params for U in self.coreps))
-        blocks = [block_map(U) for U in self.coreps]
-        key = tuple((U.label, block.layout) for U, block in zip(self.coreps, blocks))
-        self.plan = plan = _CATALOG_PLANS.get(key) or _CATALOG_PLANS.put(key, _CatalogPlan(self.coreps, blocks))
+        # a one-block catalog reads the fill its corep's block map was made from, when that fill is of it alone
+        block = self.coreps[0].__dict__.get("_block_map") if len(self.coreps) == 1 else None
+        fill = block._fill if block is not None and len(block._fill.plan.blocks) == 1 else _Fill(self.coreps)
+        self.params = (fill.params,) if self.coreps else ()
+        self.plan = plan = fill.plan
         self.offsets, self.index, self.stacks, self.transpose = (
             plan.offsets, plan.index, plan.stacks, plan.transpose)
-        self.witnesses = tuple(block.witness for block in blocks)
-        size = plan.size
-        transfer = np.zeros((size, size), dtype=complex)
-        for offset, block in zip(plan.offsets, blocks):
-            end = offset + len(block.adjoints)
-            transfer[offset:end, offset:end] = block.transfer
-        placed = np.zeros((size, plan.slot_at.size), dtype=complex)
-        placed.put(plan.slot_at, [beta for block in blocks for terms in block.adjoints for _, beta in terms])
-        self._slot_matrix = transfer @ placed
+        size, slots, keys = plan.size, len(plan.slot_keys), len(plan.index)
+        # TA[(i,k), j] = F^(-1/2)[i,c]·√F[r,k]·β_j for slot j in entry (r, c) of its block: β_j placed in
+        # its block entry with the block's F^(-1/2)·Hᵀ·F^(1/2) folded in
+        at, inv_root, root, slot = plan.slot_square
+        slot_matrix = np.zeros(size * slots, dtype=complex)
+        slot_matrix[at] = (fill.inv_root[inv_root] * fill.root[root]) * fill.betas[slot]
+        self._slot_matrix = slot_matrix.reshape(size, slots)
         self._tables = pairing_tables(self.params[0]) if self.params else None
         values = np.array([self._tables.leg(p, m) for p, m in plan.pairs], dtype=complex)
-        gathered = []
-        for at, which in plan.tables:
-            table = np.zeros((plan.slot_at.size, len(plan.index)), dtype=complex)
-            table.put(at, values[which])
-            gathered.append(table)
-        self.matrix = self._pairing(gathered, len(plan.index))
-        self.reexpansion = np.zeros((len(plan.index), size), dtype=complex)
-        if blocks:
-            # each entry gets one block's part, added to zero as the blockwise += adds it
-            parts = np.concatenate([block.lifted.reshape(-1) for block in blocks])
-            self.reexpansion.reshape(-1)[plan.lift_at] += parts
+        # G_L ⊙ G_R, (1+0j)·h(p_j·m_t)·h(s_j·n_t), is non-zero only where every leg's pairing may be
+        product = np.zeros(slots * keys, dtype=complex)
+        product[plan.pair_at] = np.multiply.reduce(values[plan.pair_which], axis=0)
+        self.matrix = self._slot_matrix @ product.reshape(slots, keys)
+        # E·lift with lift[(i,k),(a,b)] = tr F·√F[i,a]·√F[b,k] in each block: term j in entry (r, c) adds
+        # c_j·tr F·√F[c,a]·√F[b,r] at (its key, (a, b))
+        at, term, block, left, right = plan.lift_terms
+        reexpansion = np.zeros(keys * size, dtype=complex)
+        np.add.at(reexpansion, at, fill.coeffs[term] * (fill.trF[block] * (fill.root[left] * fill.root[right])))
+        self.reexpansion = reexpansion.reshape(keys, size)
         self._thetas: dict = {}  # per leg, θ of each leg monomial of the support as (scale, image)
+        for i, U in enumerate(self.coreps):
+            if "_block_map" not in U.__dict__:
+                object.__setattr__(U, "_block_map", BlockMap._of(fill, i))
 
     def gather(self, x):
         """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
@@ -368,7 +380,7 @@ class CatalogMap:
 
     def _pairing(self, gathered, columns) -> np.ndarray:
         """TA · (G_L ⊙ G_R) from each leg's one-leg table gathered over the slots and `columns` keys."""
-        product = np.ones((self.plan.slot_at.size, columns), dtype=complex)
+        product = np.ones((len(self.plan.slot_keys), columns), dtype=complex)
         for table in gathered:
             product *= table
         return self._slot_matrix @ product
@@ -397,112 +409,222 @@ def catalog_map(catalog) -> CatalogMap:
     return found
 
 
-# -- shape plans and numeric fills -----------------------------------------------------
+# -- the catalog plan and its fill ----------------------------------------------------
 
-# block plans kept at once, keyed by their entries' term keys
-BLOCK_PLANS_SIZE = 32
-_BLOCK_PLANS = LRU(BLOCK_PLANS_SIZE)
-# catalog plans kept at once, keyed by labels, entry key layouts and pruned adjoint keys
+# catalog plans kept at once, keyed by their sources' term-key layouts and the terms pruned at tol
 CATALOG_PLANS_SIZE = 8
 _CATALOG_PLANS = LRU(CATALOG_PLANS_SIZE)
 
 
-class _BlockPlan:
-    """The q-independent shape of a block whose entries have the given term keys.
+class _Fill:
+    """One q's numbers of a catalog, every block at once, placed by the catalog's plan.
 
-    Term j of the entries, in row-major entry order, has its coefficient at
-    E[expansion_at[0][j], expansion_at[1][j]], its adjoint key at
-    `adjoint_keys[j]`, and its adjoint scaled by q^e for each leg's power e
-    in powers[power_at[j]]; `spans` splits the terms by entry.
+    A catalog's sources are its coreps, or, when no product corep of it has
+    built its entries (`corep.ProductEntries`), their factors.  From the
+    sources' coefficients one fixed sequence of numpy operations gives the
+    terms' coefficients (`tensor`'s ((1+0j)·a)·b onto 0j for a product),
+    the adjoint βs 0j + conj(c)·q^e₀·q^e₁.., √F, F^(-1/2), tr F and the
+    expansion, each with the arithmetic and rounding of the Python
+    construction it replaces (`_cmul`), so the numbers are its bits.  A
+    term or β at or below tol is pruned, and the catalog then takes the plan
+    of what is left; a modulus that is not finite is refused as the trusted
+    constructor refuses it.  A fill holds no corep, so a block map kept on
+    its corep keeps no catalog alive.
     """
 
-    __slots__ = ("support", "expansion_at", "adjoint_keys", "powers", "power_at", "spans")
+    __slots__ = ("params", "plan", "coeffs", "betas", "F", "root", "inv_root", "trF", "expansion")
 
-    def __init__(self, layout):
-        d = math.isqrt(len(layout))
-        index: dict = {}
-        for row in range(d):
-            for col in range(d):
-                for key in layout[col * d + row]:
-                    index.setdefault(key, len(index))
-        self.support = tuple(index)
-        terms = [(rc, key) for rc, keys in enumerate(layout) for key in keys]
-        self.expansion_at = (np.array([index[key] for _, key in terms], dtype=np.intp),
-                             np.array([(rc % d) * d + rc // d for rc, _ in terms], dtype=np.intp))
-        monos = [_ElementCore.leg_monomials(key) for _, key in terms]
-        images = [tuple(map(_adjoint_image, leg_monos)) for leg_monos in monos]
-        self.adjoint_keys = tuple(_ElementCore.key(image) for image in images)
-        self.powers, power_at = _distinct([tuple(map(_adjoint_power, leg_monos)) for leg_monos in monos])
-        self.power_at = tuple(power_at.tolist())
-        ends = tuple(itertools.accumulate(len(keys) for keys in layout))
-        self.spans = tuple(zip((0,) + ends, ends))
+    def __init__(self, coreps):
+        self.params = params = coreps[0].params if coreps else None
+        if any(U.params is not params and U.params != params for U in coreps):
+            raise ValueError("the catalog's corepresentations carry different algebra parameters")
+        factored = bool(coreps) and all(type(U.entries) is ProductEntries for U in coreps)
+        sources: dict = {}
+        blocks = tuple(tuple(sources.setdefault(u, len(sources)) for u in (U.entries.factors if factored else (U,)))
+                       for U in coreps)
+        read = [_terms(u) for u in sources]
+        shape = (tuple(layout for layout, _ in read), blocks)
+        plan = _plan(shape)
+        coeffs = np.array([c for _, values in read for c in values], dtype=complex)
+        c = coeffs[plan.left]
+        if factored:  # tensor's ((1+0j)·a)·b onto 0j
+            c = 0j + _cmul((1 + 0j) * c, coeffs[plan.right])
+        q, tol = (params.q, params.tol) if params else (1.0, 1.0)
+        # the adjoint's β = 0j + conj(c)·scale, scale = 1.0·q^e₀·q^e₁.. over the legs, each power by Python's **
+        powers = np.array([q ** e for e in plan.exponents])
+        betas = 0j + np.conj(c) * np.multiply.reduce(powers[plan.scales], axis=0)
+        size, beta_size = np.abs(c), np.abs(betas)  # the modulus of a Python complex, bit for bit
+        kept = (tol < size) & (size < math.inf)
+        slots = kept & (tol < beta_size) & (beta_size < math.inf)
+        if np.count_nonzero(slots) < len(slots):
+            # a coefficient or β of a kept term whose modulus is not finite is refused as the constructor refuses it
+            for bad, keys, values in ((~(size < math.inf), plan.keys, c),
+                                      (kept & ~(beta_size < math.inf), plan.adjoint_keys, betas)):
+                if np.count_nonzero(bad):
+                    j = int(bad.argmax())
+                    _element(plan.legs)._trusted(params, plan.legs, {keys[j]: complex(values[j])})
+            plan = _plan(shape, kept, slots[kept])
+            c, betas = c[kept], betas[slots]
+        self.plan, self.coeffs, self.betas = plan, c, betas
+        expansion = np.zeros(len(plan.index) * plan.size, dtype=complex)
+        expansion[plan.expansion_at] = c
+        self.expansion = expansion.reshape(len(plan.index), plan.size)
+        self.F = F = np.concatenate([U.F.reshape(-1) for U in coreps] or [np.zeros(0)])
+        diagonal = F[plan.diagonal]
+        if np.count_nonzero(F) == np.count_nonzero(diagonal):
+            # every F is diagonal: its roots are taken entry by entry, as `_sqrt_pair` takes them
+            root = np.sqrt(F)
+            inv_root = root.copy()
+            inv_root[plan.diagonal] = 1.0 / root[plan.diagonal]
+        else:
+            pairs = [_sqrt_pair(U.F) for U in coreps]
+            root, inv_root = (np.concatenate([pair[k].reshape(-1) for pair in pairs]) for k in (0, 1))
+        self.root, self.inv_root = _frozen(root), _frozen(inv_root)
+        # tr F added entry by entry, as np.trace adds a small diagonal: one zero-padded row per block
+        traces = np.zeros(plan.traces_shape)
+        traces.put(plan.traces_at, diagonal.real)
+        self.trF = np.add.reduce(traces, axis=1)
+
+
+def _plan(shape, *masks) -> "_CatalogPlan":
+    """The plan of a catalog shape, less the terms and slots the masks leave out, from the bounded memo."""
+    key = (shape,) + tuple(mask.tobytes() for mask in masks)
+    return _CATALOG_PLANS.get(key) or _CATALOG_PLANS.put(key, _CatalogPlan(shape, *masks))
+
+
+class _PlanBlock(NamedTuple):
+    """One block of a catalog plan: its offset in flat and dimension, the support of its entries in
+    `BlockMap.support`'s order with each key's position in the catalog's index, the slots of each
+    entry (start, end), and `BlockMap.layout`."""
+
+    offset: int
+    dim: int
+    support: tuple
+    rows: np.ndarray
+    spans: tuple
+    layout: tuple
 
 
 class _CatalogPlan:
-    """The q-independent shape of a `CatalogMap` (see there for the names).
+    """The q-independent shape of a catalog's fill and map: every index their numbers are placed by.
 
-    Slot j's β sits at flat position `slot_at[j]` of the (flat × slots)
-    matrix that TA multiplies, and `slot_legs[side]` holds the distinct
-    slot monomials of that leg with each slot's position among them.  The
-    one-leg tables gathered over slots × support keys are zero apart from
-    `tables[side]` = (flat positions, which), where the value is
-    h(p·m) of `pairs[which]`: only pairs whose product has a monomial with
-    a Haar value are listed (`haar.leg_support`).  `lift_at` places each
-    block's lifted expansion, flattened in catalog order, in the
-    re-expansion matrix.  A one-leg catalog has one side.
+    `shape` is (the term-key layouts of the sources, each block's sources):
+    a block with one source has that source's entries, a block with two, u
+    and v, has entry (ik),(jl) = u_ij ⊗ v_kl with its terms in `tensor`'s
+    order.  The catalog's terms run block by block, entry by entry
+    row-major, each entry's in turn.  Term j has key `keys[j]`, takes its
+    coefficient from the sources' coefficients at left[j] (and right[j],
+    for a product), and its adjoint has key `adjoint_keys[j]` and is scaled
+    by q^e for each leg's e = exponents[scales[leg, j]].  The masks drop
+    the terms pruned at tol (`kept`), then the slots whose β is (`slots`):
+    slot s is the adjoint of a kept term, with key `slot_keys[s]`.
+
+    The term of key t in entry (r, c) of the block at offset o lies at
+    index[t]·size + o + c·d + r of the (support × flat) expansion
+    (`expansion_at`).  F, like flat, lies block after block, with its
+    diagonal at `diagonal`.  `slot_square` lists, slot by slot, (the
+    position of TA[(i,k), s] in the (flat × slots) TA, and the flat
+    positions of F^(-1/2)[i,c] and √F[r,k], and s) for each i, k of the
+    slot's block, and `lift_square`, block by block, (the position of
+    lift[(i,k),(x,y)] in a (flat × flat) matrix, the block, and the flat
+    positions of √F[i,x] and √F[y,k]).  `slot_legs[side]` holds the
+    distinct slot monomials of that leg with each slot's position among
+    them.  G_L ⊙ G_R is non-zero only at `pair_at`, the (slot, key)
+    positions where every leg's h(p·m) may be (`haar.leg_support`), and
+    there it is the product over the legs of `pairs[pair_which[leg]]`.
+    `offsets`, `index`, `stacks` and `transpose` are the `CatalogMap`'s.
     """
 
-    __slots__ = ("offsets", "size", "index", "slot_at", "slot_legs", "pairs", "tables",
-                 "lift_at", "stacks", "transpose")
+    __slots__ = ("legs", "left", "right", "keys", "adjoint_keys", "exponents", "scales", "offsets", "size",
+                 "index", "blocks", "expansion_at", "slot_keys", "slot_legs", "slot_square", "pairs", "pair_at",
+                 "pair_which", "diagonal", "traces_shape", "traces_at", "lift_terms", "stacks", "transpose")
 
-    def __init__(self, coreps, blocks):
-        offsets, lift_at, slot_entries, slot_keys = [], [], [], []
+    def __init__(self, shape, kept=None, slots=None):
+        layouts, sources = shape
+        # where the coefficients of each source's entries start, the sources' coefficients end to end
+        starts = list(itertools.accumulate((len(keys) for layout in layouts for keys in layout), initial=0))
+        firsts = list(itertools.accumulate(map(len, layouts), initial=0))
+        terms, dims = [], []  # terms as (block, entry, leg monomials, positions of the coefficients)
+        for b, used in enumerate(sources):
+            sizes = [math.isqrt(len(layouts[u])) for u in used]
+            dims.append(math.prod(sizes))
+            cells = list(itertools.product(*map(range, sizes)))
+            for rc, (row, col) in enumerate(itertools.product(cells, cells)):
+                parts = [[(starts[firsts[u] + i * n + j] + t, _ElementCore.leg_monomials(key))
+                          for t, key in enumerate(layouts[u][i * n + j])]
+                         for u, n, i, j in zip(used, sizes, row, col)]
+                terms += [(b, rc, sum((monos for _, monos in combo), ()), [at for at, _ in combo])
+                          for combo in itertools.product(*parts)]
+        if kept is not None:
+            terms = list(itertools.compress(terms, kept))
+        self.left, self.right = (np.array([t[3][side] for t in terms], dtype=np.intp) for side in (0, -1))
+        monos = [t[2] for t in terms]
+        self.legs = legs = len(monos[0]) if monos else 0
+        self.keys = tuple(map(_ElementCore.key, monos))
+        self.adjoint_keys = tuple(_ElementCore.key(tuple(map(_adjoint_image, m))) for m in monos)
+        self.exponents, at = _distinct([_adjoint_power(mono) for m in monos for mono in m])
+        self.scales = at.reshape(len(monos), legs).T
+        offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
+        self.offsets, self.size = tuple(offsets[:-1]), offsets[-1]
+        by_entry: dict = {}
+        for j, (b, rc, _, _) in enumerate(terms):
+            by_entry.setdefault((b, rc), []).append(j)
+        slot_terms = range(len(terms)) if slots is None else list(itertools.compress(range(len(terms)), slots))
+        self.slot_keys = [self.adjoint_keys[j] for j in slot_terms]
+        counts = collections.Counter(terms[j][:2] for j in slot_terms)
+        slot_ends = list(itertools.accumulate(counts[b, rc] for b, d in enumerate(dims) for rc in range(d * d)))
         index: dict = {}
-        offset = 0
-        for U, block in zip(coreps, blocks):
-            offsets.append(offset)
-            rows = [index.setdefault(key, len(index)) for key in block.plan.support]
-            lift_at.append((rows, offset, len(block.adjoints)))
-            for rc, terms in enumerate(block.adjoints):
-                for key, _ in terms:
-                    slot_entries.append(offset + rc)
-                    slot_keys.append(key)
-            offset += U.dim * U.dim
-        self.offsets, self.size, self.index = tuple(offsets), offset, index
-        legs = coreps[0].legs if coreps else 0
-        slot_keys, keys = (list(map(_ElementCore.leg_monomials, k)) for k in (slot_keys, index))
-        self.lift_at = np.array([row * offset + start + k for rows, start, width in lift_at
-                                 for row in rows for k in range(width)], dtype=np.intp)
-        slots = len(slot_entries)
-        self.slot_at = np.array(slot_entries, dtype=np.intp) * slots + np.arange(slots)
-        self.slot_legs = tuple(_distinct([key[side] for key in slot_keys]) for side in range(legs))
+        blocks, expansion_at, slot_square = [], {}, []
+        for b, (offset, d) in enumerate(zip(offsets, dims)):
+            # the support in the order in which Σ mat[row, col] U_(col),(row) meets its keys
+            support = tuple(dict.fromkeys(self.keys[j] for row in range(d) for col in range(d)
+                                          for j in by_entry.get((b, col * d + row), ())))
+            rows = np.array([index.setdefault(key, len(index)) for key in support], dtype=np.intp)
+            for rc in range(d * d):
+                for j in by_entry.get((b, rc), ()):
+                    expansion_at[j] = index[self.keys[j]] * self.size + offset + (rc % d) * d + rc // d
+            ends = slot_ends[offset:offset + d * d]
+            spans = tuple(zip([slot_ends[offset - 1] if offset else 0] + ends[:-1], ends))
+            for rc, (start, end) in enumerate(spans):
+                r, c = divmod(rc, d)
+                slot_square += [((offset + i * d + k) * len(slot_terms) + s, offset + i * d + c, offset + r * d + k, s)
+                                for s in range(start, end) for i, k in itertools.product(range(d), repeat=2)]
+            layout = (tuple(tuple(self.keys[j] for j in by_entry.get((b, rc), ())) for rc in range(d * d)),
+                      tuple(tuple(self.slot_keys[start:end]) for start, end in spans))
+            blocks.append(_PlanBlock(offset, d, support, rows, spans, layout))
+        self.index, self.blocks = index, tuple(blocks)
+        self.expansion_at = np.array([expansion_at[j] for j in range(len(terms))], dtype=np.intp)
+        self.slot_square = np.array(slot_square, dtype=np.intp).reshape(-1, 4).T
+        slot_monos = [_ElementCore.leg_monomials(key) for key in self.slot_keys]
+        self.slot_legs = tuple(_distinct([monos[side] for monos in slot_monos]) for side in range(legs))
         pairs: dict = {}
-        tables = []
-        for side, (monos, rows) in enumerate(self.slot_legs):
-            key_monos, cols = _distinct([key[side] for key in keys])
-            # (slot monomial, key monomial) positions whose one-leg value may be non-zero
-            nonzero = {(i, k): pairs.setdefault((p, m), len(pairs))
-                       for i, p in enumerate(monos) for k, m in enumerate(key_monos) if leg_support(p, m)}
-            at, which = [], []
-            for j, i in enumerate(rows.tolist()):
-                for t, k in enumerate(cols.tolist()):
-                    if (i, k) in nonzero:
-                        at.append(j * len(index) + t)
-                        which.append(nonzero[i, k])
-            tables.append((np.array(at, dtype=np.intp), np.array(which, dtype=np.intp)))
-        self.pairs = tuple(pairs)
-        self.tables = tuple(tables)
+        pair_at, pair_which = [], []
+        for s, slot in enumerate(slot_monos):
+            for t, key in enumerate(map(_ElementCore.leg_monomials, index)):
+                if all(map(leg_support, slot, key)):
+                    pair_at.append(s * len(index) + t)
+                    pair_which.append([pairs.setdefault(pair, len(pairs)) for pair in zip(slot, key)])
+        self.pairs, self.pair_at = tuple(pairs), np.array(pair_at, dtype=np.intp)
+        self.pair_which = np.array(pair_which, dtype=np.intp).reshape(len(pair_at), legs).T
+        self.diagonal = np.array([o + i * d + i for o, d in zip(offsets, dims) for i in range(d)], dtype=np.intp)
+        self.traces_shape = (len(dims), max(dims, default=0))
+        self.traces_at = np.array([b * self.traces_shape[1] + i for b, d in enumerate(dims) for i in range(d)],
+                                  dtype=np.intp)
+        self.lift_terms = np.array([(expansion_at[j] // self.size * self.size + offsets[b] + x * dims[b] + y, j, b,
+                                     offsets[b] + rc % dims[b] * dims[b] + x, offsets[b] + y * dims[b] + rc // dims[b])
+                                    for j, (b, rc, _, _) in enumerate(terms)
+                                    for x, y in itertools.product(range(dims[b]), repeat=2)],
+                                   dtype=np.intp).reshape(-1, 5).T
         by_size: dict = {}
-        for i, U in enumerate(coreps):
-            by_size.setdefault(U.dim, []).append(i)
+        for b, d in enumerate(dims):
+            by_size.setdefault(d, []).append(b)
         stacks = []
         for d, positions in by_size.items():
-            take = np.array([offsets[i] + np.arange(d * d).reshape(d, d) for i in positions])
+            take = np.array([offsets[b] + np.arange(d * d).reshape(d, d) for b in positions])
             stacks.append((tuple(positions), take.reshape(-1) if d == 1 else take))
         self.stacks = tuple(stacks)
-        self.transpose = np.array(
-            [offset + c * U.dim + r for offset, U in zip(offsets, coreps)
-             for r in range(U.dim) for c in range(U.dim)], dtype=np.intp)
+        self.transpose = np.array([o + c * d + r for o, d in zip(offsets, dims)
+                                   for r in range(d) for c in range(d)], dtype=np.intp)
 
 
 # -- reference states ------------------------------------------------------------
@@ -561,3 +683,31 @@ def _sqrt_pair(F: np.ndarray):
         raise ValueError("intertwiner matrix is not positive definite")
     root = np.sqrt(eigvals)
     return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
+
+
+def _element(legs: int):
+    """The class of the elements of `legs` legs: Element for one, MultiElement for more."""
+    return Element if legs == 1 else MultiElement
+
+
+def _terms(u) -> tuple:
+    """(the term keys of each entry of u, row-major; the coefficients of those terms in turn)."""
+    entries = [e.terms for row in u.entries for e in row]
+    return tuple(map(tuple, entries)), [c for terms in entries for c in terms.values()]
+
+
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·y entry by entry, each part rounded as Python's complex product rounds it.
+
+    numpy's complex product may fuse a multiply and an add, and round
+    otherwise when neither factor is real, so this multiplies the parts.
+    """
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr

@@ -59,8 +59,8 @@ QS = (0.2, 0.37, 0.64, 1.0)
 TOLS = (1e-9, 0.3)
 CATALOGS = (None, ("fund*fund",), ("fund*triv", "triv*triv"))
 DATA = Path(__file__).parent / "data"
-# the memos a cold compile starts without; `_catalog` builds fresh coreps, which hold no fill
-MEMOS = ("_BLOCK_PLANS", "_CATALOG_PLANS")
+# the memo a cold compile starts without; `_catalog` builds fresh coreps, which hold no fill
+MEMOS = ("_CATALOG_PLANS",)
 
 
 def _bits(value):
@@ -95,7 +95,7 @@ def _catalog(params, pairs):
 def _map_bits(compiled):
     return _bits([
         compiled.index, compiled.offsets, compiled.matrix, compiled.reexpansion, compiled.transpose,
-        compiled.stacks, compiled.witnesses,
+        compiled.stacks, [fourier.block_map(U).witness for U in compiled.coreps],
     ])
 
 
