@@ -381,6 +381,8 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
         if matrix_side != algebra_side:
             pt_agreement_misses += 1.0
 
+    # a refusal (a factor the single-factor test does not find positive definite, which happens at
+    # q below about 5e-4) counts as a failure of its loop's check; every draw is made before it
     mixture_failures = 0.0
     transfer = 0.0
     for _ in range(n_random):
@@ -389,7 +391,11 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
             (float(rng.uniform(0.1, 1.0)), random_pd_element(rng, params), random_pd_element(rng, params))
             for _ in range(n_terms)
         ]
-        mixture = separable_build(terms, singles)
+        try:
+            mixture = separable_build(terms, singles)
+        except ValueError:
+            mixture_failures += 1.0
+            continue
         if ppt_check(mixture, catalog).verdict != POSITIVE_DEFINITE:
             mixture_failures += 1.0
     for _ in range(10):
@@ -397,17 +403,23 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
             (float(rng.uniform(0.1, 1.0)), random_pd_element(rng, params), random_pd_element(rng, params))
             for _ in range(2)
         ]
-        mixture = separable_build(terms, singles)
-        mat = reconstruct(mixture, U)
-        state = DensityOp((2, 2), mat / np.trace(mat).real)
-        if decide_separability_2x2(state) != SEPARABLE:
+        try:
+            mat = reconstruct(separable_build(terms, singles), U)
+            decided = decide_separability_2x2(DensityOp((2, 2), mat / np.trace(mat).real))
+        except ValueError:
+            decided = None
+        if decided != SEPARABLE:
             transfer += 1.0
 
     product_block_res = 0.0
     for _ in range(20):
         a = random_pd_element(rng, params)
         b = random_pd_element(rng, params)
-        _, certificate = tensor_pd(a, b, singles)
+        try:
+            _, certificate = tensor_pd(a, b, singles)
+        except ValueError:
+            product_block_res = max(product_block_res, 1.0)
+            continue
         product_block_res = max(product_block_res, max(0.0, -min(certificate["product"].values()) - EIG_TOL))
 
     theta_sides = 0.0

@@ -4,13 +4,19 @@
 then read null.  This test fails instead when a traced function or method
 is renamed, deleted or moved off the module or class it is traced on; a
 method inherited from a base class still resolves.  It also fails when a
-short traced run of a workload reports a null per-layer metric.  `spans`
-and `workloads` are loaded from their files without writing a bytecode
-cache next to them.
+short traced run of a workload reports a null per-layer metric, in this
+process and in a fresh one, which starts without any memo that earlier
+tests filled, as the benchmark's own runs do.  `spans` and `workloads` are
+loaded from their files, and the fresh run is made, without writing a
+bytecode cache next to them.
 """
 
 import importlib
 import importlib.util
+import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +75,23 @@ def test_a_traced_run_reports_no_null_metric(name, tmp_path):
     # the caller fills the overhead ratio from the untraced half of the run
     nulls = [metric for metric, value in tracer.metrics().items() if value is None]
     assert nulls == ["trace.overhead_ratio"]
+
+
+def _not_a_number(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_fresh_process_traced_run_prints_a_well_formed_result(name):
+    run = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", name, "--seed", "3",
+                          "--seconds", "0.2", "--trace", "1"], capture_output=True, text=True, timeout=120,
+                         cwd=BENCH.parent, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert run.returncode == 0, run.stderr
+    info, result = (json.loads(line, parse_constant=_not_a_number) for line in run.stdout.splitlines()[-2:])
+    assert set(result) == {"correct", "attempted", "failed", "metrics"}
+    assert result["correct"] is True and result["failed"] == 0
+    # a number, never a bool or a null
+    bad = {metric: entry["value"] for metric, entry in result["metrics"].items()
+           if type(entry["value"]) not in (int, float) or not math.isfinite(entry["value"])}
+    assert bad == {}
+    assert [prediction for prediction in info["info"]["predictions"].values() if not prediction["held"]] == []

@@ -176,6 +176,13 @@ def test_verify_corep_at_q1(capsys):
     assert main(["verify", "--suite", "corep", "--q", "1.0"]) == 0
 
 
+def test_verify_reports_a_failed_suite_at_a_small_q(capsys):
+    # at q = 1e-4 the single-factor test refuses factors that separable_build and tensor_pd take,
+    # and each refusal is a failed check of the suite, not a traceback
+    assert main(["verify", "--suite", "entangle", "--q", "1e-4"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAILED: ")
+
+
 def test_demo_singlet(capsys):
     assert main(["demo-singlet", "--q", "0.5"]) == 0
     out = capsys.readouterr().out

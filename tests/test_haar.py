@@ -8,13 +8,15 @@ solver's output on every basis monomial; several concrete values computed
 by the oracle are frozen below.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qent.algebra import AlgebraParams, Element, Monomial, PLAIN
-from qent.corep import fundamental_corep
-from qent.entangle import pd_witness_value
-from qent.fourier import forward, singlet_state
+from qent.corep import fundamental_corep, product_catalog
+from qent.entangle import NOT_POSITIVE_DEFINITE, POSITIVE_DEFINITE, pd_witness_value, ppt_check
+from qent.fourier import forward, singlet_state, werner_state
 from qent.haar import (
     convolve_check,
     haar,
@@ -105,6 +107,28 @@ def test_haar_at_q_one():
     for m in range(6):
         mono = Monomial(PLAIN, 0, m, m)
         assert abs(haar_monomial(mono, params) - 1.0 / (m + 1)) < 1e-12
+
+
+# q = 1 - 2^-k: the form q^m (1 - q²)/(1 - q^(2m+2)) lost about 2^-k of relative precision here
+NEAR_ONE = tuple(1.0 - 2.0 ** -k for k in (10, 20, 28, 30, 40))
+
+
+@pytest.mark.parametrize("q", NEAR_ONE)
+def test_haar_monomial_keeps_its_precision_just_below_q_one(q):
+    params = AlgebraParams(q=q)
+    exact_q = Fraction(q)
+    for m in range(7):
+        exact = exact_q ** m / sum(exact_q ** (2 * j) for j in range(m + 1))
+        got = haar_monomial(Monomial(PLAIN, 0, m, m), params)
+        assert got.imag == 0.0 and abs(Fraction(got.real) - exact) <= Fraction(4e-16) * exact, m
+
+
+@pytest.mark.parametrize("q", NEAR_ONE)
+def test_werner_verdicts_just_below_q_one(q):
+    catalog = product_catalog(AlgebraParams(q=q))
+    U = catalog[3]
+    for p, verdict in ((0.2, POSITIVE_DEFINITE), (0.6, NOT_POSITIVE_DEFINITE)):
+        assert ppt_check(forward(werner_state(p), U), catalog).verdict == verdict, p
 
 
 def test_haar_classical_limit_monte_carlo():

@@ -35,7 +35,7 @@ from qent.algebra import (
 )
 from qent.cli import main
 from qent.corep import fundamental_corep, product_catalog, standard_catalog
-from qent.haar import haar, haar_monomial, leg_support
+from qent.haar import PairingTables, haar, haar_monomial, leg_support
 from qent.hopf import (
     MultiElement,
     _coinverse_monomial,
@@ -401,8 +401,17 @@ def test_the_intertwiner_system_is_the_written_out_one(q):
 
 
 def test_a_fresh_q_ppt_request_builds_no_adjoint_and_solves_no_F(monkeypatch, capsys):
-    adjoints, solved, eigen = [], [], []
+    adjoints, solved, eigen, legs, trusted = [], [], [], [], []
     original_adjoint, original_solve, original_eigh = MultiElement.adjoint, corep.compute_F, np.linalg.eigh
+    original_leg, original_trusted = PairingTables.leg, algebra._ElementCore._trusted.__func__
+
+    def counting_leg(self, p, m):
+        legs.append((p, m))
+        return original_leg(self, p, m)
+
+    def counting_trusted(cls, params, n_legs, terms):
+        trusted.append(cls)
+        return original_trusted(cls, params, n_legs, terms)
 
     def counting_adjoint(self):
         adjoints.append(self)
@@ -419,14 +428,23 @@ def test_a_fresh_q_ppt_request_builds_no_adjoint_and_solves_no_F(monkeypatch, ca
     monkeypatch.setattr(MultiElement, "adjoint", counting_adjoint)
     monkeypatch.setattr(corep, "compute_F", counting_solve)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(PairingTables, "leg", counting_leg)
+    monkeypatch.setattr(algebra._ElementCore, "_trusted", classmethod(counting_trusted))
     corep.engine.cache_clear()
     for q, path, code in ((0.3579, "werner_0.6.json", 1), (0.7531, "werner_0.2.json", 0), (0.37, "werner_0.6.json", 1)):
-        adjoints.clear()
-        solved.clear()
-        eigen.clear()
+        for seen in (adjoints, solved, eigen, legs, trusted):
+            seen.clear()
+        lookups = algebra._mono_mul.cache_info()
         assert main(["ppt", "--input", str(DATA / path), "--q", str(q), "--format", "json"]) == code
         # F is the closed form, and its roots are taken entry-wise: the one eigen-solve
         # is that of the NPT witness
         assert adjoints == [] and solved == []
         assert eigen == ["_witness"] * (code == 1)
+        # the catalog's 5 one-leg pairings, each one product of monomials, are all the
+        # symbolic work; the only elements built are x, θx and the witness, and no
+        # product corep's entries
+        after = algebra._mono_mul.cache_info()
+        assert len(legs) == len(set(legs)) == 5
+        assert after.hits + after.misses - lookups.hits - lookups.misses == 5
+        assert trusted.count(MultiElement) == len(trusted) == 2 + (code == 1)
     capsys.readouterr()
