@@ -227,8 +227,7 @@ def cmd_ppt(args) -> int:
     if isinstance(value, DensityOp):
         params = _params(args)
         catalog = _catalog(args, params)
-        # the catalog's fill compiles every block at once, the one `forward` reads among them
-        catalog_map(catalog)
+        catalog_map(catalog)  # one fill compiles every block, the one `forward` reads among them
         U = _pair(params, value.dims)
         try:
             matrix_report = ppt_matrix(value)

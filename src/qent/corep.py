@@ -11,13 +11,10 @@ invertible solution of
 The shipped catalog holds the trivial (spin-0) and the fundamental
 (spin-1/2) corepresentations, with fund's F in closed form, diag(1/q, q)
 (Woronowicz, Publ. RIMS 23, 1987).  A product corepresentation of the
-direct square keeps its two factors and F = F_u ⊗ F_v; its entries
-u_ij ⊗ v_kl are built with `tensor` when a caller first reads them, and a
-catalog fill (`fourier.CatalogMap`) reads the factors' coefficients
-instead, so compiling a product corep builds no entry.  One `Corep` type
-holds both kinds, and its `legs` (2 for a product, 1 otherwise) tells the
-transform which kind of element it pairs with.  `compute_F` solves for F
-symbolically, as the oracle of the closed form.
+direct square keeps its factors u, v and F = F_u ⊗ F_v; its entries
+u_ij ⊗ v_kl are built by `tensor` when first read, and compiling reads the
+factors instead.  `compute_F` solves for F symbolically, as the oracle of
+the closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,8 +40,7 @@ class Corep:
 
     A single-factor corep (`factors` empty) has one-leg Element entries.  A
     product corep u ⊗ v of the direct square has `factors` (u, v),
-    composite indices (ik),(jl) and two-leg MultiElement entries, built
-    when first read (`ProductEntries`).
+    composite indices (ik),(jl) and the two-leg entries u_ij ⊗ v_kl.
     """
 
     label: str
@@ -84,10 +80,9 @@ class Engine:
     """The shipped coreps of one AlgebraParams, their pairing tables and catalog maps.
 
     `corep(label)` builds "triv", "fund" or a pair such as "fund*triv" (by
-    `product_corep`, whose entries wait until they are read) on first use
-    and keeps it in `coreps`; the first catalog fill that holds a corep
-    keeps its block's data on it (`fourier.block_map`).  `maps` holds the
-    `fourier.CatalogMap` of each catalog of these coreps by labels; no label
+    `product_corep`) on first use and keeps it in `coreps`; the first catalog
+    fill that holds a corep keeps its block on it (`fourier.block_map`).
+    `maps` holds each catalog's `fourier.CatalogMap` by labels; no label
     repeats, so at most 64 + 4 catalogs.  A q below `Q_MIN` is refused.
     """
 
@@ -219,27 +214,22 @@ def product_corep(u: Corep, v: Corep) -> Corep:
 
 
 class ProductEntries(Sequence):
-    """The rows of entries of u ⊗ v, row (ik) by row, each entry u_ij ⊗ v_kl; built by `tensor` when first read.
-
-    A catalog fill reads the coefficients of `factors` instead, so compiling
-    a product corep builds none of its entries.
-    """
-
-    __slots__ = ("factors", "_rows")
+    """The rows (ik) of entries u_ij ⊗ v_kl of u ⊗ v, built by `tensor` when first read."""
 
     def __init__(self, u, v):
-        self.factors, self._rows = (u, v), None
+        self._factors = (u, v)
+
+    @cached_property
+    def _rows(self) -> tuple:
+        (u, v), n, m = self._factors, self._factors[0].dim, self._factors[1].dim
+        return tuple(tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
+                     for i in range(n) for k in range(m))
 
     def __getitem__(self, i):
-        if self._rows is None:
-            (u, v), n, m = self.factors, self.factors[0].dim, self.factors[1].dim
-            self._rows = tuple(
-                tuple(tensor(u.entries[i][j], v.entries[k][l]) for j in range(n) for l in range(m))
-                for i in range(n) for k in range(m))
         return self._rows[i]
 
     def __len__(self):
-        return self.factors[0].dim * self.factors[1].dim
+        return len(self._rows)
 
 
 def unitarity_residual(u) -> float:

@@ -14,44 +14,35 @@ with a single-factor corepresentation act between matrices and one-leg
 Elements: `forward`, `inverse` and `reconstruct` read the kind from the
 corep (`Corep.legs`) and refuse any other pairing (`algebra._checked_kind`).
 
-Both directions are linear.  Each block, product or single-factor, is
-compiled once into a `BlockMap` kept on its corep; the forward direction is
-one matrix over the block's support.  A whole catalog of blocks of one kind
-is compiled on first use into one `CatalogMap`: a single matrix from x's
-coefficients over the catalog's support to every block x̂(U) at once, built
-leg by leg from single-leg Haar tables, and the matrix that re-expands the
-lifted blocks, so the support residual is one more product.  `inverse` is
-the block of a one-block catalog's map.  A partial transpose θx is formed
-term by term with `partial_theta`'s arithmetic, reading θ of the
-support's leg monomials from the map's memo, and goes through the same
-map.  The positivity test in `qent.entangle` runs on it.
+Both directions are linear.  A catalog of blocks of one kind is compiled
+into one `CatalogMap`: one matrix from x's coefficients over the catalog's
+support to every block x̂(U), built from single-leg Haar values, and one
+that re-expands the lifted blocks for the support residual.  `inverse` is
+the block of a one-block catalog's map, and each corep keeps the
+`BlockMap` of the first fill that held it, whose expansion is `forward`.
+θx goes through the same map, formed with `partial_theta`'s arithmetic.
 
-Compiling splits into a plan and a fill.  Over the shipped blocks the term
-keys of every entry, adjoint and support key are the same at every q, so
-everything index-like is a q-free plan kept per shape in a bounded memo:
-`_BlockPlan` per block, `_CatalogPlan` per catalog (a q where pruning
-drops a key gets its own).  The fill computes one q's numbers with numpy
-in the arithmetic and order of the symbolic products it replaces, so the
-results are the same bits.  Every shipped block's F
-is diagonal (`corep`'s closed form), so the fill takes √F, F^(-1/2) and
-the witness row from its diagonal, with no inverse or eigen-solve; only
-a hand-built corep with a non-diagonal F needs them.  The engine of a q
-(`corep.engine`) builds each shipped corep once and keeps the map of each
-catalog of them, so a `qent ppt` request fills each block once.
+Compiling is a plan and a fill.  Term keys do not depend on q, so all that
+is index-like is one q-free `_CatalogPlan` per catalog shape.  A fresh q
+supplies the factors' coefficients, F, a few distinct powers of q and the
+plan's one-leg Haar values (5 on the shipped catalog, from
+`PairingTables.leg`); one `_Fill` turns them into every block's numbers in
+a fixed number of whole-catalog numpy operations, with the bits of the
+symbolic constructions they replace.  The engine of a q (`corep.engine`)
+keeps each catalog's map, so a `qent ppt` request fills its catalog once
+and builds no product entries.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import LRU, Element, _checked_kind, _ElementCore, _adjoint_image, _adjoint_power
-from .corep import Corep, ProductEntries, _require_distinct, engine, pairing_tables
+from .corep import Corep, _require_distinct, engine, pairing_tables
 from .haar import leg_support
 from .hopf import MultiElement, _theta_monomial, _theta_on_leg, product_counit
 
@@ -116,7 +107,9 @@ def forward(rho, U: Corep):
         raise ValueError(f"operator shape {mat.shape} does not match corep dimension {d}")
     if not isinstance(rho, DensityOp) and not np.all(np.isfinite(mat)):
         raise ValueError("operator entries must be finite")
-    return _element(legs)._trusted(U.params, legs, _expand(mat, U))
+    compiled = block_map(U)
+    terms = dict(zip(compiled.support, compiled.expansion @ mat.reshape(-1)))
+    return (Element if legs == 1 else MultiElement)._trusted(U.params, legs, terms)
 
 
 def inverse(x, U: Corep) -> np.ndarray:
@@ -161,68 +154,40 @@ def lift_block(block: np.ndarray, U) -> np.ndarray:
 # -- compiled block maps -----------------------------------------------------------
 
 class BlockMap:
-    """The compiled data of one corep block U: its block of a catalog fill (`_Fill`).
+    """The compiled data of one corep block U, read from the catalog fill (`_Fill`) that first held it.
 
-    U is a product corep (terms keyed by two-leg tuples of monomials) or a
-    single-factor corep (terms keyed by monomials).  `BlockMap(U)` fills U
-    as a one-block catalog, and a catalog map gives each of its coreps that
-    has none the block map of its own fill (`block_map`).  Each attribute is
-    read from the fill when first asked for:
-
-    - `adjoints[r * d + c]` holds the terms of U_rc*, and `witness` is what
-      `find_negative_witness` combines: (√F as a complex matrix, tr F, the
-      adjoints of the row given by the column of F⁻¹ with the largest norm);
-    - `support` lists the term keys of U's entries in the order in which
-      Σ mat[row, col] U_(col),(row) first meets them, row by row, and
-      `expansion` is the matrix E with E[s, row * d + col] the coefficient
-      of support[s] in U_(col),(row), so that sum is E @ vec(mat);
-    - `layout` is (the term keys of each entry, those of each adjoint).
+    `BlockMap(U)` fills U as a one-block catalog.  `adjoints[r * d + c]`
+    holds the terms of U_rc*; `witness` is (√F as a complex matrix, tr F,
+    the adjoints of the row of F⁻¹'s column of largest norm); `expansion`
+    @ vec(mat) is Σ mat[row, col] U_(col),(row) over `support`, in the order
+    that sum meets its keys; `layout` tells two fills' shapes apart.
     """
 
     def __init__(self, U):
-        self._fill, self._i = _Fill((U,)), 0
+        self._read(_Fill((U,)), 0)
 
-    @classmethod
-    def _of(cls, fill, i):
-        """Block i of a fill."""
-        block = cls.__new__(cls)
-        block._fill, block._i = fill, i
-        return block
-
-    @property
-    def _block(self) -> "_PlanBlock":
-        return self._fill.plan.blocks[self._i]
-
-    @property
-    def support(self) -> tuple:
-        return self._block.support
-
-    @property
-    def layout(self) -> tuple:
-        return self._block.layout
-
-    @property
-    def trF(self) -> float:
-        return float(self._fill.trF[self._i])
-
-    @cached_property
-    def sqrtF(self) -> np.ndarray:
-        offset, d = self._block.offset, self._block.dim
-        return self._fill.root[offset:offset + d * d].reshape(d, d)
+    def _read(self, fill, i):
+        """Block i of a fill; expansion, adjoints and witness are read when first asked for."""
+        plan, offset, d = fill.plan, fill.plan.offsets[i], fill.plan.dims[i]
+        self._fill, self._i = fill, i
+        self.support, self.layout = plan.supports[i], (plan.supports[i], plan.spans[i])
+        self.trF, self.sqrtF = float(fill.trF[i]), fill.root[offset:offset + d * d].reshape(d, d)
 
     @cached_property
     def expansion(self) -> np.ndarray:
-        offset, d = self._block.offset, self._block.dim
-        return _frozen(self._fill.expansion[self._block.rows, offset:offset + d * d])
+        first, at = self._fill.plan.expansions[self._i]
+        expansion = np.zeros((len(self.support), len(self.sqrtF) ** 2), dtype=complex)
+        expansion.put(at, self._fill.coeffs[first:first + len(at)])
+        return _frozen(expansion)
 
     @cached_property
     def adjoints(self) -> tuple:
         keys, betas = self._fill.plan.slot_keys, self._fill.betas.tolist()
-        return tuple(tuple(zip(keys[start:end], betas[start:end])) for start, end in self._block.spans)
+        return tuple(tuple(zip(keys[a:b], betas[a:b])) for a, b in self._fill.plan.spans[self._i])
 
     @cached_property
     def witness(self) -> tuple:
-        offset, d = self._block.offset, self._block.dim
+        d, offset = len(self.sqrtF), self._fill.plan.offsets[self._i]
         F = self._fill.F[offset:offset + d * d].reshape(d, d)
         f = F.diagonal()
         # the witness row is the column of F⁻¹ with the largest norm; F⁻¹ of a diagonal F is diag(1/f)
@@ -246,32 +211,21 @@ def block_map(U) -> BlockMap:
 class CatalogMap:
     """The inverse transforms over a catalog of coreps of one kind, and their re-expansion.
 
-    The blocks lie end to end in one vector: block i is
-    flat[offsets[i]:offsets[i] + d²], the rows of x̂(U_i) in turn.  `index`
-    numbers the catalog's support, the term keys of the blocks' entries in
-    catalog order.  For x with coefficients v over the support,
-    flat = `matrix` @ v, plus the columns of the same formula, built per
-    call, for x's keys outside the support.  `reexpansion` @ flat holds,
-    over the support, the coefficients of Σ_U forward((tr F)·√F·x̂(U)·√F, U).
-
-    Each slot j is one term β_j·(p_j ⊗ s_j) of one adjoint U_rc*, so
-    h(U_rc*·(m ⊗ n)) = Σ_j β_j·h(p_j·m)·h(s_j·n) and every column is
+    Block i is flat[offsets[i]:offsets[i] + d²], the rows of x̂(U_i) in
+    turn.  `index` numbers the catalog's support, the term keys of its
+    blocks' entries.  For x with coefficients v over the support, flat =
+    `matrix` @ v, plus the same formula's columns, built per call, for x's
+    keys off the support; `reexpansion` @ flat holds, over the support, the
+    coefficients of Σ_U forward((tr F)·√F·x̂(U)·√F, U).  Each slot j is one
+    term β_j·(p_j ⊗ s_j) of one adjoint U_rc*, so every column is
 
         TA · (G_L ⊙ G_R),   G_L[j, t] = h(p_j·m_t),   G_R[j, t] = h(s_j·n_t),
 
     where TA puts β_j in its block entry and folds in the block's
-    F^(-1/2)·Hᵀ·F^(1/2).  G_L and G_R are gathered from one-leg tables of
-    `PairingTables.leg` over the distinct slot and key monomials of each
-    leg only.  A catalog of single-factor coreps (`legs` 1) has one leg
-    and one table, G_L; its keys are read as 1-tuples.  `transpose`
-    sends each position of flat to that of its transposed entry in the
-    same block.  `stacks` groups the blocks by
-    size: (catalog positions, index array into flat) per size, of shape
-    (blocks, d, d), or (blocks,) for 1×1 blocks.
-
-    The constructor fills the catalog's q-free `_CatalogPlan` with one q's
-    numbers (`_Fill`): every block at once, in a fixed number of numpy
-    operations, and gives each corep without a block map its block.
+    F^(-1/2)·Hᵀ·F^(1/2); a single-factor catalog has G_L only.  `transpose`
+    maps flat to its transposed entries, and `stacks` holds per block size
+    (catalog positions, indices into flat of shape (blocks, d, d), or
+    (blocks,) for 1×1 blocks).
     """
 
     __slots__ = ("coreps", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
@@ -284,34 +238,33 @@ class CatalogMap:
         _require_distinct(U.label for U in self.coreps)
         # a one-block catalog reads the fill its corep's block map was made from, when that fill is of it alone
         block = self.coreps[0].__dict__.get("_block_map") if len(self.coreps) == 1 else None
-        fill = block._fill if block is not None and len(block._fill.plan.blocks) == 1 else _Fill(self.coreps)
+        fill = block._fill if block is not None and len(block._fill.plan.dims) == 1 else _Fill(self.coreps)
         self.params = (fill.params,) if self.coreps else ()
         self.plan = plan = fill.plan
         self.offsets, self.index, self.stacks, self.transpose = (
             plan.offsets, plan.index, plan.stacks, plan.transpose)
         size, slots, keys = plan.size, len(plan.slot_keys), len(plan.index)
-        # TA[(i,k), j] = F^(-1/2)[i,c]·√F[r,k]·β_j for slot j in entry (r, c) of its block: β_j placed in
-        # its block entry with the block's F^(-1/2)·Hᵀ·F^(1/2) folded in
+        # TA[(i,k), j] = F^(-1/2)[i,c]·√F[r,k]·β_j for slot j in entry (r, c) of its block
         at, inv_root, root, slot = plan.slot_square
-        slot_matrix = np.zeros(size * slots, dtype=complex)
-        slot_matrix[at] = (fill.inv_root[inv_root] * fill.root[root]) * fill.betas[slot]
-        self._slot_matrix = slot_matrix.reshape(size, slots)
+        self._slot_matrix = np.zeros((size, slots), dtype=complex)
+        self._slot_matrix.put(at, (fill.inv_root[inv_root] * fill.root[root]) * fill.betas[slot])
         self._tables = pairing_tables(self.params[0]) if self.params else None
         values = np.array([self._tables.leg(p, m) for p, m in plan.pairs], dtype=complex)
         # G_L ⊙ G_R, (1+0j)·h(p_j·m_t)·h(s_j·n_t), is non-zero only where every leg's pairing may be
-        product = np.zeros(slots * keys, dtype=complex)
-        product[plan.pair_at] = np.multiply.reduce(values[plan.pair_which], axis=0)
-        self.matrix = self._slot_matrix @ product.reshape(slots, keys)
-        # E·lift with lift[(i,k),(a,b)] = tr F·√F[i,a]·√F[b,k] in each block: term j in entry (r, c) adds
-        # c_j·tr F·√F[c,a]·√F[b,r] at (its key, (a, b))
+        product = np.zeros((slots, keys), dtype=complex)
+        product.put(plan.pair_at, np.multiply.reduce(values[plan.pair_which], axis=0))
+        self.matrix = self._slot_matrix @ product
+        # E·lift, lift[(i,k),(a,b)] = tr F·√F[i,a]·√F[b,k]: term j of entry (r, c) adds c_j·tr F·√F[c,a]·√F[b,r]
         at, term, block, left, right = plan.lift_terms
-        reexpansion = np.zeros(keys * size, dtype=complex)
-        np.add.at(reexpansion, at, fill.coeffs[term] * (fill.trF[block] * (fill.root[left] * fill.root[right])))
-        self.reexpansion = reexpansion.reshape(keys, size)
+        self.reexpansion = np.zeros((keys, size), dtype=complex)
+        np.add.at(self.reexpansion.reshape(-1), at,
+                  fill.coeffs[term] * (fill.trF[block] * (fill.root[left] * fill.root[right])))
         self._thetas: dict = {}  # per leg, θ of each leg monomial of the support as (scale, image)
         for i, U in enumerate(self.coreps):
             if "_block_map" not in U.__dict__:
-                object.__setattr__(U, "_block_map", BlockMap._of(fill, i))
+                view = BlockMap.__new__(BlockMap)
+                view._read(fill, i)
+                object.__setattr__(U, "_block_map", view)
 
     def gather(self, x):
         """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
@@ -363,27 +316,20 @@ class CatalogMap:
         flat = self.matrix @ v
         if outside:
             keys = [_ElementCore.leg_monomials(t) for t, _ in outside]
-            gathered = []
+            product = np.ones((len(self.plan.slot_keys), len(keys)), dtype=complex)
             for side, (monos, rows) in enumerate(self.plan.slot_legs):
                 key_monos, cols = _distinct([key[side] for key in keys])
                 # h(p·m) is 0j, as `leg` gives it, where the charges of p and m do not cancel
                 table = np.array([[self._tables.leg(p, m) if leg_support(p, m) else 0j for m in key_monos]
                                   for p in monos], dtype=complex).reshape(len(monos), len(key_monos))
-                gathered.append(table[np.ix_(rows, cols)])
-            flat = flat + self._pairing(gathered, len(keys)) @ np.array([c for _, c in outside])
+                product *= table[np.ix_(rows, cols)]
+            flat = flat + (self._slot_matrix @ product) @ np.array([c for _, c in outside])
         return flat
 
     def block(self, flat: np.ndarray, i: int) -> np.ndarray:
         """x̂(U_i) from flat."""
         d = self.coreps[i].dim
         return flat[self.offsets[i]:self.offsets[i] + d * d].reshape(d, d)
-
-    def _pairing(self, gathered, columns) -> np.ndarray:
-        """TA · (G_L ⊙ G_R) from each leg's one-leg table gathered over the slots and `columns` keys."""
-        product = np.ones((len(self.plan.slot_keys), columns), dtype=complex)
-        for table in gathered:
-            product *= table
-        return self._slot_matrix @ product
 
 
 def catalog_map(catalog) -> CatalogMap:
@@ -411,143 +357,87 @@ def catalog_map(catalog) -> CatalogMap:
 
 # -- the catalog plan and its fill ----------------------------------------------------
 
-# catalog plans kept at once, keyed by their sources' term-key layouts and the terms pruned at tol
+# catalog plans kept at once, keyed by their sources' term-key layouts and what tol prunes
 CATALOG_PLANS_SIZE = 8
 _CATALOG_PLANS = LRU(CATALOG_PLANS_SIZE)
 
 
 class _Fill:
-    """One q's numbers of a catalog, every block at once, placed by the catalog's plan.
+    """One q's numbers of a catalog, every block at once, placed by its plan; it holds no corep.
 
-    A catalog's sources are its coreps, or, when no product corep of it has
-    built its entries (`corep.ProductEntries`), their factors.  From the
-    sources' coefficients one fixed sequence of numpy operations gives the
-    terms' coefficients (`tensor`'s ((1+0j)·a)·b onto 0j for a product),
-    the adjoint βs 0j + conj(c)·q^e₀·q^e₁.., √F, F^(-1/2), tr F and the
-    expansion, each with the arithmetic and rounding of the Python
-    construction it replaces (`_cmul`), so the numbers are its bits.  A
-    term or β at or below tol is pruned, and the catalog then takes the plan
-    of what is left; a modulus that is not finite is refused as the trusted
-    constructor refuses it.  A fill holds no corep, so a block map kept on
-    its corep keeps no catalog alive.
+    Product coreps' coefficients come from their factors.  numpy's complex
+    product rounds as Python's wherever a factor is real, so for real
+    coefficients, as every shipped corep has, each number has the bits of
+    the construction it replaces.  What tol prunes leaves its own plan.
     """
 
-    __slots__ = ("params", "plan", "coeffs", "betas", "F", "root", "inv_root", "trF", "expansion")
+    __slots__ = ("params", "plan", "coeffs", "betas", "F", "root", "inv_root", "trF")
 
     def __init__(self, coreps):
         self.params = params = coreps[0].params if coreps else None
         if any(U.params is not params and U.params != params for U in coreps):
             raise ValueError("the catalog's corepresentations carry different algebra parameters")
-        factored = bool(coreps) and all(type(U.entries) is ProductEntries for U in coreps)
-        sources: dict = {}
-        blocks = tuple(tuple(sources.setdefault(u, len(sources)) for u in (U.entries.factors if factored else (U,)))
-                       for U in coreps)
-        read = [_terms(u) for u in sources]
-        shape = (tuple(layout for layout, _ in read), blocks)
+        sources = {u: s for s, u in enumerate(dict.fromkeys(u for U in coreps for u in U.factors or (U,)))}
+        entries = [[e.terms for row in u.entries for e in row] for u in sources]
+        shape = (tuple(tuple(map(tuple, terms)) for terms in entries),
+                 tuple(tuple(map(sources.get, U.factors or (U,))) for U in coreps))
         plan = _plan(shape)
-        coeffs = np.array([c for _, values in read for c in values], dtype=complex)
-        c = coeffs[plan.left]
-        if factored:  # tensor's ((1+0j)·a)·b onto 0j
-            c = 0j + _cmul((1 + 0j) * c, coeffs[plan.right])
+        coeffs = np.array([c for terms in entries for term in terms for c in term.values()], dtype=complex)
         q, tol = (params.q, params.tol) if params else (1.0, 1.0)
-        # the adjoint's β = 0j + conj(c)·scale, scale = 1.0·q^e₀·q^e₁.. over the legs, each power by Python's **
-        powers = np.array([q ** e for e in plan.exponents])
-        betas = 0j + np.conj(c) * np.multiply.reduce(powers[plan.scales], axis=0)
+        # scale = 1·q^e₀·q^e₁.. over the legs, per distinct exponents, each power by Python's **
+        scales = np.array([math.prod(q ** e for e in exponents) for exponents in plan.exponents])
+        with np.errstate(over="ignore", invalid="ignore"):  # a modulus that is not finite is refused below
+            # ((1+0j)·a)·b onto 0j is 0j + a·b to the bit
+            c = coeffs[plan.left] if plan.right is None else 0j + coeffs[plan.left] * coeffs[plan.right]
+            betas = 0j + np.conj(c) * scales[plan.scales]
         size, beta_size = np.abs(c), np.abs(betas)  # the modulus of a Python complex, bit for bit
         kept = (tol < size) & (size < math.inf)
         slots = kept & (tol < beta_size) & (beta_size < math.inf)
         if np.count_nonzero(slots) < len(slots):
-            # a coefficient or β of a kept term whose modulus is not finite is refused as the constructor refuses it
-            for bad, keys, values in ((~(size < math.inf), plan.keys, c),
-                                      (kept & ~(beta_size < math.inf), plan.adjoint_keys, betas)):
-                if np.count_nonzero(bad):
-                    j = int(bad.argmax())
-                    _element(plan.legs)._trusted(params, plan.legs, {keys[j]: complex(values[j])})
+            for keys, values, bad in ((plan.keys, c, ~(size < math.inf)),
+                                      (plan.adjoint_keys, betas, kept & ~(beta_size < math.inf))):
+                _ElementCore._trusted(params, plan.legs, dict(zip(itertools.compress(keys, bad), values[bad])))
             plan = _plan(shape, kept, slots[kept])
             c, betas = c[kept], betas[slots]
         self.plan, self.coeffs, self.betas = plan, c, betas
-        expansion = np.zeros(len(plan.index) * plan.size, dtype=complex)
-        expansion[plan.expansion_at] = c
-        self.expansion = expansion.reshape(len(plan.index), plan.size)
-        self.F = F = np.concatenate([U.F.reshape(-1) for U in coreps] or [np.zeros(0)])
-        diagonal = F[plan.diagonal]
-        if np.count_nonzero(F) == np.count_nonzero(diagonal):
-            # every F is diagonal: its roots are taken entry by entry, as `_sqrt_pair` takes them
-            root = np.sqrt(F)
-            inv_root = root.copy()
-            inv_root[plan.diagonal] = 1.0 / root[plan.diagonal]
-        else:
-            pairs = [_sqrt_pair(U.F) for U in coreps]
-            root, inv_root = (np.concatenate([pair[k].reshape(-1) for pair in pairs]) for k in (0, 1))
-        self.root, self.inv_root = _frozen(root), _frozen(inv_root)
-        # tr F added entry by entry, as np.trace adds a small diagonal: one zero-padded row per block
-        traces = np.zeros(plan.traces_shape)
-        traces.put(plan.traces_at, diagonal.real)
-        self.trF = np.add.reduce(traces, axis=1)
+        # the blocks' F end to end as flat, and placed in one block-diagonal matrix for `_sqrt_pair`
+        self.F = np.concatenate([U.F for U in coreps] or [np.zeros(0)], axis=None)
+        whole = np.zeros((sum(plan.dims),) * 2, dtype=self.F.dtype)
+        whole.put(plan.whole_at, self.F)
+        self.root, self.inv_root = (_frozen(root.reshape(-1)[plan.whole_at]) for root in _sqrt_pair(whole))
+        # tr F added entry by entry, as np.trace adds a small diagonal: one row per block, padded with 0
+        self.trF = np.add.reduce(np.append(whole.diagonal().real, 0.0)[plan.traces], axis=1)
 
 
 def _plan(shape, *masks) -> "_CatalogPlan":
-    """The plan of a catalog shape, less the terms and slots the masks leave out, from the bounded memo."""
+    """The plan of a catalog shape less what the masks prune, from the bounded memo."""
     key = (shape,) + tuple(mask.tobytes() for mask in masks)
     return _CATALOG_PLANS.get(key) or _CATALOG_PLANS.put(key, _CatalogPlan(shape, *masks))
-
-
-class _PlanBlock(NamedTuple):
-    """One block of a catalog plan: its offset in flat and dimension, the support of its entries in
-    `BlockMap.support`'s order with each key's position in the catalog's index, the slots of each
-    entry (start, end), and `BlockMap.layout`."""
-
-    offset: int
-    dim: int
-    support: tuple
-    rows: np.ndarray
-    spans: tuple
-    layout: tuple
 
 
 class _CatalogPlan:
     """The q-independent shape of a catalog's fill and map: every index their numbers are placed by.
 
-    `shape` is (the term-key layouts of the sources, each block's sources):
-    a block with one source has that source's entries, a block with two, u
-    and v, has entry (ik),(jl) = u_ij ⊗ v_kl with its terms in `tensor`'s
-    order.  The catalog's terms run block by block, entry by entry
-    row-major, each entry's in turn.  Term j has key `keys[j]`, takes its
-    coefficient from the sources' coefficients at left[j] (and right[j],
-    for a product), and its adjoint has key `adjoint_keys[j]` and is scaled
-    by q^e for each leg's e = exponents[scales[leg, j]].  The masks drop
-    the terms pruned at tol (`kept`), then the slots whose β is (`slots`):
-    slot s is the adjoint of a kept term, with key `slot_keys[s]`.
-
-    The term of key t in entry (r, c) of the block at offset o lies at
-    index[t]·size + o + c·d + r of the (support × flat) expansion
-    (`expansion_at`).  F, like flat, lies block after block, with its
-    diagonal at `diagonal`.  `slot_square` lists, slot by slot, (the
-    position of TA[(i,k), s] in the (flat × slots) TA, and the flat
-    positions of F^(-1/2)[i,c] and √F[r,k], and s) for each i, k of the
-    slot's block, and `lift_square`, block by block, (the position of
-    lift[(i,k),(x,y)] in a (flat × flat) matrix, the block, and the flat
-    positions of √F[i,x] and √F[y,k]).  `slot_legs[side]` holds the
-    distinct slot monomials of that leg with each slot's position among
-    them.  G_L ⊙ G_R is non-zero only at `pair_at`, the (slot, key)
-    positions where every leg's h(p·m) may be (`haar.leg_support`), and
-    there it is the product over the legs of `pairs[pair_which[leg]]`.
-    `offsets`, `index`, `stacks` and `transpose` are the `CatalogMap`'s.
+    `shape` is (the sources' term-key layouts, each block's sources); two
+    sources give a block their tensor products, in `tensor`'s term order.
+    `kept` drops the terms pruned at tol, `slots` the adjoint terms so
+    pruned.  `pair_at` lists where every leg's h(p·m) may be non-zero.
     """
 
-    __slots__ = ("legs", "left", "right", "keys", "adjoint_keys", "exponents", "scales", "offsets", "size",
-                 "index", "blocks", "expansion_at", "slot_keys", "slot_legs", "slot_square", "pairs", "pair_at",
-                 "pair_which", "diagonal", "traces_shape", "traces_at", "lift_terms", "stacks", "transpose")
+    __slots__ = ("legs", "left", "right", "keys", "adjoint_keys", "exponents", "scales", "dims", "offsets",
+                 "size", "index", "supports", "spans", "expansions", "slot_keys", "slot_legs", "slot_square",
+                 "pairs", "pair_at", "pair_which", "whole_at", "traces", "lift_terms",
+                 "stacks", "transpose")
 
     def __init__(self, shape, kept=None, slots=None):
         layouts, sources = shape
         # where the coefficients of each source's entries start, the sources' coefficients end to end
         starts = list(itertools.accumulate((len(keys) for layout in layouts for keys in layout), initial=0))
         firsts = list(itertools.accumulate(map(len, layouts), initial=0))
-        terms, dims = [], []  # terms as (block, entry, leg monomials, positions of the coefficients)
+        terms, self.dims = [], []  # terms as (block, entry, leg monomials, positions of the coefficients)
         for b, used in enumerate(sources):
             sizes = [math.isqrt(len(layouts[u])) for u in used]
-            dims.append(math.prod(sizes))
+            self.dims.append(math.prod(sizes))
             cells = list(itertools.product(*map(range, sizes)))
             for rc, (row, col) in enumerate(itertools.product(cells, cells)):
                 parts = [[(starts[firsts[u] + i * n + j] + t, _ElementCore.leg_monomials(key))
@@ -555,75 +445,74 @@ class _CatalogPlan:
                          for u, n, i, j in zip(used, sizes, row, col)]
                 terms += [(b, rc, sum((monos for _, monos in combo), ()), [at for at, _ in combo])
                           for combo in itertools.product(*parts)]
-        if kept is not None:
-            terms = list(itertools.compress(terms, kept))
-        self.left, self.right = (np.array([t[3][side] for t in terms], dtype=np.intp) for side in (0, -1))
+        terms = terms if kept is None else list(itertools.compress(terms, kept))
+        slot = [True] * len(terms) if slots is None else list(slots)
+        self.left = np.array([t[3][0] for t in terms], dtype=np.intp)
+        # the second factor's positions, in a catalog of products (a catalog is of one kind)
+        self.right = np.array([t[3][1] for t in terms], dtype=np.intp) if sources and len(sources[0]) == 2 else None
         monos = [t[2] for t in terms]
         self.legs = legs = len(monos[0]) if monos else 0
         self.keys = tuple(map(_ElementCore.key, monos))
         self.adjoint_keys = tuple(_ElementCore.key(tuple(map(_adjoint_image, m))) for m in monos)
-        self.exponents, at = _distinct([_adjoint_power(mono) for m in monos for mono in m])
-        self.scales = at.reshape(len(monos), legs).T
-        offsets = list(itertools.accumulate((d * d for d in dims), initial=0))
+        self.exponents, self.scales = _distinct([tuple(map(_adjoint_power, m)) for m in monos])
+        self.slot_keys = list(itertools.compress(self.adjoint_keys, slot))
+        slot_at = list(itertools.accumulate(slot, initial=0))  # the slot of each term, if it has one
+        offsets = list(itertools.accumulate((d * d for d in self.dims), initial=0))
         self.offsets, self.size = tuple(offsets[:-1]), offsets[-1]
-        by_entry: dict = {}
-        for j, (b, rc, _, _) in enumerate(terms):
-            by_entry.setdefault((b, rc), []).append(j)
-        slot_terms = range(len(terms)) if slots is None else list(itertools.compress(range(len(terms)), slots))
-        self.slot_keys = [self.adjoint_keys[j] for j in slot_terms]
-        counts = collections.Counter(terms[j][:2] for j in slot_terms)
-        slot_ends = list(itertools.accumulate(counts[b, rc] for b, d in enumerate(dims) for rc in range(d * d)))
-        index: dict = {}
-        blocks, expansion_at, slot_square = [], {}, []
-        for b, (offset, d) in enumerate(zip(offsets, dims)):
+        self.index, self.supports, self.spans, self.expansions = {}, [], [], []
+        squares, lifts, first = [], [], 0
+        for b, (offset, d) in enumerate(zip(offsets, self.dims)):
+            own = [j for j, t in enumerate(terms) if t[0] == b]
+            entries = [[j for j in own if terms[j][1] == rc] for rc in range(d * d)]
             # the support in the order in which Σ mat[row, col] U_(col),(row) meets its keys
             support = tuple(dict.fromkeys(self.keys[j] for row in range(d) for col in range(d)
-                                          for j in by_entry.get((b, col * d + row), ())))
-            rows = np.array([index.setdefault(key, len(index)) for key in support], dtype=np.intp)
-            for rc in range(d * d):
-                for j in by_entry.get((b, rc), ()):
-                    expansion_at[j] = index[self.keys[j]] * self.size + offset + (rc % d) * d + rc // d
-            ends = slot_ends[offset:offset + d * d]
-            spans = tuple(zip([slot_ends[offset - 1] if offset else 0] + ends[:-1], ends))
-            for rc, (start, end) in enumerate(spans):
-                r, c = divmod(rc, d)
-                slot_square += [((offset + i * d + k) * len(slot_terms) + s, offset + i * d + c, offset + r * d + k, s)
-                                for s in range(start, end) for i, k in itertools.product(range(d), repeat=2)]
-            layout = (tuple(tuple(self.keys[j] for j in by_entry.get((b, rc), ())) for rc in range(d * d)),
-                      tuple(tuple(self.slot_keys[start:end]) for start, end in spans))
-            blocks.append(_PlanBlock(offset, d, support, rows, spans, layout))
-        self.index, self.blocks = index, tuple(blocks)
-        self.expansion_at = np.array([expansion_at[j] for j in range(len(terms))], dtype=np.intp)
-        self.slot_square = np.array(slot_square, dtype=np.intp).reshape(-1, 4).T
+                                          for j in entries[col * d + row]))
+            for key in support:
+                self.index.setdefault(key, len(self.index))
+            ends = list(itertools.accumulate((sum(slot[j] for j in entry) for entry in entries),
+                                             initial=slot_at[first]))
+            local = {key: s for s, key in enumerate(support)}
+            self.supports.append(support)
+            self.spans.append(tuple(zip(ends, ends[1:])))
+            self.expansions.append((first, np.array([local[self.keys[j]] * d * d + terms[j][1] % d * d
+                                                     + terms[j][1] // d for j in own], dtype=np.intp)))
+            for j in own:
+                r, c = divmod(terms[j][1], d)
+                if slot[j]:
+                    squares += [((offset + i * d + k) * len(self.slot_keys) + slot_at[j], offset + i * d + c,
+                                 offset + r * d + k, slot_at[j]) for i, k in itertools.product(range(d), repeat=2)]
+                lifts += [(self.index[self.keys[j]] * self.size + offset + x * d + y, j, b,
+                           offset + c * d + x, offset + y * d + r) for x, y in itertools.product(range(d), repeat=2)]
+            first += len(own)
+        self.slot_square = np.array(squares, dtype=np.intp).reshape(-1, 4).T
+        self.lift_terms = np.array(lifts, dtype=np.intp).reshape(-1, 5).T
         slot_monos = [_ElementCore.leg_monomials(key) for key in self.slot_keys]
         self.slot_legs = tuple(_distinct([monos[side] for monos in slot_monos]) for side in range(legs))
         pairs: dict = {}
         pair_at, pair_which = [], []
-        for s, slot in enumerate(slot_monos):
-            for t, key in enumerate(map(_ElementCore.leg_monomials, index)):
-                if all(map(leg_support, slot, key)):
-                    pair_at.append(s * len(index) + t)
-                    pair_which.append([pairs.setdefault(pair, len(pairs)) for pair in zip(slot, key)])
+        for s, slot_key in enumerate(slot_monos):
+            for t, key in enumerate(map(_ElementCore.leg_monomials, self.index)):
+                if all(map(leg_support, slot_key, key)):
+                    pair_at.append(s * len(self.index) + t)
+                    pair_which.append([pairs.setdefault(pair, len(pairs)) for pair in zip(slot_key, key)])
         self.pairs, self.pair_at = tuple(pairs), np.array(pair_at, dtype=np.intp)
         self.pair_which = np.array(pair_which, dtype=np.intp).reshape(len(pair_at), legs).T
-        self.diagonal = np.array([o + i * d + i for o, d in zip(offsets, dims) for i in range(d)], dtype=np.intp)
-        self.traces_shape = (len(dims), max(dims, default=0))
-        self.traces_at = np.array([b * self.traces_shape[1] + i for b, d in enumerate(dims) for i in range(d)],
-                                  dtype=np.intp)
-        self.lift_terms = np.array([(expansion_at[j] // self.size * self.size + offsets[b] + x * dims[b] + y, j, b,
-                                     offsets[b] + rc % dims[b] * dims[b] + x, offsets[b] + y * dims[b] + rc // dims[b])
-                                    for j, (b, rc, _, _) in enumerate(terms)
-                                    for x, y in itertools.product(range(dims[b]), repeat=2)],
-                                   dtype=np.intp).reshape(-1, 5).T
+        # F's blocks on the diagonal of one matrix, and each block's diagonal as a zero-padded row
+        corners = itertools.accumulate([0] + self.dims)
+        self.whole_at = np.array([(s + i) * sum(self.dims) + s + k for s, d in zip(corners, self.dims)
+                                  for i, k in itertools.product(range(d), repeat=2)], dtype=np.intp)
+        width = max(self.dims, default=0)
+        self.traces = np.array([[s + i if i < d else sum(self.dims) for i in range(width)] for s, d in
+                                zip(itertools.accumulate([0] + self.dims), self.dims)], dtype=np.intp).reshape(len(self.dims), width)
         by_size: dict = {}
-        for b, d in enumerate(dims):
+        for b, d in enumerate(self.dims):
             by_size.setdefault(d, []).append(b)
         stacks = []
         for d, positions in by_size.items():
             take = np.array([offsets[b] + np.arange(d * d).reshape(d, d) for b in positions])
             stacks.append((tuple(positions), take.reshape(-1) if d == 1 else take))
         self.stacks = tuple(stacks)
-        self.transpose = np.array([o + c * d + r for o, d in zip(offsets, dims)
+        self.transpose = np.array([o + c * d + r for o, d in zip(offsets, self.dims)
                                    for r in range(d) for c in range(d)], dtype=np.intp)
 
 
@@ -659,12 +548,6 @@ def product_basis_projector(i: int, k: int, dims=(2, 2)) -> DensityOp:
 
 # -- internals --------------------------------------------------------------------
 
-def _expand(mat: np.ndarray, U) -> dict:
-    """The terms of Σ mat[row, col] U_(col),(row), as E @ vec(mat) over U's support."""
-    compiled = block_map(U)
-    return dict(zip(compiled.support, compiled.expansion @ mat.reshape(-1)))
-
-
 def _distinct(items):
     """(the distinct items in order of first appearance, the position of each item among them)."""
     seen: dict = {}
@@ -683,29 +566,6 @@ def _sqrt_pair(F: np.ndarray):
         raise ValueError("intertwiner matrix is not positive definite")
     root = np.sqrt(eigvals)
     return (vecs * root) @ vecs.conj().T, (vecs / root) @ vecs.conj().T
-
-
-def _element(legs: int):
-    """The class of the elements of `legs` legs: Element for one, MultiElement for more."""
-    return Element if legs == 1 else MultiElement
-
-
-def _terms(u) -> tuple:
-    """(the term keys of each entry of u, row-major; the coefficients of those terms in turn)."""
-    entries = [e.terms for row in u.entries for e in row]
-    return tuple(map(tuple, entries)), [c for terms in entries for c in terms.values()]
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x·y entry by entry, each part rounded as Python's complex product rounds it.
-
-    numpy's complex product may fuse a multiply and an add, and round
-    otherwise when neither factor is real, so this multiplies the parts.
-    """
-    out = np.empty(len(x), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -4,17 +4,14 @@ The state h is the unique normalized two-sided invariant functional:
 (h ⊗ id)Δx = h(x)·1 = (id ⊗ h)Δx.  On the normal-ordered basis it vanishes
 unless the a-power is zero and the c and c* powers match, and
 
-    h((cc*)^m) = q^m (1 - q²) / (1 - q^(2m+2))  =  q^m / Σ_{j=0..m} q^(2j).
+    h((cc*)^m) = q^m (1 - q²) / (1 - q^(2m+2))  =  q^m / Σ_{j=0..m} q^(2j),
 
-The second form is the one computed: its terms are all positive, so it
-keeps full relative precision as q → 1, where the first cancels in both
-numerator and denominator, and at q = 1 it is 1/(m + 1), the classical
-value.  The sum is formed by doubling its number of terms bit by bit, so
-an exponent costs time in its number of bits only.  The closed form is
-validated in the test suite against an independent linear solver for the
-invariance equations.  On multi-leg elements h acts as the
-product of the per-leg values, which is what lets every two-leg pairing be
-assembled from the single-leg values h(p·m) held in `corep.pairing_tables`.
+computed in the second form, whose terms are all positive: the first
+cancels as q → 1, the second is 1/(m + 1) at q = 1, the classical value.
+It is validated in the test suite against an independent linear solver for
+the invariance equations.  On multi-leg elements h acts as the product of
+the per-leg values, which is what lets every two-leg pairing be assembled
+from the single-leg values h(p·m) held in `corep.pairing_tables`.
 """
 
 from __future__ import annotations
@@ -42,8 +39,7 @@ def haar_monomial(mono: Monomial, params: AlgebraParams) -> complex:
         return 0j
     q = params.q
     r = q * q
-    # Σ_{j<n} r^j for n = m + 1 terms, n read bit by bit: n → 2n doubles the sum as S·(1 + r^n),
-    # and n → n + 1 adds r^n; power is r^n throughout
+    # Σ_{j<n} r^j for n = m + 1, its bits read in turn: n → 2n takes it to S·(1 + r^n), n → n + 1 adds r^n
     total, power = 0.0, 1.0
     for bit in bin(mono.m + 1)[2:]:
         total, power = total * (1.0 + power), power * power

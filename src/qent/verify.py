@@ -381,8 +381,7 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
         if matrix_side != algebra_side:
             pt_agreement_misses += 1.0
 
-    # a refusal (a factor the single-factor test does not find positive definite, which happens at
-    # q below about 5e-4) counts as a failure of its loop's check; every draw is made before it
+    # a refusal of a factor (at q below about 5e-4) fails its loop's check; every draw comes before it
     mixture_failures = 0.0
     transfer = 0.0
     for _ in range(n_random):
@@ -392,12 +391,10 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
             for _ in range(n_terms)
         ]
         try:
-            mixture = separable_build(terms, singles)
+            passed = ppt_check(separable_build(terms, singles), catalog).verdict == POSITIVE_DEFINITE
         except ValueError:
-            mixture_failures += 1.0
-            continue
-        if ppt_check(mixture, catalog).verdict != POSITIVE_DEFINITE:
-            mixture_failures += 1.0
+            passed = False
+        mixture_failures += 0.0 if passed else 1.0
     for _ in range(10):
         terms = [
             (float(rng.uniform(0.1, 1.0)), random_pd_element(rng, params), random_pd_element(rng, params))
@@ -416,11 +413,10 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
         a = random_pd_element(rng, params)
         b = random_pd_element(rng, params)
         try:
-            _, certificate = tensor_pd(a, b, singles)
+            gap = max(0.0, -min(tensor_pd(a, b, singles)[1]["product"].values()) - EIG_TOL)
         except ValueError:
-            product_block_res = max(product_block_res, 1.0)
-            continue
-        product_block_res = max(product_block_res, max(0.0, -min(certificate["product"].values()) - EIG_TOL))
+            gap = 1.0
+        product_block_res = max(product_block_res, gap)
 
     theta_sides = 0.0
     for rho in [singlet_state(), werner_state(0.2), werner_state(0.6)] + [random_state(rng) for _ in range(10)]:
