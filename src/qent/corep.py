@@ -208,8 +208,8 @@ def product_corep(u: Corep, v: Corep) -> Corep:
     if u.params is not v.params and u.params != v.params:
         raise ValueError("factors carry different algebra parameters")
     n, m = u.dim, v.dim
-    # np.kron(u.F, v.F) as one outer product, without np.kron's set-up (about 20 µs a call)
-    F = np.multiply.outer(u.F, v.F).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    # np.kron(u.F, v.F) as one broadcast product, without np.kron's set-up (about 20 µs a call)
+    F = (u.F[:, None, :, None] * v.F[None, :, None, :]).reshape(n * m, n * m)
     return Corep(f"{u.label}*{v.label}", n * m, ProductEntries(u, v), _freeze(F), u.params, (u, v))
 
 
