@@ -99,7 +99,7 @@ class Engine:
         if U is None:
             params = self.params
             if label == "triv":
-                U = Corep("triv", 1, ((Element(params, {UNIT: 1.0}),),), _freeze(np.array([[1.0]])), params)
+                U = Corep("triv", 1, ((Element.unit(params),),), _freeze(np.array([[1.0]])), params)
             elif label == "fund":
                 q, rq = params.q, math.sqrt(params.q)
                 entries = ((Element(params, {MONO_A: 1.0}), Element(params, {MONO_C: rq})),

@@ -254,7 +254,7 @@ class CatalogMap:
         product = np.zeros((slots, keys), dtype=complex)
         product.put(plan.pair_at, np.multiply.reduce(values[plan.pair_which], axis=0))
         self.matrix = self._slot_matrix @ product
-        # E·lift, lift[(i,k),(a,b)] = tr F·√F[i,a]·√F[b,k]: term j of entry (r, c) adds c_j·tr F·√F[c,a]·√F[b,r]
+        # E·lift: term j of entry (r, c) adds c_j·tr F·√F[c,a]·√F[b,r] at (its key, (a, b)) of its block
         at, term, block, left, right = plan.lift_terms
         self.reexpansion = np.zeros((keys, size), dtype=complex)
         np.add.at(self.reexpansion.reshape(-1), at,
@@ -497,13 +497,13 @@ class _CatalogPlan:
                     pair_which.append([pairs.setdefault(pair, len(pairs)) for pair in zip(slot_key, key)])
         self.pairs, self.pair_at = tuple(pairs), np.array(pair_at, dtype=np.intp)
         self.pair_which = np.array(pair_which, dtype=np.intp).reshape(len(pair_at), legs).T
-        # F's blocks on the diagonal of one matrix, and each block's diagonal as a zero-padded row
-        corners = itertools.accumulate([0] + self.dims)
-        self.whole_at = np.array([(s + i) * sum(self.dims) + s + k for s, d in zip(corners, self.dims)
+        # F's blocks on the diagonal of one n × n matrix, and each block's diagonal as a row padded with n
+        n, width = sum(self.dims), max(self.dims, default=0)
+        corners = list(itertools.accumulate([0] + self.dims))
+        self.whole_at = np.array([(s + i) * n + s + k for s, d in zip(corners, self.dims)
                                   for i, k in itertools.product(range(d), repeat=2)], dtype=np.intp)
-        width = max(self.dims, default=0)
-        self.traces = np.array([[s + i if i < d else sum(self.dims) for i in range(width)] for s, d in
-                                zip(itertools.accumulate([0] + self.dims), self.dims)], dtype=np.intp).reshape(len(self.dims), width)
+        self.traces = np.array([[s + i if i < d else n for i in range(width)] for s, d in zip(corners, self.dims)],
+                               dtype=np.intp).reshape(len(self.dims), width)
         by_size: dict = {}
         for b, d in enumerate(self.dims):
             by_size.setdefault(d, []).append(b)
