@@ -41,10 +41,12 @@ from .entangle import (
     decide_separability_2x2,
     find_negative_witness,
     is_positive_definite,
+    is_positive_definite_many,
     is_positive_definite_single,
     partial_transpose,
     pd_witness_value,
     ppt_check,
+    ppt_many,
     ppt_matrix,
     separable_build,
     tensor_pd,

@@ -265,6 +265,8 @@ def cmd_haar(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _params(args)
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     started = time.perf_counter()
     checks = run_suite(args.suite, params, seed=args.seed)
     elapsed = time.perf_counter() - started

@@ -273,6 +273,7 @@ def orthogonality_check(u, w) -> float:
     same = u.label == w.label
     trF = float(np.trace(u.F).real)
     Finv = np.linalg.inv(u.F)
+    w_adjoints = [[e.adjoint() for e in row] for row in w.entries]
     residual = 0.0
     for i in range(u.dim):
         for j in range(u.dim):
@@ -280,9 +281,8 @@ def orthogonality_check(u, w) -> float:
             uij_star = uij.adjoint()
             for i2 in range(w.dim):
                 for j2 in range(w.dim):
-                    wij = w.entries[i2][j2]
-                    first = haar(uij_star * wij)
-                    second = haar(uij * wij.adjoint())
+                    first = haar(uij_star * w.entries[i2][j2])
+                    second = haar(uij * w_adjoints[i2][j2])
                     expect1 = Finv[i2, i] * (j == j2) / trF if same else 0.0
                     expect2 = u.F[j2, j] * (i == i2) / trF if same else 0.0
                     residual = max(residual, abs(first - expect1), abs(second - expect2))

@@ -10,20 +10,24 @@ one leg of a separable element preserves positive definiteness, giving a
 transform-side partial-transposition test that mirrors the matrix-side PPT
 criterion.
 
-Every step of the test is linear in x's coefficients, so
-`is_positive_definite` takes every block and the support residual from one
-product with the catalog's compiled map (`fourier.catalog_map`), for a
-two-leg x over product coreps and a one-leg x over single-factor coreps
-alike.  `ppt_check` forms the terms of θx, the transposition map on one
-leg, with `partial_theta`'s arithmetic and the map's memo of θ on the
-support's leg monomials, and gathers them as `is_positive_definite`
-gathers x.  Both then share one block test: one pass over the blocks
-gives their hermitian parts and the largest asymmetry, the blocks of each
-size are tested in one stacked eigen-solve, and a witness is built from a
-product catalog's failing block only, with its eigenvector in a canonical
-phase.
-`tensor_pd` reads its factors' blocks from the same map, and so does the
-per-block `inverse` that `find_negative_witness` calls without a block.
+Every step of the test is linear in x's coefficients, so the test works
+on a stack of elements at once: `is_positive_definite_many` gathers every
+x's coefficients as one row of a matrix, takes every block and support
+residual from one product with the catalog's compiled map
+(`fourier.catalog_map`) and one re-expansion product, and tests the blocks
+of each size, of every x, in one stacked eigen-solve.  A witness is built
+only for a failing row of a product catalog, from its failing block, with
+its eigenvector in a canonical phase.  It serves a two-leg x over product
+coreps and a one-leg x over single-factor coreps alike.  `ppt_many` forms
+the terms of each θx, the transposition map on one leg, with
+`partial_theta`'s arithmetic and the map's memo of θ on the support's leg
+monomials, and sends the stack through the same test.  The one-element
+calls, `is_positive_definite` and `ppt_check`, are the stacks of one, so
+a report does not depend on the stack it came in: each row is its own
+matrix-vector product and its own eigen-solves.  `separable_build` tests
+all its factors in one stack and `tensor_pd` both of its factors; the
+per-block `inverse` that `find_negative_witness` calls without a block
+reads the same map.
 """
 
 from __future__ import annotations
@@ -106,45 +110,61 @@ def is_positive_definite(x, catalog) -> PDReport:
     UNDECIDED_SUPPORT respectively.  A failing block of a product catalog
     yields a concrete witness b with a negative pairing.
 
-    The blocks and the residual come from the catalog's compiled map in one
-    product; the blocks of each size are tested in one stacked eigen-solve.
+    It is `is_positive_definite_many` of the stack of one x.
+    """
+    return is_positive_definite_many((x,), catalog)[0]
+
+
+def is_positive_definite_many(xs, catalog) -> list:
+    """`is_positive_definite` of each x in xs, as a list of reports equal to the one-by-one reports bit for bit.
+
+    The stack takes one product with the catalog's compiled map, one
+    re-expansion product for the residuals and one eigen-solve per block
+    size over every x and block.  An x that the single call refuses is
+    refused, the first such x first.
     """
     compiled = catalog_map(tuple(catalog))
-    return _block_report(compiled, *compiled.apply(x), x.params)
+    xs = list(xs)
+    return _block_reports(compiled, xs, *compiled.transform(*compiled.gather(xs)))
 
 
-def _block_report(compiled, flat, residual, params) -> PDReport:
-    """The report of `is_positive_definite` from the blocks of the catalog map's `flat`."""
-    tol = params.tol
-    adjoint = flat[compiled.transpose].conj()
-    herm = (flat + adjoint) / 2.0
+def _block_reports(compiled, xs, flat, residuals) -> list:
+    """The reports of `is_positive_definite_many` from the rows of the catalog map's `flat`, one per x."""
+    adjoint = flat.take(compiled.transpose, axis=1).conj()
+    herm = flat + adjoint
+    herm /= 2.0
     # a non-hermitian block pairs to non-real values against suitable witnesses
-    nonhermitian = bool(np.abs(flat - adjoint).max(initial=0.0) > tol)
-    minima = [0.0] * len(compiled.coreps)
-    for positions, take in compiled.stacks:
-        if take.ndim == 1:
-            lowest = herm.real[take]
+    asymmetry = np.maximum.reduce(np.abs(flat - adjoint), axis=1, initial=0.0).tolist()
+    # per block size, (catalog positions, each x's lowest eigenvalue of each block); a 1×1 block is its own
+    stacks = [(positions, (herm.take(take, axis=1).real if take.ndim == 1
+                           else np.linalg.eigvalsh(herm.take(take, axis=1))[..., 0]).tolist())
+              for positions, take in compiled.stacks]
+    labels = compiled.labels
+    reports = []
+    for row, (x, residual, asym) in enumerate(zip(xs, residuals, asymmetry)):
+        params = x.params
+        lowest = [0.0] * len(labels)
+        for positions, values in stacks:
+            for i, value in zip(positions, values[row]):
+                lowest[i] = value
+        failing = None
+        failing_min = 0.0
+        for i, min_eig in enumerate(lowest):
+            if min_eig < -EIG_TOL and min_eig < failing_min:
+                failing = i
+                failing_min = min_eig
+        per_block = dict(zip(labels, lowest))
+        if residual > params.tol:
+            reports.append(PDReport(UNDECIDED_SUPPORT, per_block, residual))
+        elif failing is None and not asym > params.tol:
+            reports.append(PDReport(POSITIVE_DEFINITE, per_block, residual))
         else:
-            lowest = np.linalg.eigvalsh(herm[take])[:, 0]
-        for i, value in zip(positions, lowest.tolist()):
-            minima[i] = value
-    per_block = {}
-    failing = None
-    failing_min = 0.0
-    for i, (U, min_eig) in enumerate(zip(compiled.coreps, minima)):
-        per_block[U.label] = min_eig
-        if min_eig < -EIG_TOL and min_eig < failing_min:
-            failing = i
-            failing_min = min_eig
-
-    if residual > tol:
-        return PDReport(UNDECIDED_SUPPORT, per_block, residual)
-    if failing is None and not nonhermitian:
-        return PDReport(POSITIVE_DEFINITE, per_block, residual)
-    witness = None
-    if failing is not None and compiled.legs == 2:
-        witness = _witness(params, compiled.block(herm, failing), *block_map(compiled.coreps[failing]).witness)
-    return PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness)
+            witness = None
+            if failing is not None and compiled.legs == 2:
+                witness = _witness(params, compiled.block(herm[row], failing),
+                                   *block_map(compiled.coreps[failing]).witness)
+            reports.append(PDReport(NOT_POSITIVE_DEFINITE, per_block, residual, witness))
+    return reports
 
 
 def find_negative_witness(x: MultiElement, U: Corep, *, block=None) -> MultiElement | None:
@@ -188,8 +208,8 @@ def _witness(params, herm, sqrtF, trF, witness_adjoints) -> MultiElement:
     pivot = v[next(i for i, s in enumerate(size) if s >= top)]
     v = v * (pivot.conjugate() / abs(pivot))
     terms: dict = {}
-    for col, adjoint in enumerate(witness_adjoints):
-        beta = v[col].conjugate()
+    # Python's complex product has the bits of numpy's scalar one, at a fraction of its cost
+    for beta, adjoint in zip(v.conj().tolist(), witness_adjoints):
         if abs(beta) > 0:
             for tup, coeff in adjoint:
                 terms[tup] = terms.get(tup, 0j) + coeff * beta
@@ -206,7 +226,10 @@ def separable_build(terms, coreps=None) -> MultiElement:
 
     Raises ValueError on a negative weight or a factor that fails the
     single-factor positive-definiteness test over the given corep catalog
-    (default: trivial and fundamental).
+    (default: trivial and fundamental), the first of them in (term,
+    left/right) order.  The factors before the first negative weight are
+    tested in one `is_positive_definite_many` call, which refuses a factor
+    of another kind or parameters before any verdict is read.
     """
     terms = list(terms)
     if not terms:
@@ -214,17 +237,19 @@ def separable_build(terms, coreps=None) -> MultiElement:
     params = terms[0][1].params
     if coreps is None:
         coreps = tuple(standard_catalog(params).values())
+    signed = next((idx for idx, (weight, _, _) in enumerate(terms) if weight < 0), len(terms))
+    factors = [factor for _, left, right in terms[:signed] for factor in (left, right)]
+    reports = is_positive_definite_many(factors, coreps) if factors else []
+    for k, report in enumerate(reports):
+        if report.verdict != POSITIVE_DEFINITE:
+            raise ValueError(
+                f"term {k // 2}: {('left', 'right')[k % 2]} factor is not positive definite "
+                f"({report.verdict}, blocks {report.per_block})"
+            )
+    if signed < len(terms):
+        raise ValueError(f"term {signed}: negative weight {terms[signed][0]}")
     out = MultiElement.zero(params, 2)
-    for idx, (weight, left, right) in enumerate(terms):
-        if weight < 0:
-            raise ValueError(f"term {idx}: negative weight {weight}")
-        for side, factor in (("left", left), ("right", right)):
-            report = is_positive_definite_single(factor, coreps)
-            if report.verdict != POSITIVE_DEFINITE:
-                raise ValueError(
-                    f"term {idx}: {side} factor is not positive definite "
-                    f"({report.verdict}, blocks {report.per_block})"
-                )
+    for weight, left, right in terms:
         out = out + tensor(left, right) * float(weight)
     return out
 
@@ -233,17 +258,25 @@ def ppt_check(x: MultiElement, catalog, *, leg: int = 1) -> PDReport:
     """Positive-definiteness of the element with the transposition map on one leg.
 
     Separable elements always pass; a failure certifies entanglement of any
-    operator whose transform is x.
+    operator whose transform is x.  It is `ppt_many` of the stack of one x.
+    """
+    return ppt_many((x,), catalog, leg=leg)[0]
 
-    The report is that of is_positive_definite(partial_theta(x, leg=leg),
+
+def ppt_many(xs, catalog, *, leg: int = 1) -> list:
+    """`ppt_check` of each x in xs, as a list of reports equal to the one-by-one reports bit for bit.
+
+    Each report is that of is_positive_definite(partial_theta(x, leg=leg),
     catalog), bit for bit: the catalog map forms θx's terms with
     `partial_theta`'s arithmetic and its memo of θ on the support's leg
-    monomials (`CatalogMap.apply_theta`), and they go through the same
-    block test.
+    monomials (`CatalogMap.theta`) as `CatalogMap.gather` fills its row,
+    and the stack goes through `is_positive_definite_many`'s block test.
     """
-    _require_theta_leg(x, leg)
+    xs = list(xs)
+    for x in xs:
+        _require_theta_leg(x, leg)
     compiled = catalog_map(tuple(catalog))
-    return _block_report(compiled, *compiled.apply_theta(x, leg), x.params)
+    return _block_reports(compiled, xs, *compiled.transform(*compiled.gather(xs, leg)))
 
 
 def partial_transpose(matrix, dims, leg: int = 1) -> np.ndarray:
@@ -273,23 +306,20 @@ def tensor_pd(a, b, coreps=None):
     u ⊗ v is the Kronecker product of the blocks of a over u and of b over
     v, so positivity of the factors forces positivity of the product, and
     the product minima are taken from those Kronecker products of the
-    blocks the single-factor catalog map gives.
+    blocks the single-factor catalog map gives to both factors in one stack.
     """
     if coreps is None:
         coreps = standard_catalog(a.params).values()
     compiled = catalog_map(tuple(coreps))
-    reports, blocks = [], []
-    for x in (a, b):
-        flat, residual = compiled.apply(x)
-        reports.append(_block_report(compiled, flat, residual, x.params))
-        blocks.append([compiled.block(flat, i) for i in range(len(compiled.coreps))])
+    flat, residuals = compiled.transform(*compiled.gather((a, b)))
+    reports = _block_reports(compiled, (a, b), flat, residuals)
     for name, report in zip(("left", "right"), reports):
         if report.verdict != POSITIVE_DEFINITE:
             raise ValueError(f"{name} factor is not positive definite ({report.verdict})")
     product_minima = {}
-    for u, block_a in zip(compiled.coreps, blocks[0]):
-        for v, block_b in zip(compiled.coreps, blocks[1]):
-            block = np.kron(block_a, block_b)
+    for i, u in enumerate(compiled.coreps):
+        for j, v in enumerate(compiled.coreps):
+            block = np.kron(compiled.block(flat[0], i), compiled.block(flat[1], j))
             min_eig = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
             product_minima[f"{u.label}*{v.label}"] = min_eig
     certificate = {

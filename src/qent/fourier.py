@@ -17,10 +17,14 @@ corep (`Corep.legs`) and refuse any other pairing (`algebra._checked_kind`).
 Both directions are linear.  A catalog of blocks of one kind is compiled
 into one `CatalogMap`: one matrix from x's coefficients over the catalog's
 support to every block x̂(U), built from single-leg Haar values, and one
-that re-expands the lifted blocks for the support residual.  `inverse` is
-the block of a one-block catalog's map, and each corep keeps the
-`BlockMap` of the first fill that held it, whose expansion is `forward`.
-θx goes through the same map, formed with `partial_theta`'s arithmetic.
+that re-expands the lifted blocks for the support residual.  The map
+takes a stack of elements: `gather` lays out their coefficients as the
+rows of one matrix, and `transform` applies both matrices to every row in
+one stacked product, one matrix-vector product per row, so that a row has
+the bits it has alone.  `inverse` is the block of a one-block catalog's
+map, and each corep keeps the `BlockMap` of the first fill that held it,
+whose expansion is `forward`.  θx goes through the same map, formed with
+`partial_theta`'s arithmetic.
 
 Compiling is a plan and a fill.  Term keys do not depend on q, so all that
 is index-like is one q-free `_CatalogPlan` per catalog shape.  A fresh q
@@ -120,7 +124,7 @@ def inverse(x, U: Corep) -> np.ndarray:
     the same compiled map.
     """
     compiled = catalog_map((U,))
-    return compiled.block(compiled.flat(*compiled.gather(x)), 0)
+    return compiled.block(compiled.flat(*compiled.gather((x,)))[0], 0)
 
 
 def reconstruct(x, U: Corep) -> np.ndarray:
@@ -216,7 +220,8 @@ class CatalogMap:
     blocks' entries.  For x with coefficients v over the support, flat =
     `matrix` @ v, plus the same formula's columns, built per call, for x's
     keys off the support; `reexpansion` @ flat holds, over the support, the
-    coefficients of Σ_U forward((tr F)·√F·x̂(U)·√F, U).  Each slot j is one
+    coefficients of Σ_U forward((tr F)·√F·x̂(U)·√F, U).  A stack of
+    elements has one such flat per row.  Each slot j is one
     term β_j·(p_j ⊗ s_j) of one adjoint U_rc*, so every column is
 
         TA · (G_L ⊙ G_R),   G_L[j, t] = h(p_j·m_t),   G_R[j, t] = h(s_j·n_t),
@@ -228,14 +233,15 @@ class CatalogMap:
     (blocks,) for 1×1 blocks).
     """
 
-    __slots__ = ("coreps", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
+    __slots__ = ("coreps", "labels", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
                  "transpose", "stacks", "_slot_matrix", "_tables", "_thetas")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
         # None for an empty catalog, which serves either kind of element
         self.legs = _checked_kind(None, *self.coreps, names=Corep.pairing_kinds)
-        _require_distinct(U.label for U in self.coreps)
+        self.labels = tuple(U.label for U in self.coreps)
+        _require_distinct(self.labels)
         # a one-block catalog reads the fill its corep's block map was made from, when that fill is of it alone
         block = self.coreps[0].__dict__.get("_block_map") if len(self.coreps) == 1 else None
         fill = block._fill if block is not None and len(block._fill.plan.dims) == 1 else _Fill(self.coreps)
@@ -266,29 +272,41 @@ class CatalogMap:
                 view._read(fill, i)
                 object.__setattr__(U, "_block_map", view)
 
-    def gather(self, x):
-        """(v, outside): x's coefficients over the support, and its other (key, coeff) terms."""
-        _checked_kind(self.legs, x, names=Corep.pairing_kinds)
-        # params lists the catalog's distinct parameters, so x matches all of them or none
-        if self.params and self.params != (x.params,):
-            raise ValueError("element and corepresentation parameters differ")
+    def gather(self, xs, leg=None):
+        """(V, outside): row i of V holds xs[i]'s coefficients over the support; outside maps i to its other (key, coeff) terms.
+
+        With a leg, row i holds those of θ(xs[i]) on that leg (`theta`),
+        each formed as its row is filled.  Each x is refused as a
+        single-element call refuses it, the first refused x of the stack
+        first.  Only a row with terms off the support has an entry in
+        outside.
+        """
         index = self.index
-        v = np.zeros(len(index), dtype=complex)
-        outside = []
-        for key, coeff in x.terms.items():
-            s = index.get(key)
-            if s is None:
-                outside.append((key, coeff))
-            else:
-                v[s] = coeff
-        return v, outside
+        V = np.zeros((len(xs), len(index)), dtype=complex)
+        outside: dict = {}
+        for row, x in enumerate(xs):
+            if leg is not None:
+                x = self.theta(x, leg)
+            _checked_kind(self.legs, x, names=Corep.pairing_kinds)
+            # params lists the catalog's distinct parameters, so x matches all of them or none
+            if self.params and self.params != (x.params,):
+                raise ValueError("element and corepresentation parameters differ")
+            v = V[row]
+            for key, coeff in x.terms.items():
+                s = index.get(key)
+                if s is None:
+                    outside.setdefault(row, []).append((key, coeff))
+                else:
+                    v[s] = coeff
+        return V, outside
 
     def apply(self, x):
-        """(flat, residual) for x; the residual is that of `support_residual`."""
-        return self.transform(*self.gather(x))
+        """(flat, residual) for one x; the residual is that of `support_residual`."""
+        flat, residuals = self.transform(*self.gather((x,)))
+        return flat[0], residuals[0]
 
-    def apply_theta(self, x: MultiElement, leg: int):
-        """`apply` of partial_theta(x, leg=leg), with θ of the support's leg monomials read from a memo.
+    def theta(self, x: MultiElement, leg: int) -> MultiElement:
+        """partial_theta(x, leg=leg), with θ of the support's leg monomials read from a memo.
 
         θx's terms come from `partial_theta`'s own loop, so its report is
         bit for bit that of θx; keys and images off the support go through
@@ -302,20 +320,29 @@ class CatalogMap:
                 monos = {key[leg] for key in self.index}
                 self._thetas[leg] = {mono: _theta_monomial(mono, x.params.q) for mono in monos}
             images = self._thetas[leg]
-        return self.apply(_theta_on_leg(x, leg, images))
+        return _theta_on_leg(x, leg, images)
 
-    def transform(self, v: np.ndarray, outside=()):
-        """(flat, residual) from x's coefficients v over the support and its other terms."""
-        flat = self.flat(v, outside)
-        missed = float(np.max(np.abs([c for _, c in outside]))) if outside else 0.0
-        gaps = np.abs(v - self.reexpansion @ flat)
-        return flat, max(float(gaps.max(initial=0.0)), missed)
+    def transform(self, V: np.ndarray, outside):
+        """(flat, residuals) from `gather`'s V and outside: row i of flat holds every block of xs[i] end to end."""
+        flat = self.flat(V, outside)
+        residuals = np.maximum.reduce(np.abs(V - (self.reexpansion @ flat[..., None])[..., 0]), axis=1,
+                                      initial=0.0).tolist()
+        for row, missed in outside.items():
+            # a term off the support is missed whole
+            residuals[row] = max(residuals[row], float(np.max(np.abs([c for _, c in missed]))))
+        return flat, residuals
 
-    def flat(self, v: np.ndarray, outside=()) -> np.ndarray:
-        """Every block x̂(U) end to end, from x's coefficients v over the support and its other terms."""
-        flat = self.matrix @ v
-        if outside:
-            keys = [_ElementCore.leg_monomials(t) for t, _ in outside]
+    def flat(self, V: np.ndarray, outside) -> np.ndarray:
+        """Every block x̂(U) end to end, one row per x, from `gather`'s V and outside.
+
+        Each row is one matrix-vector product with `matrix`, the one a
+        single x takes, so a row's bits do not depend on the stack.  The
+        columns of keys off the support are built per call, for the rows
+        that have such keys only.
+        """
+        flat = (self.matrix @ V[..., None])[..., 0]
+        for row, missed in outside.items():
+            keys = [_ElementCore.leg_monomials(t) for t, _ in missed]
             product = np.ones((len(self.plan.slot_keys), len(keys)), dtype=complex)
             for side, (monos, rows) in enumerate(self.plan.slot_legs):
                 key_monos, cols = _distinct([key[side] for key in keys])
@@ -323,7 +350,7 @@ class CatalogMap:
                 table = np.array([[self._tables.leg(p, m) if leg_support(p, m) else 0j for m in key_monos]
                                   for p in monos], dtype=complex).reshape(len(monos), len(key_monos))
                 product *= table[np.ix_(rows, cols)]
-            flat = flat + (self._slot_matrix @ product) @ np.array([c for _, c in outside])
+            flat[row] += (self._slot_matrix @ product) @ np.array([c for _, c in missed])
         return flat
 
     def block(self, flat: np.ndarray, i: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, Element, Monomial, PLAIN, STAR, generators
+from .algebra import AlgebraParams, Element, Monomial, PLAIN, STAR, _mono_mul, generators
 from .corep import (
     _sum,
     engine,
@@ -29,9 +29,9 @@ from .entangle import (
     NOT_POSITIVE_DEFINITE,
     POSITIVE_DEFINITE,
     SEPARABLE,
-    is_positive_definite,
+    is_positive_definite_many,
     pd_witness_value,
-    ppt_check,
+    ppt_many,
     ppt_matrix,
     separable_build,
     tensor_pd,
@@ -49,6 +49,7 @@ from .fourier import (
 from .haar import haar, invariance_residual
 from .hopf import (
     MultiElement,
+    _coinverse_monomial,
     apply_coproduct_leg,
     coinverse,
     coproduct,
@@ -347,16 +348,17 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
     U = next(c for c in catalog if c.label == "fund*fund")
     singles = tuple(standard_catalog(params).values())
 
+    # every loop draws its numbers first and then checks its stack in one call, which draws none
     equivalence_misses = 0.0
     witness_res = 0.0
-    for idx in range(n_random):
-        rho = random_psd(rng, 4) if idx % 2 == 0 else random_hermitian(rng, 4)
-        psd = bool(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() >= -EIG_TOL)
-        report = is_positive_definite(forward(rho, U), catalog)
+    rhos = np.array([random_psd(rng, 4) if idx % 2 == 0 else random_hermitian(rng, 4) for idx in range(n_random)])
+    lowest = np.linalg.eigvalsh((rhos + rhos.conj().transpose(0, 2, 1)) / 2.0)[:, 0]
+    xs = [forward(rho, U) for rho in rhos]
+    for x, psd, report in zip(xs, (lowest >= -EIG_TOL).tolist(), is_positive_definite_many(xs, catalog)):
         if psd != (report.verdict == POSITIVE_DEFINITE):
             equivalence_misses += 1.0
         if report.verdict == NOT_POSITIVE_DEFINITE:
-            value = pd_witness_value(forward(rho, U), report.witness)
+            value = pd_witness_value(x, report.witness)
             witness_res = max(witness_res, value.real + EIG_TOL, abs(value.imag) - 1e-9)
 
     pairing_res = 0.0
@@ -375,15 +377,14 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
     pt_agreement_misses = 0.0
     corpus = [singlet_state(), werner_state(0.2), werner_state(1.0 / 3.0), werner_state(0.6)]
     corpus += [random_state(rng) for _ in range(50)]
-    for rho in corpus:
-        matrix_side = ppt_matrix(rho).psd
-        algebra_side = ppt_check(forward(rho, U), catalog).verdict == POSITIVE_DEFINITE
-        if matrix_side != algebra_side:
+    for rho, report in zip(corpus, ppt_many([forward(rho, U) for rho in corpus], catalog)):
+        if ppt_matrix(rho).psd != (report.verdict == POSITIVE_DEFINITE):
             pt_agreement_misses += 1.0
 
     # a refusal of a factor (at q below about 5e-4) fails its loop's check; every draw comes before it
     mixture_failures = 0.0
     transfer = 0.0
+    mixtures = []
     for _ in range(n_random):
         n_terms = int(rng.integers(1, 4))
         terms = [
@@ -391,10 +392,10 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
             for _ in range(n_terms)
         ]
         try:
-            passed = ppt_check(separable_build(terms, singles), catalog).verdict == POSITIVE_DEFINITE
+            mixtures.append(separable_build(terms, singles))
         except ValueError:
-            passed = False
-        mixture_failures += 0.0 if passed else 1.0
+            mixture_failures += 1.0
+    mixture_failures += sum(report.verdict != POSITIVE_DEFINITE for report in ppt_many(mixtures, catalog))
     for _ in range(10):
         terms = [
             (float(rng.uniform(0.1, 1.0)), random_pd_element(rng, params), random_pd_element(rng, params))
@@ -419,11 +420,10 @@ def entangle_suite(params: AlgebraParams, seed: int = DEFAULT_SEED, n_random: in
         product_block_res = max(product_block_res, gap)
 
     theta_sides = 0.0
-    for rho in [singlet_state(), werner_state(0.2), werner_state(0.6)] + [random_state(rng) for _ in range(10)]:
-        x = forward(rho, U)
-        second = ppt_check(x, catalog, leg=1).verdict
-        first = ppt_check(x, catalog, leg=0).verdict
-        if first != second:
+    xs = [forward(rho, U) for rho in [singlet_state(), werner_state(0.2), werner_state(0.6)]
+          + [random_state(rng) for _ in range(10)]]
+    for second, first in zip(ppt_many(xs, catalog, leg=1), ppt_many(xs, catalog, leg=0)):
+        if first.verdict != second.verdict:
             theta_sides += 1.0
 
     return [
@@ -471,19 +471,38 @@ def _contract_counit(x: MultiElement, leg: int) -> Element:
 
 
 def _fold_legs(dx: MultiElement, apply_kappa_first: bool) -> Element:
-    """Multiply the two legs into one Element, with κ on the chosen leg."""
-    params = dx.params
-    total = Element.zero(params)
+    """Multiply the two legs into one Element, with κ on the chosen leg.
+
+    It is the sum of (κ(m0)·m1)·c, or (m0·κ(m1))·c, over Δx's terms c·m0 ⊗ m1,
+    in one dict: every coefficient takes the arithmetic of the one-term
+    Elements, their product, its multiple and the running sum, and is
+    pruned at tol wherever one of those Elements would prune it.
+    """
+    q, tol = dx.params.q, dx.params.tol
+    total: dict = {}
     for (m0, m1), coeff in dx.terms.items():
-        # Δx's keys were checked already, and the trusted constructor gives Element.monomial's bits
-        left = Element._trusted(params, 1, {m0: 1.0})
-        right = Element._trusted(params, 1, {m1: 1.0})
+        # κ on the one-term Element 1·m, (1+0j)·scale added onto 0j
         if apply_kappa_first:
-            left = coinverse(left)
+            scale, m0 = _coinverse_monomial(m0, q)
         else:
-            right = coinverse(right)
-        total = total + (left * right) * coeff
-    return total
+            scale, m1 = _coinverse_monomial(m1, q)
+        image = 0j + (1 + 0j) * scale
+        if abs(image) <= tol:
+            continue
+        for mono, product in _mono_mul(m0, m1, q):
+            # the product of the two one-term Elements, then its multiple by coeff
+            term = 0j + image * (1 + 0j) * product
+            if abs(term) <= tol:
+                continue
+            term = term * coeff
+            if abs(term) <= tol:
+                continue
+            term = total.get(mono, 0j) + term
+            if abs(term) <= tol:
+                total.pop(mono, None)
+            else:
+                total[mono] = term
+    return Element._trusted(dx.params, 1, total)
 
 
 def _product_comultiplication_residual(params: AlgebraParams) -> float:

@@ -183,6 +183,14 @@ def test_verify_reports_a_failed_suite_at_a_small_q(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("FAILED: ")
 
 
+def test_verify_refuses_a_negative_seed_as_malformed_input(capsys):
+    # numpy's generator refuses a negative seed with a traceback, which used to exit 1, the failed-suite code
+    assert main(["verify", "--suite", "hopf", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --seed must be a non-negative integer, got -1\n"
+    assert main(["verify", "--suite", "hopf", "--seed", "0"]) == 0
+
+
 def test_demo_singlet(capsys):
     assert main(["demo-singlet", "--q", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -26,9 +26,12 @@ from qent.corep import fundamental_corep, product_catalog, standard_catalog
 from qent.entangle import (
     find_negative_witness,
     is_positive_definite,
+    is_positive_definite_many,
     is_positive_definite_single,
     pd_witness_value,
     ppt_check,
+    ppt_many,
+    separable_build,
 )
 from qent.fourier import (
     DensityOp,
@@ -738,6 +741,98 @@ def test_the_single_factor_catalog_map_matches_the_per_block_path(q, data):
             assert abs(report.per_block[label] - value) <= 1e-12 * (1.0 + abs(value)), label
         assert abs(report.support_residual - residual) <= 1e-12 * (_scale(x) + residual)
         assert is_positive_definite_single(x, catalog) == report
+
+
+@pytest.mark.parametrize("q", QS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_batched_reports_equal_the_one_by_one_reports(q, data):
+    # PSD, hermitian and general transforms, maybe θ'd, with extra keys on and off the support;
+    # the empty stack too
+    xs = data.draw(st.lists(pd_test_elements(q), max_size=5))
+    for pairs in CATALOGS:
+        catalog = product_catalog(xs[0].params if xs else AlgebraParams(q=q), *([pairs] if pairs else []))
+        expect = [_report_bits(is_positive_definite(x, catalog)) for x in xs]
+        assert [_report_bits(r) for r in is_positive_definite_many(xs, catalog)] == expect, pairs
+        for leg in (0, 1):
+            expect = [_report_bits(ppt_check(x, catalog, leg=leg)) for x in xs]
+            assert [_report_bits(r) for r in ppt_many(iter(xs), catalog, leg=leg)] == expect, (pairs, leg)
+    singles = data.draw(st.lists(pd_test_single_elements(q), max_size=5))
+    catalog = tuple(standard_catalog(AlgebraParams(q=q)).values())
+    expect = [_report_bits(is_positive_definite(x, catalog)) for x in singles]
+    assert [_report_bits(r) for r in is_positive_definite_many(singles, catalog)] == expect
+
+
+def test_a_stack_is_refused_as_its_first_refused_element_is_refused():
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params)
+    x = forward(fourier.singlet_state(), catalog[3])
+    other = forward(fourier.singlet_state(), product_catalog(AlgebraParams(q=0.4))[3])
+    one_leg = Element(params, {Monomial(PLAIN, 1, 0, 0): 1.0})
+    for stack, first in (([x, other], other), ([other, x], other), ([x, one_leg, other], one_leg)):
+        for leg in (0, 1):
+            with pytest.raises(ValueError) as expect:
+                ppt_check(first, catalog, leg=leg)
+            with pytest.raises(ValueError) as got:
+                ppt_many(stack, catalog, leg=leg)
+            assert str(got.value) == str(expect.value)
+        with pytest.raises(ValueError) as expect:
+            is_positive_definite(first, catalog)
+        with pytest.raises(ValueError) as got:
+            is_positive_definite_many(stack, catalog)
+        assert str(got.value) == str(expect.value)
+    with pytest.raises(ValueError, match="leg must be 0 or 1"):
+        ppt_many([x, x], catalog, leg=2)
+
+
+def test_a_stack_takes_one_map_product_and_one_eigen_solve_per_block_size(monkeypatch):
+    transforms, solves = [], []
+    original_transform, original_eigvalsh = fourier.CatalogMap.transform, np.linalg.eigvalsh
+
+    def counting_transform(self, V, outside):
+        transforms.append(len(V))
+        return original_transform(self, V, outside)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return original_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fourier.CatalogMap, "transform", counting_transform)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    params = AlgebraParams(q=0.5)
+    catalog = product_catalog(params)
+    rng = np.random.default_rng(3)
+    xs = [forward(random_psd(rng, 4), catalog[3]) for _ in range(20)]
+    for check in (is_positive_definite_many, ppt_many):
+        transforms.clear()
+        solves.clear()
+        check(xs, catalog)
+        # triv*triv is 1×1 and needs no solve; the two 2×2 blocks and the 4×4 one of every x are stacked
+        assert transforms == [20] and solves == [(20, 2, 2, 2), (20, 1, 4, 4)], check.__name__
+
+
+@pytest.mark.parametrize("q", (0.5, 1.0))
+def test_separable_build_refuses_the_first_bad_factor_or_weight_in_term_order(q):
+    params = AlgebraParams(q=q)
+    singles = tuple(standard_catalog(params).values())
+    rng = np.random.default_rng(5)
+    good = [random_pd_element(rng, params) for _ in range(6)]
+    bad = Element.unit(params) * -1.0
+    report = is_positive_definite(bad, singles)
+    for k in range(6):
+        factors = list(good)
+        factors[k] = bad
+        terms = [(0.5, factors[2 * t], factors[2 * t + 1]) for t in range(3)]
+        # a negative weight after the bad factor's term is not reached
+        terms.append((-1.0, good[0], good[1]))
+        with pytest.raises(ValueError) as got:
+            separable_build(terms, singles)
+        assert str(got.value) == (f"term {k // 2}: {('left', 'right')[k % 2]} factor is not positive definite "
+                                  f"({report.verdict}, blocks {report.per_block})")
+        # one before it is
+        terms = [(0.5, good[0], good[1]), (-0.25, good[2], good[3])] + terms[:3]
+        with pytest.raises(ValueError, match=r"^term 1: negative weight -0.25$"):
+            separable_build(terms, singles)
 
 
 @pytest.mark.parametrize("q", QS)
