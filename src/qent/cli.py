@@ -47,6 +47,7 @@ from .fourier import (
 from .haar import haar
 from .hopf import MultiElement, product_counit
 from .serialize import (
+    _json_text,
     complex_pair,
     dump_json,
     load_json,
@@ -148,23 +149,6 @@ def _pair(params, dims, label=None):
     return U
 
 
-_JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
-                 bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
-
-
-def _json_text(value, pad="\n") -> str:
-    """`json.dumps(value, indent=2)` byte for byte, for data with str keys, without json's Python encoder."""
-    kind = type(value)
-    if kind in (dict, list, tuple) and value:
-        inner = pad + "  "
-        items = ([_JSON_SCALARS[str](k) + ": " + _json_text(v, inner) for k, v in value.items()] if kind is dict
-                 else [_json_text(v, inner) for v in value])
-        return "[{"[kind is dict] + inner + ("," + inner).join(items) + pad + "]}"[kind is dict]
-    if kind is float and value - value == 0.0:  # finite; json spells out nan and the infinities
-        return float.__repr__(value)
-    return _JSON_SCALARS[kind](value) if kind in _JSON_SCALARS else json.dumps(value)
-
-
 def _emit(args, payload: dict, text_lines):
     if args.format == "json":
         print(_json_text(payload))
@@ -234,7 +218,9 @@ def cmd_ppt(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc))
         algebra_report = ppt_check(_forward(value, U), catalog)
-        agreement = matrix_report.psd == (algebra_report.verdict == POSITIVE_DEFINITE)
+        # an undecided algebra side agrees with no matrix verdict
+        agreement = (algebra_report.verdict != UNDECIDED_SUPPORT
+                     and matrix_report.psd == (algebra_report.verdict == POSITIVE_DEFINITE))
         payload = {
             "matrix_ppt": matrix_report.psd,
             "pt_eigenvalues": list(matrix_report.eigenvalues),
@@ -292,29 +278,23 @@ def cmd_verify(args) -> int:
 def cmd_demo_singlet(args) -> int:
     params = _params(args)
     report = singlet_demo_report(params)
-    if args.format == "json":
-        print(_json_text(report))
-        return EXIT_OK
-    q = params.q
-    print(f"singlet walk-through at q = {q}")
-    print("state: projector onto (|01> - |10>)/sqrt(2) on a 2x2 carrier space")
-    print(f"transform over fund*fund: {report['element']}")
-    print(f"  counit of the transform: {report['counit']:.12g} (trace of the state: 1)")
-    print(
+    _emit(args, report, [
+        f"singlet walk-through at q = {params.q}",
+        "state: projector onto (|01> - |10>)/sqrt(2) on a 2x2 carrier space",
+        f"transform over fund*fund: {report['element']}",
+        f"  counit of the transform: {report['counit']:.12g} (trace of the state: 1)",
         "  a quarter-coefficient variant of the same element fails the counit "
         f"check: {report['quarter_counit']:.12g} != 1, so the half coefficients are the "
-        "normalized ones"
-    )
-    print(f"reconstruction residual: {report['reconstruction_residual']:.3e}")
-    print(
+        "normalized ones",
+        f"reconstruction residual: {report['reconstruction_residual']:.3e}",
         "matrix PPT: partial transpose eigenvalues "
         + ", ".join(f"{v:.6g}" for v in report["pt_eigenvalues"])
-        + f" -> {'PSD' if report['matrix_ppt'] else 'not PSD'}"
-    )
-    print(f"algebra PPT: {report['algebra_verdict']}")
-    print(f"verdict: the singlet is {report['separability']}")
-    if q == 1.0:
-        print("note: at q = 1 the algebra is commutative and this is the classical group case")
+        + f" -> {'PSD' if report['matrix_ppt'] else 'not PSD'}",
+        f"algebra PPT: {report['algebra_verdict']}",
+        f"verdict: the singlet is {report['separability']}",
+        *(["note: at q = 1 the algebra is commutative and this is the classical group case"]
+          if params.q == 1.0 else []),
+    ])
     return EXIT_OK
 
 

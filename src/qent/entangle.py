@@ -19,11 +19,10 @@ of each size, of every x, in one stacked eigen-solve.  A witness is built
 only for a failing row of a product catalog, from its failing block, with
 its eigenvector in a canonical phase.  It serves a two-leg x over product
 coreps and a one-leg x over single-factor coreps alike.  `ppt_many` forms
-the terms of each θx, the transposition map on one leg, with
-`partial_theta`'s arithmetic and the map's memo of θ on the support's leg
-monomials, and sends the stack through the same test.  The one-element
-calls, `is_positive_definite` and `ppt_check`, are the stacks of one, so
-a report does not depend on the stack it came in: each row is its own
+each θx, the transposition map on one leg, with `partial_theta` and sends
+the stack through the same test.  The one-element calls,
+`is_positive_definite` and `ppt_check`, are the stacks of one, so a
+report does not depend on the stack it came in: each row is its own
 matrix-vector product and its own eigen-solves.  `separable_build` tests
 all its factors in one stack and `tensor_pd` both of its factors; the
 per-block `inverse` that `find_negative_witness` calls without a block
@@ -177,12 +176,14 @@ def find_negative_witness(x: MultiElement, U: Corep, *, block=None) -> MultiElem
     collapses to a positive multiple of ⟨v|A|v⟩ for the block coefficient
     matrix A, so the negative eigenvector certifies failure.  `block`, when given, is the inverse
     transform x̂(U), so a caller that already has it does not compute it
-    again.
+    again; a block of any shape other than (U.dim, U.dim) is refused.
     """
     # the witness is built with the trusted constructor from U's adjoints, keyed as x is
     _checked_kind(2, x, U, names=Corep.pairing_kinds)
     if block is None:
         block = inverse(x, U)
+    elif np.shape(block) != (U.dim, U.dim):
+        raise ValueError(f"block has shape {np.shape(block)}, {U.label} needs ({U.dim}, {U.dim})")
     herm = (block + block.conj().T) / 2.0
     if float(np.linalg.eigvalsh(herm).min()) >= -EIG_TOL:
         return None
@@ -267,10 +268,10 @@ def ppt_many(xs, catalog, *, leg: int = 1) -> list:
     """`ppt_check` of each x in xs, as a list of reports equal to the one-by-one reports bit for bit.
 
     Each report is that of is_positive_definite(partial_theta(x, leg=leg),
-    catalog), bit for bit: the catalog map forms θx's terms with
-    `partial_theta`'s arithmetic and its memo of θ on the support's leg
-    monomials (`CatalogMap.theta`) as `CatalogMap.gather` fills its row,
-    and the stack goes through `is_positive_definite_many`'s block test.
+    catalog), bit for bit: `CatalogMap.gather` forms each θx with
+    `partial_theta` as it fills its row, and the stack goes through
+    `is_positive_definite_many`'s block test.  θ's argument checks run on
+    every x first, so they are raised before the catalog's.
     """
     xs = list(xs)
     for x in xs:

@@ -23,8 +23,8 @@ rows of one matrix, and `transform` applies both matrices to every row in
 one stacked product, one matrix-vector product per row, so that a row has
 the bits it has alone.  `inverse` is the block of a one-block catalog's
 map, and each corep keeps the `BlockMap` of the first fill that held it,
-whose expansion is `forward`.  θx goes through the same map, formed with
-`partial_theta`'s arithmetic.
+whose expansion is `forward`.  θx goes through the same map, formed by
+`partial_theta` as its row is gathered.
 
 Compiling is a plan and a fill.  Term keys do not depend on q, so all that
 is index-like is one q-free `_CatalogPlan` per catalog shape.  A fresh q
@@ -48,7 +48,7 @@ import numpy as np
 from .algebra import LRU, Element, _checked_kind, _ElementCore, _adjoint_image, _adjoint_power
 from .corep import Corep, _require_distinct, engine, pairing_tables
 from .haar import leg_support
-from .hopf import MultiElement, _theta_monomial, _theta_on_leg, product_counit
+from .hopf import MultiElement, partial_theta, product_counit
 
 
 class DensityOp:
@@ -234,7 +234,7 @@ class CatalogMap:
     """
 
     __slots__ = ("coreps", "labels", "legs", "params", "plan", "offsets", "index", "matrix", "reexpansion",
-                 "transpose", "stacks", "_slot_matrix", "_tables", "_thetas")
+                 "transpose", "stacks", "_slot_matrix", "_tables")
 
     def __init__(self, catalog):
         self.coreps = tuple(catalog)
@@ -265,7 +265,6 @@ class CatalogMap:
         self.reexpansion = np.zeros((keys, size), dtype=complex)
         np.add.at(self.reexpansion.reshape(-1), at,
                   fill.coeffs[term] * (fill.trF[block] * (fill.root[left] * fill.root[right])))
-        self._thetas: dict = {}  # per leg, θ of each leg monomial of the support as (scale, image)
         for i, U in enumerate(self.coreps):
             if "_block_map" not in U.__dict__:
                 view = BlockMap.__new__(BlockMap)
@@ -275,8 +274,8 @@ class CatalogMap:
     def gather(self, xs, leg=None):
         """(V, outside): row i of V holds xs[i]'s coefficients over the support; outside maps i to its other (key, coeff) terms.
 
-        With a leg, row i holds those of θ(xs[i]) on that leg (`theta`),
-        each formed as its row is filled.  Each x is refused as a
+        With a leg, row i holds those of partial_theta(xs[i], leg), each
+        formed as its row is filled.  Each x is refused as a
         single-element call refuses it, the first refused x of the stack
         first.  Only a row with terms off the support has an entry in
         outside.
@@ -286,7 +285,7 @@ class CatalogMap:
         outside: dict = {}
         for row, x in enumerate(xs):
             if leg is not None:
-                x = self.theta(x, leg)
+                x = partial_theta(x, leg)
             _checked_kind(self.legs, x, names=Corep.pairing_kinds)
             # params lists the catalog's distinct parameters, so x matches all of them or none
             if self.params and self.params != (x.params,):
@@ -304,23 +303,6 @@ class CatalogMap:
         """(flat, residual) for one x; the residual is that of `support_residual`."""
         flat, residuals = self.transform(*self.gather((x,)))
         return flat[0], residuals[0]
-
-    def theta(self, x: MultiElement, leg: int) -> MultiElement:
-        """partial_theta(x, leg=leg), with θ of the support's leg monomials read from a memo.
-
-        θx's terms come from `partial_theta`'s own loop, so its report is
-        bit for bit that of θx; keys and images off the support go through
-        the outside-key columns of `flat`.  The memo holds θ on the leg
-        monomials of a product catalog's support at its q (5 per leg on the
-        shipped catalog), so only an x that `gather` takes reads it.
-        """
-        images = {}
-        if self.legs == 2 and self.params == (x.params,):
-            if leg not in self._thetas:
-                monos = {key[leg] for key in self.index}
-                self._thetas[leg] = {mono: _theta_monomial(mono, x.params.q) for mono in monos}
-            images = self._thetas[leg]
-        return _theta_on_leg(x, leg, images)
 
     def transform(self, V: np.ndarray, outside):
         """(flat, residuals) from `gather`'s V and outside: row i of flat holds every block of xs[i] end to end."""

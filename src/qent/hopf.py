@@ -5,6 +5,8 @@ legs for the direct square, four legs for its coproduct, and so on).  All
 legs share one deformation parameter.  The counit, the coinverse κ, κ² and
 Δ on one leg act leg by leg on an Element or a MultiElement alike, reading
 each key as its tuple of leg monomials; the coproduct and θ take an Element.
+`partial_theta`, θ on one leg, is the one code that forms θx; it and `theta`
+read θ's q-free part from one bounded memo (`_theta_image`).
 
 On the generators:
 
@@ -19,6 +21,7 @@ unitary corepresentation and Δ coassociative.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from .algebra import (
@@ -27,6 +30,7 @@ from .algebra import (
     AlgebraParams,
     Element,
     LRU,
+    MONO_MUL_CACHE_SIZE,
     Monomial,
     MONO_A,
     MONO_ASTAR,
@@ -233,10 +237,16 @@ def product_coinverse(x: MultiElement) -> MultiElement:
 
 # -- transposition map ---------------------------------------------------------
 
+@lru_cache(maxsize=MONO_MUL_CACHE_SIZE)
+def _theta_image(mono: Monomial):
+    """The q-free part of θ on a basis monomial: (sign, image monomial, power of q)."""
+    return (-1.0) ** (mono.m + mono.n), _mono(mono.sector, mono.k, mono.n, mono.m), mono.n - mono.m
+
+
 def _theta_monomial(mono: Monomial, q: float):
     """θ = (adjoint ∘ κ) on a basis monomial as (real scale, monomial)."""
-    scale = (-1.0) ** (mono.m + mono.n) * q ** (mono.n - mono.m)
-    return scale, _mono(mono.sector, mono.k, mono.n, mono.m)
+    sign, image, power = _theta_image(mono)
+    return sign * q ** power, image
 
 
 def theta(x: Element) -> Element:
@@ -251,25 +261,17 @@ def partial_theta(x: MultiElement, leg: int = 1) -> MultiElement:
 
     θ itself is antilinear, so a leg-wise θ is only defined relative to the
     monomial basis; with this convention the image of a transformed density
-    matrix is the transform of its partial transpose.
-    """
-    return _theta_on_leg(x, leg, {})
-
-
-def _theta_on_leg(x: MultiElement, leg: int, images) -> MultiElement:
-    """`partial_theta`, reading θ of a leg monomial from `images` where it is there.
-
-    `images` maps monomials to their `_theta_monomial` at x's q, as a
-    catalog map's θ memo does.
+    matrix is the transform of its partial transpose.  It is the one path
+    that forms θx: `CatalogMap.gather` calls it for each row of a stack.
     """
     _require_theta_leg(x, leg)
     q = x.params.q
     out: dict = {}
     for key, coeff in x.terms.items():
-        scale, mono = images.get(key[leg]) or _theta_monomial(key[leg], q)
+        sign, mono, power = _theta_image(key[leg])
         image = (mono, key[1]) if leg == 0 else (key[0], mono)
         # θ on a leg is one-to-one on keys, so every image is added onto 0j once
-        out[image] = 0j + coeff * scale
+        out[image] = 0j + coeff * (sign * q ** power)
     return MultiElement._trusted(x.params, 2, out)
 
 

@@ -142,7 +142,24 @@ def load_json(path):
         return json.load(fh)
 
 
+_JSON_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                 bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _json_text(value, pad="\n") -> str:
+    """`json.dumps(value, indent=2)` byte for byte, for data with str keys, without json's Python encoder."""
+    kind = type(value)
+    if kind in (dict, list, tuple) and value:
+        inner = pad + "  "
+        items = ([_JSON_SCALARS[str](k) + ": " + _json_text(v, inner) for k, v in value.items()] if kind is dict
+                 else [_json_text(v, inner) for v in value])
+        return "[{"[kind is dict] + inner + ("," + inner).join(items) + pad + "]}"[kind is dict]
+    if kind is float and value - value == 0.0:  # finite; json spells out nan and the infinities
+        return float.__repr__(value)
+    return _JSON_SCALARS[kind](value) if kind in _JSON_SCALARS else json.dumps(value)
+
+
 def dump_json(obj, path) -> None:
+    """Write obj, data with str keys, as the CLI prints it: `_json_text(obj)` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")

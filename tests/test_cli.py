@@ -144,6 +144,49 @@ def test_ppt_on_element_input(tmp_path):
     assert main(["ppt", "--input", str(path)]) == 0
 
 
+def test_ppt_agreement_is_false_when_the_algebra_side_is_undecided(capsys):
+    # triv*triv alone does not span werner_0.6's transform: an undecided algebra side agrees with nothing
+    code = main(["ppt", "--input", str(GOLDEN / "werner_0.6.json"), "--catalog", "triv*triv", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3 and payload["algebra_report"]["verdict"] == "UNDECIDED_SUPPORT"
+    assert payload["matrix_ppt"] is False and payload["agreement"] is False
+
+
+def _exits_2_with(argv, capsys, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_ppt_and_check_pd_refuse_a_three_leg_element_file(tmp_path, capsys):
+    path = tmp_path / "three.json"
+    dump_json(multielement_to_dict(MultiElement.unit(AlgebraParams(q=0.5), 3)), path)
+    for command in ("ppt", "check-pd"):
+        _exits_2_with([command, "--input", str(path)], capsys, f"{command} does not take a 3-leg element")
+
+
+def test_transform_refuses_a_pair_of_other_dims(tmp_path, capsys):
+    path = tmp_path / "two_by_one.json"
+    dump_json(densityop_to_dict(DensityOp((2, 1), np.eye(2) / 2.0)), path)
+    _exits_2_with(["transform", "--input", str(path), "--pair", "fund*fund"], capsys,
+                  "corep pair fund*fund has dims (2, 2), input has (2, 1)")
+
+
+def test_ppt_refuses_a_non_hermitian_density_operator(capsys):
+    _exits_2_with(["ppt", "--input", str(GOLDEN / "nonhermitian.json")], capsys,
+                  "ppt_matrix requires a hermitian input")
+
+
+def test_check_pd_output_file_holds_the_bytes_it_prints(tmp_path, capsys):
+    element_path = tmp_path / "element.json"
+    assert main(["transform", "--input", str(write_singlet(tmp_path)), "--output", str(element_path)]) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    assert main(["check-pd", "--input", str(element_path), "--output", str(report_path), "--format", "json"]) == 0
+    printed = capsys.readouterr().out
+    assert report_path.read_text(encoding="utf-8") == printed
+
+
 def test_haar_command(tmp_path, capsys):
     params = AlgebraParams(q=0.5)
     c = Element.generator(params, "c")

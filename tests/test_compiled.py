@@ -215,6 +215,7 @@ def _cache_sizes(params):
         "gram matrices": (len(tables._grams), haar_module.GRAM_MATRICES_SIZE),
         "mono_mul programs": (algebra._mono_mul_program.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
+        "θ images": (hopf._theta_image.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
     }
 
 
@@ -524,6 +525,7 @@ def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch, compile
     monkeypatch.setattr(entangle, "inverse", counting_inverse)
     monkeypatch.setattr(fourier, "inverse", counting_inverse)
     monkeypatch.setattr(hopf, "partial_theta", counting_theta)
+    monkeypatch.setattr(fourier, "partial_theta", counting_theta)
     params = AlgebraParams(q=0.5)
     catalog = product_catalog(params)
     x = forward(fourier.singlet_state(), catalog[3])
@@ -531,14 +533,15 @@ def test_ppt_check_on_an_npt_state_computes_each_block_once(monkeypatch, compile
     compiled_blocks.clear()
     for leg in (0, 1):
         applied.clear()
+        transposed.clear()
         report = ppt_check(x, catalog, leg=leg)
         assert report.verdict == entangle.NOT_POSITIVE_DEFINITE and report.witness is not None
-        # one application of the catalog's map, to x's coefficients moved by
-        # the map's θ, gives every block; no θx is built, and the witness
-        # reuses the failing block and the map's compiled data instead of
-        # transforming again or compiling a block map
+        # one θx, and one application of the catalog's map to its
+        # coefficients, gives every block; the witness reuses the failing
+        # block and the map's compiled data instead of transforming again or
+        # compiling a block map
         assert len(applied) == 1 and applied[0] is fourier.catalog_map(catalog)
-        assert inverted == [] and transposed == [] and compiled_blocks == []
+        assert inverted == [] and transposed == [leg] and compiled_blocks == []
     applied.clear()
     report = is_positive_definite(forward(fourier.singlet_state(), catalog[3]), catalog)
     assert report.verdict == entangle.POSITIVE_DEFINITE and len(applied) == 1

@@ -111,6 +111,15 @@ def test_find_negative_witness(params, U):
     assert find_negative_witness(forward(maximally_mixed(), U), U) is None
 
 
+def test_find_negative_witness_refuses_a_block_of_the_wrong_shape(params, U):
+    x = partial_theta(forward(werner_state(0.6), U))
+    assert find_negative_witness(x, U) is not None
+    # unchecked, a PSD block of the wrong shape would give no witness, and a negative one would fail in numpy
+    for block in (np.zeros((2, 2)), -np.eye(2), np.zeros(16)):
+        with pytest.raises(ValueError, match=r"block has shape .*, fund\*fund needs \(4, 4\)"):
+            find_negative_witness(x, U, block=block)
+
+
 def test_single_factor_pd(params, singles):
     fund = fundamental_corep(params)
     a = forward(np.array([[1, 0], [0, 0]]), fund)
