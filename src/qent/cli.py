@@ -167,7 +167,7 @@ def cmd_transform(args) -> int:
     eps = normalization_check(element)
     trace = rho.trace()
     if args.output:
-        dump_json(multielement_to_dict(element), args.output)
+        _write(multielement_to_dict(element), args.output)
     payload = {
         "pair": U.label,
         "terms": len(element.terms),
@@ -191,12 +191,20 @@ def _forward(rho, U) -> MultiElement:
         raise CliError(f"cannot transform the operator: {exc}")
 
 
+def _write(value, path) -> None:
+    """dump_json(value, path); a path that cannot be written is a usage error, exit 2."""
+    try:
+        dump_json(value, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 def cmd_check_pd(args) -> int:
     element = _read(args, (2,))
     report = is_positive_definite(element, _catalog(args, element.params))
     payload = pdreport_to_dict(report)
     if args.output:
-        dump_json(payload, args.output)
+        _write(payload, args.output)
     blocks = ", ".join(f"{label}: {value:.3e}" for label, value in report.per_block.items())
     _emit(args, payload, [
         f"verdict: {report.verdict}",

@@ -11,16 +11,14 @@ cancels as q → 1, the second is 1/(m + 1) at q = 1, the classical value.
 It is validated in the test suite against an independent linear solver for
 the invariance equations.  On multi-leg elements h acts as the product of
 the per-leg values, which is what lets every two-leg pairing be assembled
-from the single-leg values h(p·m) held in `corep.pairing_tables`.
+from the single-leg values h(p·m) that `corep.pairing_tables` computes.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-from .algebra import PLAIN, LRU, AlgebraParams, Monomial, _ElementCore, _checked_kind, _mono_adjoint, _mono_mul
+from .algebra import PLAIN, AlgebraParams, Monomial, _ElementCore, _checked_kind, _mono_adjoint, _mono_mul
 from .hopf import (
     MultiElement,
     _coinverse_monomial,
@@ -67,16 +65,12 @@ def haar(x) -> complex:
     return total
 
 
-# entries per memo of one PairingTables
-PAIRING_MEMO_SIZE = 4096
-# witness monomials indexed by the Gram matrices; one call's monomials always fit
-GRAM_INDEX_SIZE = 64
-# Gram matrices kept per table, one per leg monomial m
-GRAM_MATRICES_SIZE = 64
+# witness monomials indexed, and per-m matrices kept, by one PairingTables' Gram store
+GRAM_SIZE = 64
 
 
 class PairingTables:
-    """Single-leg Haar pairings at one AlgebraParams, filled as they are first asked for.
+    """Single-leg Haar pairings at one AlgebraParams, and a store of their Gram matrices.
 
     `leg(p, m)` is h(p·m) = Σ_w s·h(w) over the normal form p·m = Σ_w s·w,
     added in the normal form's order.  `convolution(m, p, p2)` is
@@ -86,83 +80,61 @@ class PairingTables:
     the one-leg factor of the positive-definiteness pairing: for two-leg x
     and b = Σ_j β_j p_j ⊗ s_j the pairing is
     Σ x_(ma,mb) Σ_jk β_j conj(β_k) G(ma; p_j, p_k) G(mb; s_j, s_k).
-    `gram(m, monos)` is the matrix of G(m; p, p2) over p, p2 in monos.
+    Both are computed afresh on every call from the cached monomial product
+    and coproduct; `gram(m, monos)` is the matrix of G(m; p, p2) over p, p2
+    in monos, the one store of these values.
     """
 
-    __slots__ = ("params", "_leg", "_convolution", "_gram_index", "_grams")
+    __slots__ = ("params", "_gram_index", "_grams")
 
     def __init__(self, params: AlgebraParams):
         self.params = params
-        self._leg = LRU(PAIRING_MEMO_SIZE)
-        self._convolution = LRU(PAIRING_MEMO_SIZE)
-        self._gram_index = OrderedDict()
-        self._grams = LRU(GRAM_MATRICES_SIZE)
+        self._gram_index, self._grams = {}, {}
 
     def leg(self, p: Monomial, m: Monomial) -> complex:
-        key = (p, m)
-        value = self._leg.get(key)
-        if value is None:
-            params = self.params
-            value = sum((scale * h for mono, scale in _mono_mul(p, m, params.q)
-                         if (h := haar_monomial(mono, params))), 0j)
-            self._leg.put(key, value)
-        return value
+        params = self.params
+        return sum((scale * h for mono, scale in _mono_mul(p, m, params.q)
+                    if (h := haar_monomial(mono, params))), 0j)
 
     def convolution(self, m: Monomial, p: Monomial, p2: Monomial) -> complex:
-        key = (m, p, p2)
-        value = self._convolution.get(key)
-        if value is None:
-            q = self.params.q
-            adj_scale, p2_adj = _mono_adjoint(p2, q)
-            value = 0j
-            for (a1, a2), coeff in _coproduct_monomial(self.params, m).terms.items():
-                kappa_scale, a1_kappa = _coinverse_monomial(a1, q)
-                value += (coeff * kappa_scale * adj_scale
-                          * self.leg(a1_kappa, p2_adj) * self.leg(p, a2))
-            self._convolution.put(key, value)
+        q = self.params.q
+        adj_scale, p2_adj = _mono_adjoint(p2, q)
+        value = 0j
+        for (a1, a2), coeff in _coproduct_monomial(self.params, m).terms.items():
+            kappa_scale, a1_kappa = _coinverse_monomial(a1, q)
+            value += (coeff * kappa_scale * adj_scale
+                      * self.leg(a1_kappa, p2_adj) * self.leg(p, a2))
         return value
 
     def gram(self, m: Monomial, monos) -> np.ndarray:
         """The matrix [[G(m; p, p2) for p2 in monos] for p in monos].
 
         It is sliced from one matrix per m over an index of the monomials
-        asked for lately, whose entries are filled from `convolution` the
-        first time they are asked for.  Witnesses of one algebra share few
-        monomials, so the index stays small and the slices are cheap.  In
-        a full index a new monomial takes the position of the least
-        recently asked-for one of earlier calls, which every matrix refills.
+        asked for so far; an entry is NaN until it is first asked for and
+        filled from `convolution`.  Witnesses of one algebra share few
+        monomials, so the index stays small and the slices are cheap.  A
+        call that would take the index or the matrices past `GRAM_SIZE`
+        clears both first; one call's monomials are always indexed.
         """
-        index = self._gram_index
+        index, grams = self._gram_index, self._grams
         asked = dict.fromkeys(monos)
+        if len(index.keys() | asked.keys()) > GRAM_SIZE or (m not in grams and len(grams) >= GRAM_SIZE):
+            index.clear()
+            grams.clear()
         for p in asked:
-            if p in index:
-                index.move_to_end(p)
-        for p in asked:
-            if p not in index:
-                position = len(index)
-                if position >= GRAM_INDEX_SIZE and next(iter(index)) not in asked:
-                    position = index.popitem(last=False)[1]
-                    for _, known in self._grams.values():
-                        known[position:position + 1] = known[:, position:position + 1] = False
-                index[p] = position
+            index.setdefault(p, len(index))
         rows = np.fromiter((index[p] for p in monos), np.intp, len(monos))
+        values = grams.get(m)
         size = len(index)
-        found = self._grams.get(m)
-        if found is None or found[0].shape[0] < size:
-            values = np.zeros((size, size), dtype=complex)
-            known = np.zeros((size, size), dtype=bool)
-            if found is not None:
-                old = found[0].shape[0]
-                values[:old, :old], known[:old, :old] = found
-            found = self._grams.put(m, (values, known))
-        values, known = found
-        block = (rows[:, None], rows)
-        missing = ~known[block]
-        if missing.any():
-            for i, j in zip(*np.nonzero(missing)):
-                values[rows[i], rows[j]] = self.convolution(m, monos[i], monos[j])
-            known[block] = True
-        return values[block]
+        if values is None or len(values) < size:
+            grown = np.full((size, size), np.nan, dtype=complex)
+            if values is not None:
+                grown[:len(values), :len(values)] = values
+            values = grams[m] = grown
+        block = values[rows[:, None], rows]
+        for i, j in zip(*np.nonzero(np.isnan(block))):
+            block[i, j] = values[rows[i], rows[j]] = self.convolution(m, monos[i], monos[j])
+        return block
 
 
 def leg_support(p: Monomial, m: Monomial) -> bool:

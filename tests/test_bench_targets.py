@@ -6,9 +6,11 @@ is renamed, deleted or moved off the module or class it is traced on; a
 method inherited from a base class still resolves.  It also fails when a
 short traced run of a workload reports a null per-layer metric, in this
 process and in a fresh one, which starts without any memo that earlier
-tests filled, as the benchmark's own runs do.  `spans` and `workloads` are
-loaded from their files, and the fresh run is made, without writing a
-bytecode cache next to them.
+tests filled, as the benchmark's own runs do.  And it fails when a
+stream workload's own oracle rejects one of many more requests than a
+short traced run makes.  `spans` and `workloads` are loaded from their
+files, and the fresh run is made, without writing a bytecode cache next to
+them.
 """
 
 import importlib
@@ -41,7 +43,8 @@ def _load(name):
 
 SPANS = _load("spans")
 TARGETS = SPANS.TARGETS
-WORKLOADS = _load("workloads").WORKLOADS
+WORKLOAD_MODULE = _load("workloads")
+WORKLOADS = WORKLOAD_MODULE.WORKLOADS
 
 
 def test_the_targets_are_found():
@@ -95,3 +98,14 @@ def test_a_fresh_process_traced_run_prints_a_well_formed_result(name):
            if type(entry["value"]) not in (int, float) or not math.isfinite(entry["value"])}
     assert bad == {}
     assert [prediction for prediction in info["info"]["predictions"].values() if not prediction["held"]] == []
+
+
+@pytest.mark.parametrize("name, requests", [("ppt-stream", 2000), ("q-sweep", 300)])
+def test_every_request_of_a_stream_passes_its_oracle(name, requests, tmp_path):
+    # requests 1 to N of one seed, as the benchmark's loop makes and checks them
+    workload, tally = WORKLOADS[name](), WORKLOAD_MODULE.Tally()
+    workload.setup(1, str(tmp_path))
+    for i in range(1, requests + 1):
+        workload.prepare(i)
+        workload.check(i, workload.request(i), tally)
+    assert tally.attempted == requests and tally.failed == 0

@@ -187,6 +187,20 @@ def test_check_pd_output_file_holds_the_bytes_it_prints(tmp_path, capsys):
     assert report_path.read_text(encoding="utf-8") == printed
 
 
+@pytest.mark.parametrize("target", ["no/such/out.json", "."], ids=["missing directory", "a directory"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    element_path = tmp_path / "element.json"
+    assert main(["transform", "--input", str(write_singlet(tmp_path)), "--output", str(element_path)]) == 0
+    capsys.readouterr()
+    output = tmp_path / target
+    for argv in (["transform", "--input", str(write_singlet(tmp_path))],
+                 ["check-pd", "--input", str(element_path)]):
+        assert main(argv + ["--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {output}: ")
+    assert not (tmp_path / "no").exists()
+
+
 def test_haar_command(tmp_path, capsys):
     params = AlgebraParams(q=0.5)
     c = Element.generator(params, "c")

@@ -209,10 +209,8 @@ def _cache_sizes(params):
         "coproduct": (len(hopf._COPRODUCT_CACHE), hopf.COPRODUCT_CACHE_SIZE),
         "engines": (corep.engine.cache_info().currsize, corep.ENGINES_SIZE),
         "engine catalog maps": (len(owner.maps), ENGINE_CATALOGS),
-        "pairing h(p·m) memo": (len(tables._leg), haar_module.PAIRING_MEMO_SIZE),
-        "pairing G memo": (len(tables._convolution), haar_module.PAIRING_MEMO_SIZE),
-        "gram index": (len(tables._gram_index), haar_module.GRAM_INDEX_SIZE),
-        "gram matrices": (len(tables._grams), haar_module.GRAM_MATRICES_SIZE),
+        "gram index": (len(tables._gram_index), haar_module.GRAM_SIZE),
+        "gram matrices": (len(tables._grams), haar_module.GRAM_SIZE),
         "mono_mul programs": (algebra._mono_mul_program.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
         "catalog plans": (len(fourier._CATALOG_PLANS), fourier.CATALOG_PLANS_SIZE),
         "θ images": (hopf._theta_image.cache_info().currsize, algebra.MONO_MUL_CACHE_SIZE),
@@ -221,8 +219,7 @@ def _cache_sizes(params):
 
 # every module-level cache-size constant of qent; a new memo bound is added here and to _cache_sizes
 CACHE_SIZE_CONSTANTS = {
-    "algebra.MONO_MUL_CACHE_SIZE", "corep.ENGINES_SIZE",
-    "haar.PAIRING_MEMO_SIZE", "haar.GRAM_INDEX_SIZE", "haar.GRAM_MATRICES_SIZE",
+    "algebra.MONO_MUL_CACHE_SIZE", "corep.ENGINES_SIZE", "haar.GRAM_SIZE",
     "hopf.COPRODUCT_CACHE_SIZE", "fourier.CATALOG_PLANS_SIZE",
 }
 
@@ -295,9 +292,8 @@ def test_one_q_working_set_fits_the_bounds(compiled_blocks):
     info = algebra._mono_mul.cache_info()
     assert info.misses == info.currsize < algebra.MONO_MUL_CACHE_SIZE
     sizes = _cache_sizes(params)
-    for name in ("coproduct", "pairing h(p·m) memo", "pairing G memo"):
-        size, bound = sizes[name]
-        assert size < bound, name
+    size, bound = sizes["coproduct"]
+    assert size < bound
     assert compiled_blocks
     for name in ("gram index", "gram matrices", "engine catalog maps"):
         size, bound = sizes[name]
@@ -1011,7 +1007,10 @@ def test_trusted_constructions_reject_non_finite_coefficients():
 
 
 def _term_by_term_gram(tables, m, monos):
-    return np.array([[tables.convolution(m, p, p2) for p2 in monos] for p in monos])
+    # a witness repeats its monomials, so each distinct pair is computed once
+    distinct = dict.fromkeys(monos)
+    values = {(p, p2): tables.convolution(m, p, p2) for p in distinct for p2 in distinct}
+    return np.array([[values[p, p2] for p2 in monos] for p in monos])
 
 
 @pytest.mark.parametrize("q", QS)
@@ -1031,35 +1030,43 @@ def test_gram_slices_equal_the_term_by_term_gram(q):
 
 
 def test_gram_index_and_matrices_stay_bounded(monkeypatch):
-    monkeypatch.setattr(haar_module, "GRAM_INDEX_SIZE", 12)
-    monkeypatch.setattr(haar_module, "GRAM_MATRICES_SIZE", 5)
+    monkeypatch.setattr(haar_module, "GRAM_SIZE", 8)
     params = AlgebraParams(q=0.4)
     tables = haar_module.PairingTables(params)
     legs = [Monomial(PLAIN, 0, m, n) for m in range(3) for n in range(3)]
     pool = legs + [Monomial(sector, k, 0, 0) for k in (1, 2) for sector in (PLAIN, STAR)]
     rng = np.random.default_rng(31)
-    indexed, kept = set(), set()
-    for _ in range(40):
-        monos = [pool[int(i)] for i in rng.integers(len(pool), size=5)]
-        m = legs[int(rng.integers(len(legs)))]
+    indexed, kept, full = set(), set(), set()
+    # many monomials at two m, then few monomials at every m in turn
+    calls = [(legs[i % 2], pool) for i in range(20)] + [(legs[i % len(legs)], pool[:4]) for i in range(20)]
+    for m, choices in calls:
+        monos = [choices[int(i)] for i in rng.integers(len(choices), size=3)]
         assert np.array_equal(tables.gram(m, monos), _term_by_term_gram(tables, m, monos))
-        assert len(tables._gram_index) <= 12 and len(tables._grams) <= 5
+        assert len(tables._gram_index) <= 8 and len(tables._grams) <= 8
         indexed.update(tables._gram_index)
         kept.update(tables._grams)
-    # the run outgrew both bounds, so both were exercised
-    assert len(indexed) > 12 and len(kept) > 5
+        full.update(name for name, store in (("index", tables._gram_index), ("matrices", tables._grams))
+                    if len(store) == 8)
+    # the run outgrew the bound, and filled the index and the matrices each up to it
+    assert len(indexed) > 8 and len(kept) > 8 and full == {"index", "matrices"}
 
 
-def test_a_reused_gram_position_is_filled_afresh(monkeypatch):
-    monkeypatch.setattr(haar_module, "GRAM_INDEX_SIZE", 3)
+def test_a_full_gram_store_starts_afresh(monkeypatch):
+    monkeypatch.setattr(haar_module, "GRAM_SIZE", 3)
     tables = haar_module.PairingTables(AlgebraParams(q=0.4))
     m, other = Monomial(PLAIN, 0, 1, 1), Monomial(PLAIN, 0, 1, 0)
     first = [Monomial(PLAIN, 0, 0, 0), Monomial(PLAIN, 0, 1, 1), Monomial(STAR, 1, 0, 0)]
     late = Monomial(PLAIN, 0, 2, 2)
     tables.gram(m, first)
-    # the least recently asked-for monomial gives its position to `late`, and m's
-    # kept matrix must not answer for `late` with the value it holds for the first
+    # a fourth monomial would take the index past the bound, so the store keeps this call's entries alone
     tables.gram(other, first[1:] + [late])
-    assert first[0] not in tables._gram_index and len(tables._gram_index) == 3
+    assert list(tables._gram_index) == first[1:] + [late] and list(tables._grams) == [other]
+    # m's matrix is filled afresh over the new index
     assert np.array_equal(tables.gram(m, [late, first[2]]),
                           _term_by_term_gram(tables, m, [late, first[2]]))
+    tables.gram(first[0], [late])
+    assert list(tables._grams) == [other, m, first[0]]
+    # a fourth matrix would take the matrices past the bound: the store starts afresh again
+    assert np.array_equal(tables.gram(late, [first[2], late]),
+                          _term_by_term_gram(tables, late, [first[2], late]))
+    assert list(tables._gram_index) == [first[2], late] and list(tables._grams) == [late]
